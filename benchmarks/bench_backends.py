@@ -3,7 +3,8 @@
 Each backend runs in its own interpreter because the choice is made at
 import time.  The workload mirrors real use: long oscillatory runs at
 tight tolerances (sweep cells), a threshold bisection, and a rotating
-six-variable trajectory.
+six-variable trajectory that blows up at t = 14.158, before its horizon
+of 25.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
@@ -53,7 +54,7 @@ WORKLOAD = textwrap.dedent(
     rows = [
         timed("qnu oscillation, horizon 200, rel_tol 1e-10", oscillation),
         timed("sharpness bisection at h0 = 0", bisection),
-        timed("swirl rotation, horizon 25, rel_tol 1e-10", rotation),
+        timed("swirl rotation, blowup at t=14.158 (horizon 25), rel_tol 1e-10", rotation),
     ]
     print(json.dumps({{"backend": spectral.BACKEND, "rows": rows}}))
     """

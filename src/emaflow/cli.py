@@ -4,14 +4,15 @@ Four subcommands share one config file:
 
     emaflow simulate --config run.ini --out results/
     emaflow classify --config run.ini
-    emaflow sweep    --config run.ini --threads 8
+    emaflow sweep    --config run.ini
     emaflow validate --config run.ini
 
 Exit codes: 0 for a regular finish, 2 when a singularity (or a failed
 validation criterion) is detected, 1 for usage, I/O, and configuration
 errors.  Errors print a single line to stderr.  All file outputs are
-byte-deterministic for a fixed config and seed, independent of
---threads.
+byte-deterministic for a fixed config and seed.  --threads is accepted
+and changes no output: a swirl_sigma sweep runs as one batch and the
+pointwise sweep is closed-form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,12 @@ import numpy as np
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
 from .errors import EmaflowError
 from .lagrange import advance_ensemble, bkm_monitor, gradient_bound_check
-from .spectral import BACKEND, SwirlState
+from .spectral import BACKEND
 from .threshold import (
     classify_point,
     classify_profile,
     default_classification_grid,
-    sigma_membership,
+    sigma_membership_batch,
     threshold_margin,
 )
 
@@ -181,51 +181,28 @@ def _sweep_rows(config: RunConfig):
     vals2 = np.linspace(ax2.lo, ax2.hi, ax2.count)
     tasks = [(float(v1), float(v2)) for v1 in vals1 for v2 in vals2]
 
+    cells = [{ax1.name: v1, ax2.name: v2} for v1, v2 in tasks]
     if config.sweep_mode == "pointwise_threshold":
-
-        def cell(task):
-            v1, v2 = task
-            point = {ax1.name: v1, ax2.name: v2}
-            verdict = classify_point(point["lambda0"], point["h0"], config.kappa)
-            return verdict.regime, verdict.t_blowup
-
+        verdicts = [
+            classify_point(cell["lambda0"], cell["h0"], config.kappa) for cell in cells
+        ]
     else:
-
-        def cell(task):
-            v1, v2 = task
-            base = {name: 0.0 for name in SWIRL_FIELDS}
-            base.update(config.sweep_fixed)
-            base[ax1.name] = v1
-            base[ax2.name] = v2
-            state = SwirlState(
-                p=base["p0"],
-                q=base["q0"],
-                mu=base["mu0"],
-                nu=base["nu0"],
-                theta_r=base["theta_r0"],
-                theta_over_r=base["theta_over_r0"],
-            )
-            verdict = sigma_membership(
-                state,
-                config.kappa,
-                horizon=config.sweep_horizon,
-                config=config.integrator,
-            )
-            return verdict.regime, verdict.t_blowup
-
-    if config.threads == 1:
-        outcomes = [cell(task) for task in tasks]
-    else:
-        # executor.map returns results in task order, so the merged
-        # file is identical to the single-threaded one.
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(cell, tasks))
+        base = {name: 0.0 for name in SWIRL_FIELDS}
+        base.update(config.sweep_fixed)
+        # SWIRL_FIELDS runs in SwirlState order; every cell is one lane
+        # of a single batched integration.
+        states = [tuple({**base, **cell}[name] for name in SWIRL_FIELDS) for cell in cells]
+        verdicts = sigma_membership_batch(
+            states,
+            config.kappa,
+            horizon=config.sweep_horizon,
+            config=config.integrator,
+        )
 
     rows = []
-    for (v1, v2), (regime, t_blowup) in zip(tasks, outcomes):
-        rows.append(
-            (_fmt(v1), _fmt(v2), regime, "" if t_blowup is None else _fmt(t_blowup))
-        )
+    for (v1, v2), verdict in zip(tasks, verdicts):
+        t_blowup = "" if verdict.t_blowup is None else _fmt(verdict.t_blowup)
+        rows.append((_fmt(v1), _fmt(v2), verdict.regime, t_blowup))
     return (ax1.name, ax2.name, "regime", "t_blowup"), rows
 
 
@@ -294,7 +271,9 @@ def build_parser() -> _Parser:
             help="override one config entry (repeatable)",
         )
         cmd.add_argument("--out", metavar="DIR", help="output directory")
-        cmd.add_argument("--threads", type=int, metavar="N", help="worker threads")
+        cmd.add_argument(
+            "--threads", type=int, metavar="N", help="accepted; changes no output"
+        )
         cmd.add_argument("--seed", type=int, metavar="N", help="sampling seed")
         cmd.set_defaults(func=func)
     return parser

@@ -1,6 +1,7 @@
 """Spectral ODE systems, adaptive integrator, and invariant monitors."""
 
 from ._backend import BACKEND
+from .batch import BatchResult, integrate_batch
 from .integrator import IntegratorConfig, Termination, Trajectory, integrate
 from .monitors import monitor_ellipse, monitor_swirl_invariants
 from .systems import (
@@ -17,10 +18,12 @@ from .systems import (
 
 __all__ = [
     "BACKEND",
+    "BatchResult",
     "IntegratorConfig",
     "Termination",
     "Trajectory",
     "integrate",
+    "integrate_batch",
     "monitor_ellipse",
     "monitor_swirl_invariants",
     "SYSTEM_DIMS",

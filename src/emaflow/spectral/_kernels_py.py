@@ -122,18 +122,25 @@ def _fit_pole_time(ring_t, ring_u):
     return tb - ub / slope
 
 
+def _rms(values):
+    # Squares as products, as in the compiled kernel: float ** 2 goes
+    # through libm pow, which is off by an ulp now and then and raises
+    # OverflowError where a product gives inf.
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
 def _initial_step(sys_id, y, f0, kappa, n, c0, rel_tol, abs_tol, max_step, horizon):
     d = len(y)
     sc = [abs_tol + rel_tol * abs(y[i]) for i in range(d)]
-    d0 = math.sqrt(sum((y[i] / sc[i]) ** 2 for i in range(d)) / d)
-    d1 = math.sqrt(sum((f0[i] / sc[i]) ** 2 for i in range(d)) / d)
+    d0 = _rms([y[i] / sc[i] for i in range(d)])
+    d1 = _rms([f0[i] / sc[i] for i in range(d)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, max_step, horizon)
     y1 = [y[i] + h0 * f0[i] for i in range(d)]
     f1 = [0.0] * d
     _eval_rhs(sys_id, y1, kappa, n, c0, f1)
     if all(math.isfinite(v) for v in f1):
-        d2 = math.sqrt(sum(((f1[i] - f0[i]) / sc[i]) ** 2 for i in range(d)) / d) / h0
+        d2 = _rms([(f1[i] - f0[i]) / sc[i] for i in range(d)]) / h0
     else:
         d2 = 1.0 / h0
     dm = max(d1, d2)
@@ -243,7 +250,8 @@ def integrate_kernel(
                 e += _E[i] * k[i][j]
             e *= h
             sc = abs_tol + rel_tol * max(abs(y[j]), abs(y5[j]))
-            err_acc += (e / sc) ** 2
+            r = e / sc
+            err_acc += r * r
         err = math.sqrt(err_acc / d)
 
         if err <= 1.0:

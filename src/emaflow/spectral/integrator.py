@@ -95,9 +95,9 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
         if self.states.shape[0] != self.times.shape[0]:
-            raise ValueError("times and states length mismatch")
+            raise DomainError("times and states length mismatch")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
+            raise DomainError("times must be strictly increasing")
 
     @property
     def final_time(self) -> float:
@@ -121,22 +121,11 @@ def _as_state_vector(state0, dim: int) -> list[float]:
     return out
 
 
-def integrate(
-    system: str,
-    state0,
-    kappa: float,
-    n: int = 1,
-    config: IntegratorConfig | None = None,
-    *,
-    c0: float = 0.0,
-    record: bool = True,
-) -> Trajectory:
-    """Integrate one of the named systems from t = 0 to config.horizon.
+def _check_call(system: str, kappa, n, c0, config) -> tuple[int, int, IntegratorConfig]:
+    """Validate the arguments shared by integrate and integrate_batch.
 
-    system is one of 'qnu', 'pmu', 'swirl', 'ep', 'wv', 'swirl_q'; n is
-    only read by the Euler-Poisson variant and c0 only by 'wv'.  With
-    record=False the trajectory keeps just the first and last accepted
-    states, which is what sweeps and bisection want.
+    Returns (kernel id, dimension, config), with the default config
+    filled in.
     """
     if system not in SYSTEM_DIMS:
         raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
@@ -151,7 +140,27 @@ def integrate(
         config = IntegratorConfig()
     elif not isinstance(config, IntegratorConfig):
         raise ConfigError(f"config must be an IntegratorConfig, got {type(config).__name__}")
+    return sys_id, dim, config
 
+
+def integrate(
+    system: str,
+    state0,
+    kappa: float,
+    *,
+    n: int = 1,
+    config: IntegratorConfig | None = None,
+    c0: float = 0.0,
+    record: bool = True,
+) -> Trajectory:
+    """Integrate one of the named systems from t = 0 to config.horizon.
+
+    system is one of 'qnu', 'pmu', 'swirl', 'ep', 'wv', 'swirl_q'; n is
+    only read by the Euler-Poisson variant and c0 only by 'wv'.  With
+    record=False the trajectory keeps just the first and last accepted
+    states, which is what sweeps and bisection want.
+    """
+    sys_id, dim, config = _check_call(system, kappa, n, c0, config)
     y0 = _as_state_vector(state0, dim)
     times, states, term_code, t_est = kernels.integrate_kernel(
         sys_id,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BisectionError, DomainError, EmaflowError
 from .profiles import RadialProfile
-from .spectral import IntegratorConfig, SwirlState, integrate
+from .spectral import IntegratorConfig, SwirlState, integrate, integrate_batch
 
 __all__ = [
     "TOL_BOUNDARY",
@@ -33,6 +33,7 @@ __all__ = [
     "classify_profile",
     "default_classification_grid",
     "sigma_membership",
+    "sigma_membership_batch",
     "sharpness_bisect",
 ]
 
@@ -63,9 +64,9 @@ class Verdict:
 
     def __post_init__(self):
         if self.regime not in _REGIMES:
-            raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+            raise DomainError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         if (self.regime == "supercritical") != (self.t_blowup is not None):
-            raise ValueError("t_blowup must be present iff the verdict is supercritical")
+            raise DomainError("t_blowup must be present iff the verdict is supercritical")
 
 
 def _check_point(lambda0: float, h0: float, kappa: float):
@@ -201,6 +202,24 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     return Verdict(regime="supercritical", t_blowup=t_min, witness_r=witness)
 
 
+def _sigma_config(kappa, horizon, config) -> IntegratorConfig:
+    if horizon is None:
+        horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise DomainError(f"horizon must be positive, got {horizon!r}")
+    return (config or IntegratorConfig()).replace(horizon=horizon)
+
+
+def _sigma_verdict(kind: str, t_est, final_time: float, horizon: float) -> Verdict:
+    if kind == "horizon_reached":
+        return Verdict(regime="subcritical", horizon=horizon)
+    if kind == "blowup_detected":
+        return Verdict(regime="supercritical", t_blowup=float(t_est), horizon=horizon)
+    raise EmaflowError(
+        f"integration stalled ({kind}) at t = {final_time!r}; membership undecided"
+    )
+
+
 def sigma_membership(
     state0: SwirlState,
     kappa: float,
@@ -215,25 +234,35 @@ def sigma_membership(
     way the verdict records the horizon, because boundedness beyond it
     is not decided.
     """
-    if horizon is None:
-        horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise DomainError(f"horizon must be positive, got {horizon!r}")
-    config = (config or IntegratorConfig()).replace(horizon=horizon)
+    config = _sigma_config(kappa, horizon, config)
     trajectory = integrate("swirl", state0, kappa, config=config, record=False)
-    kind = trajectory.termination.kind
-    if kind == "horizon_reached":
-        return Verdict(regime="subcritical", horizon=horizon)
-    if kind == "blowup_detected":
-        return Verdict(
-            regime="supercritical",
-            t_blowup=trajectory.termination.t_est,
-            horizon=horizon,
-        )
-    raise EmaflowError(
-        f"integration stalled ({kind}) at t = {trajectory.final_time!r}; "
-        "membership undecided"
+    termination = trajectory.termination
+    return _sigma_verdict(
+        termination.kind, termination.t_est, trajectory.final_time, config.horizon
     )
+
+
+def sigma_membership_batch(
+    states0,
+    kappa: float,
+    horizon: float | None = None,
+    config: IntegratorConfig | None = None,
+) -> list[Verdict]:
+    """sigma_membership of every state in states0, integrated as one batch.
+
+    Returns one verdict per state, in order: the verdict
+    sigma_membership gives for that state alone (to rounding where it
+    runs on the compiled kernel).  A stalled lane raises the same
+    EmaflowError.
+    """
+    config = _sigma_config(kappa, horizon, config)
+    result = integrate_batch("swirl", states0, kappa, config=config)
+    return [
+        _sigma_verdict(kind, t_est, final_time, config.horizon)
+        for kind, t_est, final_time in zip(
+            result.kinds, result.t_est.tolist(), result.final_time.tolist()
+        )
+    ]
 
 
 def sharpness_bisect(

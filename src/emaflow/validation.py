@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
 from .lagrange import advance_ensemble
 from .profiles import ProfilePreset
-from .spectral import IntegratorConfig, integrate
+from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse
 from .threshold import (
     blowup_time_closed_form,
@@ -87,24 +87,25 @@ def _crit_sharpness(seed: int):
 def _crit_blowup_agreement(seed: int):
     rng = _rng(seed, 2)
     config = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=8.0)
-    worst = 0.0
-    worst_abs = 0.0
-    accepted = 0
+    samples = []
     draws = 0
-    n_missed = 0
-    while accepted < 50 and draws < 10_000:
+    while len(samples) < 50 and draws < 10_000:
         draws += 1
         lam0 = rng.uniform(-3.0, 3.0)
         h0 = rng.uniform(-1.0, 1.0)
-        if classify_point(lam0, h0, 1.0).regime != "supercritical":
-            continue
-        accepted += 1
-        t_exact = blowup_time_closed_form(lam0, h0, 1.0)
-        traj = integrate("qnu", (lam0, h0), 1.0, config=config, record=False)
-        if traj.termination.kind != "blowup_detected" or traj.termination.t_est is None:
+        if classify_point(lam0, h0, 1.0).regime == "supercritical":
+            samples.append((lam0, h0))
+    result = integrate_batch("qnu", samples, 1.0, config=config)
+    accepted = len(samples)
+    worst = 0.0
+    worst_abs = 0.0
+    n_missed = 0
+    for (lam0, h0), kind, t_est in zip(samples, result.kinds, result.t_est.tolist()):
+        if kind != "blowup_detected":
             n_missed += 1
             continue
-        err = abs(traj.termination.t_est - t_exact)
+        t_exact = blowup_time_closed_form(lam0, h0, 1.0)
+        err = abs(t_est - t_exact)
         worst_abs = max(worst_abs, err)
         worst = max(worst, err / max(1e-3, 1e-3 * t_exact))
     details = {
@@ -194,7 +195,13 @@ def _ep_excursion_bound(q0: float, nu0: float, n: int, kappa: float = 1.0) -> fl
         b_min = math.exp(-2.0 * energy / kappa)
     else:
         b_min = (kappa / (n * (n - 2) * energy)) ** (1.0 / (n - 2))
-    sigma_max = b_min ** (-n)
+    # A barrier too deep for floating point certifies nothing.
+    if b_min == 0.0:
+        return math.inf
+    try:
+        sigma_max = b_min ** (-n)
+    except OverflowError:
+        return math.inf
     q_max = math.sqrt(2.0 * energy) / b_min
     return max(sigma_max / n + 1.0 / n, q_max)
 
@@ -213,18 +220,17 @@ def _crit_euler_poisson(seed: int):
     accepted = 0
     rejected = 0
     for n in (2, 3):
-        kept = 0
-        while kept < 50 and rejected < 100_000:
+        samples = []
+        while len(samples) < 50 and rejected < 100_000:
             nu0 = rng.uniform(-3.0, 1.0 / n)
             q0 = rng.uniform(-5.0, 5.0)
             if _ep_excursion_bound(q0, nu0, n) > cap:
                 rejected += 1
-                continue
-            kept += 1
-            accepted += 1
-            traj = integrate("ep", (q0, nu0), 1.0, n=n, config=config, record=False)
-            if traj.termination.kind != "horizon_reached":
-                blowups += 1
+            else:
+                samples.append((q0, nu0))
+        accepted += len(samples)
+        result = integrate_batch("ep", samples, 1.0, n=n, config=config)
+        blowups += sum(kind != "horizon_reached" for kind in result.kinds)
     details = {"points": accepted, "rejected_certificates": rejected}
     return blowups == 0 and accepted == 100, float(blowups), 0.0, details
 

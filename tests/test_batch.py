@@ -1,0 +1,159 @@
+"""Lane-batched integration against the scalar kernel it batches.
+
+The batch must end every lane where the pure-Python scalar kernel ends
+it: same termination kind, same pole estimate, same final time and
+state.  This cross-route check runs on every machine, compiled
+extension or not, because it calls ``_kernels_py`` directly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from emaflow.errors import ConfigError, DomainError
+from emaflow.spectral import IntegratorConfig, integrate_batch
+from emaflow.spectral import _kernels_py
+from emaflow.spectral.integrator import _TERM_KINDS
+from emaflow.spectral.systems import SYSTEM_DIMS
+
+SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
+SWIRL_BOUNDED = (0.1, 0.01, 0.005, -0.01, 0.0, 0.3)
+
+# (system, config overrides, n, c0, initial states).  Each group is one
+# batch; together they cover all six systems and every way a lane ends.
+GROUPS = [
+    # horizon, magnitude blowup, a rest state, a start beyond the threshold
+    ("qnu", {}, 1, 0.0, [(0.5, 0.0), (0.0, 0.0), (-1.2, 0.0), (0.0, 1.5), (2e9, 0.0)]),
+    ("pmu", {}, 1, 0.0, [(0.3, 0.2), (-1.3456, -0.0892), (0.0, -2e9)]),
+    ("swirl", {"horizon": 25.0}, 1, 0.0, [SWIRL_BLOWUP, SWIRL_BOUNDED]),
+    ("swirl_q", {}, 1, 0.0, [(1.5668, 0.3407, -0.1148), (-1.2, 0.0, 0.5)]),
+    ("ep", {}, 2, 0.0, [(2.0, -0.5), (1.8586, 0.7072)]),
+    ("ep", {}, 3, 0.0, [(2.0, -0.5), (1.0, 0.5)]),
+    ("wv", {}, 1, 0.0, [(0.5, 1.0), (-1.0, 0.0)]),
+    # centrifugal term: v = 0 is singular at the start, bounded otherwise
+    ("wv", {}, 1, 0.3, [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (-1.637, -1.718)]),
+    # the threshold out of reach: accepted steps shrink below min_step
+    ("qnu", {"blowup_magnitude": 1e200, "min_step": 1e-7}, 1, 0.0, [(-1.2, 0.0), (0.0, 1.5)]),
+    # rejected steps reach min_step below the threshold: a pole all the same
+    (
+        "swirl_q",
+        {"blowup_magnitude": 5e220, "min_step": 0.005565743920242077},
+        1,
+        0.0,
+        [(-0.79487173966535, 1.9668549809015374, 0.5155376672414507)],
+    ),
+    (
+        "wv",
+        {"blowup_magnitude": 3e238, "min_step": 0.004086533680735218},
+        1,
+        0.3,
+        [(-1.637112645519442, -1.7182878448427803)],
+    ),
+]
+
+
+def _config(overrides):
+    return IntegratorConfig(horizon=20.0).replace(**overrides)
+
+
+def _scalar(system, state, n, c0, cfg):
+    sys_id, _ = SYSTEM_DIMS[system]
+    times, states, code, t_est = _kernels_py.integrate_kernel(
+        sys_id, list(state), 1.0, float(n), c0,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step,
+        cfg.blowup_magnitude, cfg.horizon, False,
+    )
+    return _TERM_KINDS[code], t_est, times[-1], states[-1]
+
+
+def _close(a, b, tol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+
+
+def _path(kind, t_est, final_state, cfg):
+    if kind != "blowup_detected":
+        return kind
+    if t_est == 0.0:
+        return "blowup_at_start"
+    if np.max(np.abs(final_state)) > cfg.blowup_magnitude:
+        return "blowup_magnitude"
+    return "blowup_controller"
+
+
+def test_batch_matches_scalar_kernel():
+    paths = set()
+    systems = set()
+    for system, overrides, n, c0, states in GROUPS:
+        cfg = _config(overrides)
+        result = integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)
+        for lane, state in enumerate(states):
+            kind, t_est, t_end, y_end = _scalar(system, state, n, c0, cfg)
+            label = (system, state)
+            assert result.kinds[lane] == kind, label
+            if kind == "blowup_detected":
+                assert _close(result.t_est[lane], t_est), label
+            else:
+                assert math.isnan(result.t_est[lane]), label
+            assert _close(result.final_time[lane], t_end), label
+            assert _close(result.final_state[lane], y_end), label
+            paths.add(_path(kind, t_est, y_end, cfg))
+        systems.add(system)
+    assert systems == set(SYSTEM_DIMS)
+    assert paths == {
+        "horizon_reached",
+        "step_underflow",
+        "blowup_at_start",
+        "blowup_magnitude",
+        "blowup_controller",
+    }
+
+
+def _lanes():
+    rng = np.random.default_rng(7)
+    states = [SWIRL_BLOWUP, SWIRL_BOUNDED]
+    for _ in range(6):
+        states.append(
+            (rng.uniform(-0.9, 0.9), 0.01, 0.005, -0.01, 0.0, rng.uniform(0.05, 0.65))
+        )
+    return states
+
+
+def _assert_same_lanes(got, want, lanes):
+    assert tuple(got.kinds[i] for i in lanes) == want.kinds
+    np.testing.assert_array_equal(got.t_est[lanes], want.t_est)
+    np.testing.assert_array_equal(got.final_time[lanes], want.final_time)
+    np.testing.assert_array_equal(got.final_state[lanes], want.final_state)
+
+
+def test_lanes_are_independent():
+    states = _lanes()
+    cfg = IntegratorConfig(horizon=20.0)
+    full = integrate_batch("swirl", states, 1.0, config=cfg)
+    assert {"horizon_reached", "blowup_detected"} <= set(full.kinds)
+    for i, state in enumerate(states):
+        alone = integrate_batch("swirl", [state], 1.0, config=cfg)
+        _assert_same_lanes(full, alone, [i])
+    order = np.random.default_rng(11).permutation(len(states))
+    permuted = integrate_batch("swirl", [states[i] for i in order], 1.0, config=cfg)
+    _assert_same_lanes(permuted, full, np.argsort(order))
+
+
+def test_empty_batch():
+    result = integrate_batch("qnu", [], 1.0)
+    assert result.kinds == ()
+    assert result.final_state.shape == (0, 2)
+
+
+def test_batch_validates_like_integrate():
+    with pytest.raises(DomainError, match="unknown system"):
+        integrate_batch("nope", [(0.0, 0.0)], 1.0)
+    with pytest.raises(DomainError, match="dimension"):
+        integrate_batch("qnu", [(0.0, 0.0), (0.0, 0.0, 0.0)], 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        integrate_batch("qnu", [(np.inf, 0.0)], 1.0)
+    with pytest.raises(DomainError, match="kappa"):
+        integrate_batch("qnu", [(0.0, 0.0)], -1.0)
+    with pytest.raises(ConfigError, match="IntegratorConfig"):
+        integrate_batch("qnu", [(0.0, 0.0)], 1.0, config="fast")

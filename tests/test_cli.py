@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from emaflow.cli import main
+from emaflow.spectral import SwirlState
+from emaflow.threshold import sigma_membership
 
 CANONICAL = [
     "--set", "profile.preset=quadratic",
@@ -137,6 +139,40 @@ def test_sweep_deterministic_across_threads(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+SWIRL_SWEEP_ARGS = [
+    "--set", "sweep.mode=swirl_sigma",
+    "--set", "sweep.horizon=20",
+    "--set", "sweep.axis1=p0, -0.9, 0.9, 3",
+    "--set", "sweep.axis2=theta_over_r0, 0.05, 0.65, 3",
+    "--set", "sweep.q0=0.01",
+    "--set", "sweep.nu0=-0.01",
+]
+
+
+def test_swirl_sweep_is_one_batch_of_sigma_verdicts(tmp_path, capsys):
+    outputs = []
+    for tag, threads in (("a", "1"), ("b", "4")):
+        out = str(tmp_path / tag)
+        code, _, _ = run_cli(
+            ["sweep", "--out", out, "--threads", threads, *SWIRL_SWEEP_ARGS], capsys
+        )
+        assert code == 0
+        outputs.append((tmp_path / tag / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+    rows = list(csv.reader(outputs[0].decode().splitlines()))
+    assert rows[0] == ["p0", "theta_over_r0", "regime", "t_blowup"]
+    assert {row[2] for row in rows[1:]} == {"subcritical", "supercritical"}
+    for p0, tor0, regime, t_blowup in rows[1:]:
+        state = SwirlState(float(p0), 0.01, 0.0, -0.01, 0.0, float(tor0))
+        verdict = sigma_membership(state, 1.0, horizon=20.0)
+        assert regime == verdict.regime
+        if verdict.t_blowup is None:
+            assert t_blowup == ""
+        else:
+            assert abs(float(t_blowup) - verdict.t_blowup) <= 1e-12 * verdict.t_blowup
+
+
 def test_simulate_deterministic_across_runs(tmp_path, capsys):
     payloads = []
     for tag in ("a", "b"):
@@ -177,6 +213,19 @@ def test_validate_selected_suites(tmp_path, capsys):
     for c in report["criteria"]:
         assert c["passed"] is True
         assert c["measured"] <= c["budget"]
+
+
+def test_validate_euler_poisson_seed_11(tmp_path, capsys):
+    # Seed 11 draws samples whose excursion certificate overflows.
+    code, _, stderr = run_cli(
+        [
+            "validate", "--seed", "11", "--out", str(tmp_path / "v"),
+            "--set", "validate.suites=euler_poisson_boundedness",
+        ],
+        capsys,
+    )
+    assert code in (0, 2)
+    assert len(stderr.splitlines()) <= 1
 
 
 def test_validate_rejects_empty_selection(tmp_path, capsys):

@@ -12,6 +12,8 @@ from emaflow.spectral import (
     SYSTEM_DIMS,
     IntegratorConfig,
     SwirlState,
+    Termination,
+    Trajectory,
     integrate,
     monitor_ellipse,
     rhs_ep_qnu,
@@ -206,6 +208,21 @@ def test_integrate_nonfinite_state():
         integrate("qnu", (np.nan, 0.0), 1.0)
 
 
+def test_integrate_options_are_keyword_only():
+    with pytest.raises(TypeError, match="positional"):
+        integrate("qnu", (0.0, 0.0), 1.0, IntegratorConfig())
+
+
+def test_trajectory_rejects_inconsistent_records():
+    termination = Termination(kind="horizon_reached")
+    with pytest.raises(DomainError, match="length"):
+        Trajectory(times=[0.0, 1.0], states=[[0.0, 0.0]], termination=termination)
+    with pytest.raises(DomainError, match="increasing"):
+        Trajectory(
+            times=[0.0, 0.0], states=[[0.0, 0.0], [0.0, 0.0]], termination=termination
+        )
+
+
 def test_integrate_rejects_foreign_config():
     with pytest.raises(ConfigError, match="IntegratorConfig"):
         integrate("qnu", (0.0, 0.0), 1.0, config="fast")
@@ -277,3 +294,14 @@ def test_ep_supercritical_region_is_empty(n, rng):
         traj = integrate("ep", (q0, nu0), 1.0, n=n, config=config, record=False)
         assert traj.termination.kind == "horizon_reached", (q0, nu0)
         kept += 1
+
+
+@pytest.mark.parametrize(
+    "q0,nu0",
+    [
+        (4.852314870171352, 0.4684260148457837),  # b_min ** -2 overflows
+        (4.165775318157454, 0.495743162867611),  # b_min underflows to 0
+    ],
+)
+def test_ep_excursion_bound_is_inf_beyond_floating_point(q0, nu0):
+    assert _ep_excursion_bound(q0, nu0, 2) == math.inf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emaflow.errors import BisectionError, DomainError
+from emaflow.errors import BisectionError, DomainError, EmaflowError
 from emaflow.profiles import ProfilePreset
 from emaflow.spectral import IntegratorConfig, SwirlState, integrate
 from emaflow.threshold import (
@@ -19,6 +19,7 @@ from emaflow.threshold import (
     default_classification_grid,
     sharpness_bisect,
     sigma_membership,
+    sigma_membership_batch,
     threshold_margin,
 )
 
@@ -101,14 +102,14 @@ def test_subcritical_interior_stays_bounded(h0, kappa):
 
 
 def test_verdict_rejects_unknown_regime():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Verdict(regime="weird")
 
 
 def test_verdict_time_only_for_supercritical():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Verdict(regime="subcritical", t_blowup=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Verdict(regime="supercritical")
     Verdict(regime="supercritical", t_blowup=1.0)
 
@@ -234,3 +235,38 @@ def test_sigma_rotation_does_not_rescue_gradient_branch():
 def test_sigma_rejects_bad_horizon():
     with pytest.raises(DomainError, match="horizon"):
         sigma_membership(SwirlState(0, 0, 0, 0, 0, 0), 1.0, horizon=-1.0)
+
+
+def test_sigma_batch_matches_single_verdicts():
+    states = [
+        SwirlState(0, 0, 0, 0, 0, 0),
+        SwirlState(0, -1.2, 0, 0, 0, 0.5),
+        SwirlState(0.0, 0.3, 0.0, 0.2, 0.1, 0.5),
+    ]
+    verdicts = sigma_membership_batch(states, 1.0, horizon=20.0)
+    assert [v.regime for v in verdicts] == ["subcritical", "supercritical", "supercritical"]
+    for state, verdict in zip(states, verdicts):
+        single = sigma_membership(state, 1.0, horizon=20.0)
+        assert (verdict.regime, verdict.horizon) == (single.regime, single.horizon)
+        if single.t_blowup is not None:
+            # The compiled kernel, when present, agrees to rounding.
+            assert verdict.t_blowup == pytest.approx(single.t_blowup, rel=1e-12)
+
+
+def test_sigma_batch_stall_raises_like_single():
+    # Out of reach of the magnitude threshold, the step shrinks below
+    # min_step first: membership is undecided.
+    config = IntegratorConfig(blowup_magnitude=1e200, min_step=1e-6)
+    state = SwirlState(0.0, 0.3, 0.0, 0.2, 0.1, 0.5)
+    message = r"integration stalled \(step_underflow\) at t = .*; membership undecided"
+    with pytest.raises(EmaflowError, match=message):
+        sigma_membership(state, 1.0, horizon=20.0, config=config)
+    with pytest.raises(EmaflowError, match=message):
+        sigma_membership_batch(
+            [SwirlState(0, 0, 0, 0, 0, 0), state], 1.0, horizon=20.0, config=config
+        )
+
+
+def test_sigma_batch_rejects_bad_horizon():
+    with pytest.raises(DomainError, match="horizon"):
+        sigma_membership_batch([SwirlState(0, 0, 0, 0, 0, 0)], 1.0, horizon=0.0)
