@@ -25,15 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
-from .errors import EmaflowError
-from .lagrange import advance_ensemble, bkm_monitor, gradient_bound_check
+from .errors import DomainError, EmaflowError
+from .lagrange import advance_ensemble, bkm_monitor, ensemble_drift, gradient_bound_check
 from .spectral import BACKEND
 from .threshold import (
     classify_point,
     classify_profile,
     default_classification_grid,
     sigma_membership_batch,
-    threshold_margin,
 )
 
 __all__ = ["main"]
@@ -93,24 +92,7 @@ def cmd_simulate(config: RunConfig) -> int:
             )
     _write_csv(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), rows)
 
-    n = profile.dimension
-    r0 = result.seeds
-    rho0 = result.rho0
-    ref = r0 * (1.0 - np.asarray(profile.nu0(r0), dtype=float))
-    denom = np.maximum(1.0, np.abs(ref))
-    path_drift = 0.0
-    density_drift = 0.0
-    for state in result.char_states:
-        r = state[:, 0]
-        mu = state[:, 4]
-        nu = state[:, 5]
-        g = state[:, 6]
-        path_drift = max(
-            path_drift, float(np.max(np.abs(r * (1.0 - nu) - ref) / denom))
-        )
-        rho_ma = (1.0 - mu) * (1.0 - nu) ** (n - 1)
-        rho_cont = rho0 * np.exp(-g)
-        density_drift = max(density_drift, float(np.max(np.abs(rho_ma - rho_cont))))
+    path_drift, density_drift = ensemble_drift(profile, result)
 
     bound_margin = None
     for snap in result.snapshots:
@@ -120,7 +102,7 @@ def cmd_simulate(config: RunConfig) -> int:
     diag = {
         "backend": BACKEND,
         "preset": config.preset,
-        "n": n,
+        "n": profile.dimension,
         "kappa": config.kappa,
         "seed": config.seed,
         "n_chars": config.n_chars,
@@ -147,24 +129,25 @@ def cmd_classify(config: RunConfig) -> int:
     grid = default_classification_grid(profile, config.classify_grid_size)
     verdict = classify_profile(profile, grid)
 
-    radii = np.concatenate(([0.0], grid))
-    margin_gradient = min(
-        threshold_margin(profile.du0(r), profile.d2phi0(r), profile.kappa)
-        for r in radii
-    )
-    margin_ratio = min(
-        threshold_margin(profile.q0(r), profile.nu0(r), profile.kappa) for r in radii
-    )
+    margins = {}
+    for name, lam_f, h_f in (
+        ("gradient_branch", profile.du0, profile.d2phi0),
+        ("ratio_branch", profile.q0, profile.nu0),
+    ):
+        # The origin limit point plus the grid, as classify_profile sees them.
+        lam = np.concatenate(([float(lam_f(0.0))], np.asarray(lam_f(grid), dtype=float)))
+        h = np.concatenate(([float(h_f(0.0))], np.asarray(h_f(grid), dtype=float)))
+        if not (np.isfinite(lam).all() and np.isfinite(h).all()):
+            raise DomainError(f"{name} of the profile is not finite on the grid")
+        margin = profile.kappa * (1.0 - 2.0 * h) - lam * lam
+        margins[name] = float(margin.min())
 
     payload = {
         "class": verdict.regime,
         "witness_r": verdict.witness_r,
         "t_blowup": verdict.t_blowup,
         "horizon": verdict.horizon,
-        "margins": {
-            "gradient_branch": margin_gradient,
-            "ratio_branch": margin_ratio,
-        },
+        "margins": margins,
         "preset": config.preset,
         "n": profile.dimension,
         "kappa": profile.kappa,
@@ -292,7 +275,11 @@ def main(argv=None) -> int:
             threads=args.threads,
             seed=args.seed,
         )
-        return args.func(config)
+        # Overflow and invalid operations on outside data are reported by
+        # the finiteness checks as typed errors; a NumPy warning on top
+        # would break the single-line stderr contract.
+        with np.errstate(all="ignore"):
+            return args.func(config)
     except (EmaflowError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -41,6 +41,7 @@ __all__ = [
     "EnsembleResult",
     "advance_ensemble",
     "bkm_monitor",
+    "ensemble_drift",
     "gradient_bound_check",
     "default_seeds",
 ]
@@ -390,6 +391,33 @@ def bkm_monitor(snapshots) -> float:
         raise ConfigError("snapshot times must be strictly increasing")
     values = np.array([s.bkm_integrand for s in snapshots])
     return float(_trapezoid(values, times))
+
+
+def ensemble_drift(profile: RadialProfile, result: EnsembleResult) -> tuple[float, float]:
+    """Worst drift of the two conserved ensemble quantities.
+
+    Returns (path, density) over every recorded time and
+    characteristic: path is the drift of the path invariant r(1 - nu)
+    from its initial value, relative to max(1, |initial value|);
+    density is the absolute difference of the spectral density
+    (1 - mu)(1 - nu)^(n-1) from the continuity density rho0 exp(-g).
+    """
+    n = profile.dimension
+    seeds = result.seeds
+    ref = seeds * (1.0 - np.asarray(profile.nu0(seeds), dtype=float))
+    denom = np.maximum(1.0, np.abs(ref))
+    path = 0.0
+    density = 0.0
+    for state in result.char_states:
+        r = state[:, 0]
+        mu = state[:, 4]
+        nu = state[:, 5]
+        g = state[:, 6]
+        path = max(path, float(np.max(np.abs(r * (1.0 - nu) - ref) / denom)))
+        rho_ma = (1.0 - mu) * (1.0 - nu) ** (n - 1)
+        rho_cont = result.rho0 * np.exp(-g)
+        density = max(density, float(np.max(np.abs(rho_ma - rho_cont))))
+    return path, density
 
 
 def gradient_bound_check(snapshot: EulerianSnapshot, tol_interp: float = 1e-8):

@@ -81,6 +81,8 @@ class RadialProfile:
             raise DomainError(f"kappa must be positive, got {self.kappa!r}")
         if not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise DomainError(f"r_max must be positive, got {self.r_max!r}")
+        if not self.r_eps > 0:
+            raise DomainError(f"r_max {self.r_max!r} is too small: r_eps underflows to 0")
         # Regularity at the origin: a radial field with u0(0) != 0 or
         # phi0'(0) != 0 is not the restriction of a smooth vector field.
         if abs(float(self.u0(0.0))) > 1e-12 or abs(float(self.dphi0(0.0))) > 1e-12:
@@ -201,6 +203,14 @@ def gamma_inverse_identity(profile: RadialProfile, r):
 # Preset family
 # ---------------------------------------------------------------------------
 
+def _param_square(name: str, value: float) -> float:
+    """value ** 2 for a preset parameter; DomainError where it overflows."""
+    try:
+        return value**2
+    except OverflowError:
+        raise DomainError(f"preset parameter {name} = {value!r} is too large to square") from None
+
+
 def _bump_parts(rc: float, s: float):
     """The mollifier eta(x) = exp(-1/(1-x^2)) on |x|<1 and its
     derivatives, precomposed with x = (r - rc)/s.
@@ -208,6 +218,7 @@ def _bump_parts(rc: float, s: float):
     Returns vectorized (eta, eta', eta'') as functions of r, each
     identically 0 outside the support (rc - s, rc + s).
     """
+    s_sq = _param_square("s", s)
 
     def parts(r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -224,7 +235,7 @@ def _bump_parts(rc: float, s: float):
         eta = np.exp(g)
         e[inside] = eta
         e1[inside] = eta * dg / s
-        e2[inside] = eta * (dg * dg + d2g) / s**2
+        e2[inside] = eta * (dg * dg + d2g) / s_sq
         return e, e1, e2
 
     return parts
@@ -279,6 +290,7 @@ def _build_equilibrium(dimension, kappa, r_max, params):
 
 
 def _gaussian_velocity(c, d):
+    d_sq = _param_square("d", d)
     u0 = lambda r: c * r * np.exp(-d * np.asarray(r, dtype=float) ** 2)
     du0 = lambda r: c * (1.0 - 2.0 * d * np.asarray(r, dtype=float) ** 2) * np.exp(
         -d * np.asarray(r, dtype=float) ** 2
@@ -286,7 +298,7 @@ def _gaussian_velocity(c, d):
 
     def d2u0(r):
         r_arr = np.asarray(r, dtype=float)
-        return c * np.exp(-d * r_arr**2) * (-6.0 * d * r_arr + 4.0 * d**2 * r_arr**3)
+        return c * np.exp(-d * r_arr**2) * (-6.0 * d * r_arr + 4.0 * d_sq * r_arr**3)
 
     return u0, du0, d2u0
 

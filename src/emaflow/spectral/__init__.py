@@ -1,8 +1,7 @@
 """Spectral ODE systems, adaptive integrator, and invariant monitors."""
 
-from ._backend import BACKEND
 from .batch import BatchResult, integrate_batch
-from .integrator import IntegratorConfig, Termination, Trajectory, integrate
+from .integrator import BACKEND, IntegratorConfig, Termination, Trajectory, integrate
 from .monitors import monitor_ellipse, monitor_swirl_invariants
 from .systems import (
     SYSTEM_DIMS,

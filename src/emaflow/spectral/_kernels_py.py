@@ -1,10 +1,8 @@
-"""Pure-Python integrator kernel.
+"""Pure-Python integrator kernel behind ``integrate``.
 
-Fallback backend for the compiled extension in ``_kernels``; identical
-algorithm, selected at import time by ``_backend``.  The stepping loop
-is a Dormand-Prince 5(4) embedded pair with the PI controller constants
-from the classical dopri5 code, plus two event mechanisms the plain
-method lacks:
+The stepping loop is a Dormand-Prince 5(4) embedded pair with the PI
+controller constants from the classical dopri5 code, plus two event
+mechanisms the plain method lacks:
 
 * magnitude threshold: terminate once any accepted component exceeds
   blowup_magnitude (Riccati trajectories reach it within a few steps of
@@ -24,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 TERM_HORIZON = 0
 TERM_BLOWUP = 1
@@ -123,9 +119,9 @@ def _fit_pole_time(ring_t, ring_u):
 
 
 def _rms(values):
-    # Squares as products, as in the compiled kernel: float ** 2 goes
-    # through libm pow, which is off by an ulp now and then and raises
-    # OverflowError where a product gives inf.
+    # Squares as products: float ** 2 goes through libm pow, which is
+    # off by an ulp now and then and raises OverflowError where a
+    # product gives inf.
     return math.sqrt(sum(v * v for v in values) / len(values))
 
 

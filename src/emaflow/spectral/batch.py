@@ -13,7 +13,7 @@ working arrays, so the cost of a step follows the lanes still running.
 This is the record=False contract of integrate: per lane, the
 termination kind, the pole estimate, and the final time and state.
 A step costs about the same from one lane to a few hundred, so one lane
-is about ten times slower than the scalar fallback kernel, and a batch
+is about ten times slower than the scalar kernel, and a batch
 of a hundred lanes several times faster.
 """
 
@@ -71,7 +71,7 @@ def _rhs(system, kappa, n, c0):
 
 
 def _pow(x, e):
-    # libm pow lane by lane, as in both scalar kernels: numpy's SIMD
+    # libm pow lane by lane, as in the scalar kernel: numpy's SIMD
     # power differs from it in the last bit on some CPUs (on AVX-512,
     # for about 5% of inputs), which would move step sizes by an ulp.
     return np.fromiter(map(math.pow, x.tolist(), repeat(e)), dtype=float, count=x.size)
@@ -131,9 +131,8 @@ def integrate_batch(
     states0 is a sequence of states (tuples, arrays, SpectralState or
     SwirlState), one per lane; system, kappa, n, c0 and config are
     shared by all lanes and mean what they mean for integrate.  Each
-    lane does the operations of the pure-Python kernel in its order, so
-    it ends where integrate(..., record=False) ends on that backend;
-    the compiled kernel agrees to rounding.
+    lane does the operations of the scalar kernel in its order, so it
+    ends where integrate(..., record=False) ends.
     """
     _, dim, cfg = _check_call(system, kappa, n, c0, config)
     rows = [_as_state_vector(s, dim) for s in states0]

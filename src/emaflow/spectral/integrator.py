@@ -1,7 +1,8 @@
 """Adaptive integration of the characteristic ODE systems.
 
-Thin facade over the kernel backends: validates inputs, dispatches on
-the system name, and wraps the raw kernel output in a Trajectory.
+Thin facade over the stepping kernel in ``_kernels_py``: validates
+inputs, dispatches on the system name, and wraps the raw kernel output
+in a Trajectory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DomainError
-from ._backend import BACKEND, kernels
+from . import _kernels_py as kernels
 from .systems import SYSTEM_DIMS, SpectralState, SwirlState
 
 __all__ = [
@@ -23,6 +24,10 @@ __all__ = [
     "integrate",
     "BACKEND",
 ]
+
+# The one kernel there is; run records (diagnostics.json, report.json)
+# name it.
+BACKEND = "python"
 
 _TERM_KINDS = {
     kernels.TERM_HORIZON: "horizon_reached",

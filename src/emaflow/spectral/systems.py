@@ -4,8 +4,9 @@ Along a characteristic the eigenvalues (p, q) of the velocity gradient
 and (mu, nu) of the potential Hessian obey closed Riccati-type systems;
 with swirl they couple into a six-variable system; the substitution
 w = q/(1-nu), v = 1/(1-nu) linearizes the no-swirl dynamics.  These
-functions are the single source of truth for the dynamics: the compiled
-integrator kernel duplicates them for speed and is tested against them.
+functions are the single source of truth for the dynamics: the batched
+integrator calls them directly, and the scalar kernel in ``_kernels_py``
+repeats them on plain floats and is tested against them.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
 centrifugal term is singular at v = 0.

@@ -251,9 +251,8 @@ def sigma_membership_batch(
     """sigma_membership of every state in states0, integrated as one batch.
 
     Returns one verdict per state, in order: the verdict
-    sigma_membership gives for that state alone (to rounding where it
-    runs on the compiled kernel).  A stalled lane raises the same
-    EmaflowError.
+    sigma_membership gives for that state alone.  A stalled lane raises
+    the same EmaflowError.
     """
     config = _sigma_config(kappa, horizon, config)
     result = integrate_batch("swirl", states0, kappa, config=config)

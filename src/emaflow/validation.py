@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from .config import RunConfig, SweepAxis
 from .errors import ConfigError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
-from .lagrange import advance_ensemble
+from .lagrange import advance_ensemble, ensemble_drift
 from .profiles import ProfilePreset
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse
@@ -334,21 +334,9 @@ def _crit_path_invariants(seed: int):
     worst_path = 0.0
     worst_density = 0.0
     for profile, result in _equivalence_runs():
-        n = profile.dimension
-        seeds = result.seeds
-        ref = seeds * (1.0 - np.asarray(profile.nu0(seeds), dtype=float))
-        denom = np.maximum(1.0, np.abs(ref))
-        for state in result.char_states:
-            r = state[:, 0]
-            mu = state[:, 4]
-            nu = state[:, 5]
-            g = state[:, 6]
-            worst_path = max(
-                worst_path, float(np.max(np.abs(r * (1.0 - nu) - ref) / denom))
-            )
-            rho_ma = (1.0 - mu) * (1.0 - nu) ** (n - 1)
-            rho_cont = result.rho0 * np.exp(-g)
-            worst_density = max(worst_density, float(np.max(np.abs(rho_ma - rho_cont))))
+        path, density = ensemble_drift(profile, result)
+        worst_path = max(worst_path, path)
+        worst_density = max(worst_density, density)
     worst = max(worst_path / 1e-8, worst_density / 1e-6)
     details = {
         "path_invariant_drift": worst_path,

@@ -1,9 +1,8 @@
 """Lane-batched integration against the scalar kernel it batches.
 
-The batch must end every lane where the pure-Python scalar kernel ends
-it: same termination kind, same pole estimate, same final time and
-state.  This cross-route check runs on every machine, compiled
-extension or not, because it calls ``_kernels_py`` directly.
+The batch must end every lane where the scalar kernel ``_kernels_py``
+ends it: same termination kind, same pole estimate, same final time and
+state.
 """
 
 import math

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from emaflow.cli import main
 from emaflow.spectral import SwirlState
@@ -269,6 +274,77 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv, needle):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert needle in lines[0]
+
+
+# Outside values the parsers accept or must reject: every float,
+# including nan, infinities, the extremes and subnormals, plus garbage.
+# The only ones that parse as integers are small, so grid sizes and axis
+# counts drawn from them allocate little.
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e200", "5e-324", "", "abc", "1,2", "0x10"]),
+    st.integers(-3, 3).map(str),
+)
+
+
+def _set(key, value):
+    return ["--set", f"{key}={value}"]
+
+
+@st.composite
+def classify_argv(draw):
+    argv = ["classify"]
+    argv += _set("profile.preset", draw(st.sampled_from(["quadratic", "bump", "equilibrium", "x"])))
+    keys = st.sampled_from(
+        ["run.kappa", "run.n", "profile.a", "profile.b", "profile.c", "profile.d",
+         "profile.rc", "profile.s", "profile.r_max"]
+    )
+    for key, value in draw(st.lists(st.tuples(keys, NUMBERS), max_size=4)):
+        argv += _set(key, value)
+    return argv + _set("classify.grid_size", draw(st.integers(-2, 64).map(str) | NUMBERS))
+
+
+@st.composite
+def pointwise_sweep_argv(draw):
+    argv = ["sweep"]
+    for key, name in (("sweep.axis1", "lambda0"), ("sweep.axis2", "h0")):
+        count = draw(st.integers(0, 4).map(str) | NUMBERS)
+        argv += _set(key, f"{name}, {draw(NUMBERS)}, {draw(NUMBERS)}, {count}")
+    if draw(st.booleans()):
+        argv += _set("run.kappa", draw(NUMBERS))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.one_of(classify_argv(), pointwise_sweep_argv()))
+@example(argv=["classify", "--set", "profile.preset=quadratic", "--set", "profile.c=1e308"])
+@example(argv=["classify", "--set", "profile.preset=bump", "--set", "profile.c=1e200"])
+@example(argv=["classify", "--set", "profile.preset=quadratic", "--set", "profile.r_max=5e-324"])
+@example(argv=["classify", "--set", "profile.preset=quadratic", "--set", "profile.d=1e200"])
+@example(
+    argv=["classify", "--set", "profile.preset=bump", "--set", "profile.s=1e200",
+          "--set", "profile.rc=2e200", "--set", "profile.r_max=1e201"]
+)
+def test_fuzzed_overrides_keep_the_error_contract(tmp_path_factory, argv):
+    out = str(tmp_path_factory.mktemp("fuzz"))
+    stderr = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", out])
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().splitlines()) <= 1
+
+
+def test_overflowing_profile_prints_one_error_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "emaflow", "classify", "--out", str(tmp_path),
+         "--set", "profile.preset=quadratic", "--set", "profile.c=1e308"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: DomainError: point (-inf, 0.0) must be finite"]
 
 
 # ---------------------------------------------------------------- module entry point
