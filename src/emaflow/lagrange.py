@@ -6,11 +6,14 @@ reconstructed two independent ways: from the spectral constraint
 (1-mu)(1-nu)^(n-1) and from the continuity route rho0 exp(-g).  The
 velocity coupling du/dt = -kappa nu r closes the system without any
 global solve; that is the structural point of the eigenvalue dynamics.
+The dynamics is systems.rhs_characteristics.
 
-All characteristics advance together under one adaptive Dormand-Prince
-step whose error norm spans the whole ensemble; steps land exactly on
-the requested output times, where Eulerian fields are interpolated onto
-a fixed grid with a monotone cubic (no overshoot near steep gradients).
+The ensemble is one lane of the batched Dormand-Prince engine in
+spectral/batch.py: its state is the seven field rows, each contiguous,
+flattened into one column, so a single step size and error norm span
+every characteristic.  Steps land exactly on the requested output
+times, where Eulerian fields are interpolated onto a fixed grid with a
+monotone cubic (no overshoot near steep gradients).
 """
 
 from __future__ import annotations
@@ -21,19 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, CrossingDetected
+from .errors import ConfigError, CrossingDetected, DomainError
 from .profiles import RadialProfile, derive_density
 from .spectral import IntegratorConfig, Termination
-from .spectral._kernels_py import (
-    _A,
-    _E,
-    _BETA,
-    _EXPO1,
-    _FAC_MAX,
-    _FAC_MIN,
-    _SAFETY,
-    _fit_pole_time,
-)
+from .spectral.batch import _Stepper
+from .spectral.systems import rhs_characteristics
 
 __all__ = [
     "CharacteristicState",
@@ -45,10 +40,6 @@ __all__ = [
     "gradient_bound_check",
     "default_seeds",
 ]
-
-# Column layout of the ensemble state matrix.
-_COLS = ("r", "u", "p", "q", "mu", "nu", "g")
-_SPECTRAL = slice(2, 6)  # p, q, mu, nu
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -117,36 +108,20 @@ def default_seeds(profile: RadialProfile, n_chars: int) -> np.ndarray:
     return np.concatenate([[0.0], tail])
 
 
-def _initial_matrix(profile: RadialProfile, seeds: np.ndarray) -> np.ndarray:
-    m = seeds.size
-    state = np.zeros((m, 7))
-    state[:, 0] = seeds
-    state[:, 1] = np.asarray(profile.u0(seeds), dtype=float)
-    state[:, 2] = np.asarray(profile.du0(seeds), dtype=float)
-    state[:, 3] = np.asarray(profile.q0(seeds), dtype=float)
-    state[:, 4] = np.asarray(profile.d2phi0(seeds), dtype=float)
-    state[:, 5] = np.asarray(profile.nu0(seeds), dtype=float)
-    return state
-
-
-def _rhs(state: np.ndarray, kappa: float, n: int, out: np.ndarray):
-    r = state[:, 0]
-    u = state[:, 1]
-    p = state[:, 2]
-    q = state[:, 3]
-    mu = state[:, 4]
-    nu = state[:, 5]
-    out[:, 0] = u
-    out[:, 1] = -kappa * nu * r
-    out[:, 2] = -p * p - kappa * mu
-    out[:, 3] = -q * q - kappa * nu
-    out[:, 4] = p * (1.0 - mu)
-    out[:, 5] = q * (1.0 - nu)
-    out[:, 6] = p + (n - 1) * q
+def _initial_fields(profile: RadialProfile, seeds: np.ndarray) -> np.ndarray:
+    # Rows r, u, p, q, mu, nu, g: the state order of rhs_characteristics.
+    fields = np.zeros((7, seeds.size))
+    fields[0] = seeds
+    fields[1] = profile.u0(seeds)
+    fields[2] = profile.du0(seeds)
+    fields[3] = profile.q0(seeds)
+    fields[4] = profile.d2phi0(seeds)
+    fields[5] = profile.nu0(seeds)
+    return fields
 
 
 def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndarray) -> EulerianSnapshot:
-    r = state[:, 0]
+    r = state[0]
     n = profile.dimension
     # Evaluate on the grid clamped to the characteristic hull: outside
     # it the fields take boundary values.
@@ -155,14 +130,14 @@ def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndar
     def onto(values: np.ndarray) -> np.ndarray:
         return PchipInterpolator(r, values, extrapolate=False)(x)
 
-    rho_chars = (1.0 - state[:, 4]) * (1.0 - state[:, 5]) ** (n - 1)
+    rho_chars = (1.0 - state[4]) * (1.0 - state[5]) ** (n - 1)
     fields = {
         "rho": onto(rho_chars),
-        "u": onto(state[:, 1]),
-        "p": onto(state[:, 2]),
-        "q": onto(state[:, 3]),
-        "mu": onto(state[:, 4]),
-        "nu": onto(state[:, 5]),
+        "u": onto(state[1]),
+        "p": onto(state[2]),
+        "q": onto(state[3]),
+        "mu": onto(state[4]),
+        "nu": onto(state[5]),
     }
     bkm = float(
         max(np.max(np.abs(fields[name])) for name in ("p", "q", "mu", "nu"))
@@ -190,8 +165,12 @@ def advance_ensemble(
     blowup magnitude (t_est extrapolated as in the spectral kernels)
     or 'crossing_detected' when the radial ordering of adjacent
     characteristics breaks; with raise_on_crossing=True the latter
-    raises CrossingDetected instead.  config.horizon is ignored here,
-    t_end plays its role.
+    raises CrossingDetected instead.  A start that is already a pole,
+    with a spectral component beyond the blowup magnitude or a
+    non-finite derivative, ends as 'blowup_detected' with t_est = 0
+    after the t = 0 snapshot and without a step.  Initial data or a
+    density that is not finite raises DomainError.  config.horizon is
+    ignored here, t_end plays its role.
     """
     if config is None:
         config = IntegratorConfig()
@@ -229,8 +208,11 @@ def advance_ensemble(
 
     kappa = profile.kappa
     n = profile.dimension
-    state = _initial_matrix(profile, seeds)
+    m = seeds.size
+    fields = _initial_fields(profile, seeds)
     rho0 = np.asarray(derive_density(profile, seeds), dtype=float)
+    if not (np.isfinite(fields).all() and np.isfinite(rho0).all()):
+        raise DomainError("initial characteristic data of the profile are not finite")
 
     result = EnsembleResult(
         snapshots=[],
@@ -240,146 +222,54 @@ def advance_ensemble(
     )
 
     def emit(t: float, current: np.ndarray):
+        current = current.copy()
         result.snapshots.append(_snapshot(profile, t, current, grid))
         result.char_times.append(float(t))
-        result.char_states.append(current.copy())
+        result.char_states.append(current.T)
 
-    t = 0.0
     stops = [float(x) for x in output_times if x > 0.0]
     if not stops or stops[-1] < t_end:
         stops.append(t_end)
     emit_set = set(float(x) for x in output_times)
     if 0.0 in emit_set:
-        emit(0.0, state)
+        emit(0.0, fields)
 
-    k = [np.empty_like(state) for _ in range(7)]
-    _rhs(state, kappa, n, k[0])
+    def f(y):
+        rows = rhs_characteristics(y.reshape(7, m, y.shape[1]), kappa, n)
+        return np.concatenate(rows)
 
-    # Initial step: same heuristic as the scalar kernels, over the
-    # flattened ensemble.
-    sc = config.abs_tol + config.rel_tol * np.abs(state)
-    d0 = math.sqrt(float(np.mean((state / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((k[0] / sc) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, config.max_step, t_end)
-    probe = state + h0 * k[0]
-    k1_probe = np.empty_like(state)
-    _rhs(probe, kappa, n, k1_probe)
-    d2 = math.sqrt(float(np.mean(((k1_probe - k[0]) / sc) ** 2))) / h0
-    dm = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
-    h = min(100.0 * h0, h1, config.max_step, t_end)
-
-    facold = 1e-4
-    last_rejected = False
-    ring_t: list[float] = []
-    ring_u: list[float] = []
-    m0 = float(np.max(np.abs(state[:, _SPECTRAL])))
-    if m0 > 0.0:
-        ring_t.append(0.0)
-        ring_u.append(1.0 / m0)
-
-    def pole_estimate(fallback: float) -> float:
-        est = _fit_pole_time(ring_t, ring_u)
-        if est is None:
-            est = fallback
-        return max(est, t)
-
-    while t < t_end:
-        next_stop = stops[0]
-        clipped = h >= next_stop - t
-        if clipped:
-            h = next_stop - t
-        if h < config.min_step and not clipped:
+    # One lane; the blowup test watches the p, q, mu, nu rows only.
+    stepper = _Stepper(
+        f, fields.reshape(-1, 1), config.replace(horizon=t_end), watch=slice(2 * m, 6 * m)
+    )
+    if stepper.at_pole[0]:
+        result.termination = Termination(kind="blowup_detected", t_est=0.0)
+        return result
+    stepper.stop[0] = stops[0]
+    while True:
+        step = stepper.attempt()
+        if step.underflow[0]:
             result.termination = Termination(kind="step_underflow")
             return result
-
-        bad = False
-        y5 = None
-        for i in range(1, 7):
-            ai = _A[i]
-            incr = ai[0] * k[0]
-            for j in range(1, i):
-                incr = incr + ai[j] * k[j]
-            stage_state = state + h * incr
-            _rhs(stage_state, kappa, n, k[i])
-            if not np.all(np.isfinite(k[i])):
-                bad = True
-                break
-            if i == 6:
-                y5 = stage_state
-        if not bad and not np.all(np.isfinite(y5)):
-            bad = True
-
-        if bad:
-            if 0.1 * h < config.min_step:
-                result.termination = Termination(
-                    kind="blowup_detected", t_est=pole_estimate(t + h)
-                )
-                return result
-            h *= 0.1
-            last_rejected = True
+        if step.pole[0]:
+            result.termination = Termination(kind="blowup_detected", t_est=float(step.t_est[0]))
+            return result
+        if not step.accepted[0]:
             continue
-
-        err_arr = _E[0] * k[0]
-        for i in range(1, 7):
-            err_arr = err_arr + _E[i] * k[i]
-        err_arr = h * err_arr
-        sc = config.abs_tol + config.rel_tol * np.maximum(np.abs(state), np.abs(y5))
-        err = math.sqrt(float(np.mean((err_arr / sc) ** 2)))
-
-        if err <= 1.0:
-            t = next_stop if clipped else t + h
-            state = y5
-            k[0] = k[6].copy()
-            mmag = float(np.max(np.abs(state[:, _SPECTRAL])))
-            if mmag > 0.0:
-                ring_t.append(t)
-                ring_u.append(1.0 / mmag)
-                if len(ring_t) > 3:
-                    ring_t.pop(0)
-                    ring_u.pop(0)
-            if mmag > config.blowup_magnitude:
-                result.termination = Termination(
-                    kind="blowup_detected", t_est=pole_estimate(t)
-                )
+        t = float(stepper.t[0])
+        current = stepper.y.reshape(7, m)
+        if np.any(np.diff(current[0]) <= 0.0):
+            if raise_on_crossing:
+                raise CrossingDetected(f"characteristics crossed at t = {t!r}")
+            result.termination = Termination(kind="crossing_detected", t_est=t)
+            return result
+        if step.landed[0]:
+            stops.pop(0)
+            if t in emit_set:
+                emit(t, current)
+            if not stops:
                 return result
-            radii = state[:, 0]
-            if np.any(np.diff(radii) <= 0.0):
-                if raise_on_crossing:
-                    raise CrossingDetected(f"characteristics crossed at t = {t!r}")
-                result.termination = Termination(kind="crossing_detected", t_est=t)
-                return result
-            if clipped:
-                stops.pop(0)
-                if t in emit_set:
-                    emit(t, state)
-                if not stops:
-                    result.termination = Termination(kind="horizon_reached")
-                    return result
-
-            fac11 = err**_EXPO1
-            fac = fac11 / facold**_BETA
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            hnew = h / fac
-            facold = max(err, 1e-4)
-            if last_rejected:
-                hnew = min(hnew, h)
-            last_rejected = False
-            h = min(hnew, config.max_step)
-        else:
-            fac11 = err**_EXPO1
-            hnew = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-            last_rejected = True
-            if hnew < config.min_step:
-                result.termination = Termination(
-                    kind="blowup_detected", t_est=pole_estimate(t + h)
-                )
-                return result
-            h = hnew
-
-    result.termination = Termination(kind="horizon_reached")
-    return result
+            stepper.stop[0] = stops[0]
 
 
 def bkm_monitor(snapshots) -> float:

@@ -153,7 +153,8 @@ def derive_density(profile: RadialProfile, r):
         nu = np.asarray(profile.dphi0(rb), dtype=float) / rb
         out[big] = (1.0 - mu) * (1.0 - nu) ** (n - 1)
     if small.any():
-        out[small] = (1.0 - float(profile.d2phi0(0.0))) ** n
+        # A NumPy scalar, so an overflow gives inf rather than OverflowError.
+        out[small] = np.float64(1.0 - float(profile.d2phi0(0.0))) ** n
     return float(out[0]) if scalar else out
 
 

@@ -1,20 +1,28 @@
-"""Lane-batched adaptive integration of many independent trajectories.
+"""Lane-batched Dormand-Prince 5(4) integration: one engine, two drivers.
 
-integrate_batch advances every lane of a (d, lanes) NumPy state with the
-Dormand-Prince 5(4) pair of the scalar kernel: the same tableau, PI
-controller constants and event rules (``_kernels_py``), applied
-elementwise.  Each lane owns its time, step size, controller memory and
-pole-fit ring, and stops on its own at the horizon, the magnitude
-threshold, controller underflow or a non-finite stage; no value ever
-crosses from one lane to another, so a lane's result does not depend on
-which other lanes share its batch.  Finished lanes are dropped from the
-working arrays, so the cost of a step follows the lanes still running.
+_Stepper holds a (d, lanes) NumPy state and makes one attempt per call
+for every live lane, toward that lane's own stop time, with the tableau,
+PI controller constants and event rules of the scalar kernel
+(``_kernels_py``) applied elementwise.  Each lane owns its time, step
+size, controller memory and pole-fit ring; no value ever crosses from
+one lane to another, so a lane's result does not depend on which other
+lanes share its batch.  A lane ends on controller underflow or a pole:
+a watched magnitude beyond the threshold, a non-finite stage or a
+rejection below min_step.
 
-This is the record=False contract of integrate: per lane, the
-termination kind, the pole estimate, and the final time and state.
-A step costs about the same from one lane to a few hundred, so one lane
-is about ten times slower than the scalar kernel, and a batch
-of a hundred lanes several times faster.
+Two drivers run it:
+
+* integrate_batch steps every lane, one trajectory each, to
+  config.horizon and drops finished lanes from the working arrays, so
+  the cost of a step follows the lanes still running.  This is the
+  record=False contract of integrate: per lane, the termination kind,
+  the pole estimate, and the final time and state.  A step costs about
+  the same from one lane to a few hundred, so one lane is about ten
+  times slower than the scalar kernel, and a batch of a hundred lanes
+  several times faster.
+* lagrange.advance_ensemble runs the whole characteristic ensemble as
+  one lane, so step size and error norm are shared by every
+  characteristic, and moves the stop from one output time to the next.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,6 +126,139 @@ def _pole_estimate(ring_t, ring_u, count, fallback, t):
     return max(est, t)
 
 
+class _Attempt(NamedTuple):
+    """Outcome of one _Stepper.attempt, over the lanes live before it.
+
+    landed lanes accepted a step that ends exactly on their stop;
+    underflow and pole lanes have ended, and t_est holds the pole time
+    of each pole lane (nan elsewhere).
+    """
+
+    accepted: np.ndarray
+    landed: np.ndarray
+    underflow: np.ndarray
+    pole: np.ndarray
+    t_est: np.ndarray
+
+
+class _Stepper:
+    """Resumable DP5(4) state of a (d, lanes) batch, stepped by attempt().
+
+    f maps a (d, lanes) state to its d derivative rows.  watch selects
+    the rows whose magnitude is tested against config.blowup_magnitude
+    and fed to the pole fit.  A lane whose start has a non-finite
+    derivative or a watched magnitude beyond the threshold is a pole at
+    t = 0: it is flagged in at_pole and never stepped.  lane holds the
+    input index of each live lane, stop its stop time (config.horizon
+    until a driver moves it); keep() drops lanes a driver is done with.
+    """
+
+    @np.errstate(all="ignore")
+    def __init__(self, f, y0, cfg, watch=slice(None)):
+        self.f, self.cfg, self.watch = f, cfg, watch
+        k = np.empty((7,) + y0.shape)
+        k[0] = f(y0)
+        m0 = np.abs(y0[watch]).max(axis=0)
+        self.at_pole = ~np.isfinite(k[0]).all(axis=0) | (m0 > cfg.blowup_magnitude)
+        live = ~self.at_pole
+        self.lane = np.flatnonzero(live)
+        self.y, self.k, m0 = y0[:, live], k[:, :, live], m0[live]
+        self.h = _initial_step(f, self.y, self.k[0], cfg)
+        self.t = np.zeros(self.lane.size)
+        self.stop = np.full(self.lane.size, cfg.horizon)
+        self.facold = np.full(self.lane.size, 1e-4)
+        self.last_rejected = np.zeros(self.lane.size, dtype=bool)
+        # Right-aligned ring of the last accepted (t, 1/max|y|); the
+        # final `count` columns are valid.
+        self.ring_t = np.zeros((_RING, self.lane.size))
+        self.ring_u = np.zeros((_RING, self.lane.size))
+        self.count = (m0 > 0.0).astype(np.int64)
+        self.ring_u[-1] = np.where(m0 > 0.0, 1.0 / m0, 0.0)
+
+    def keep(self, live):
+        """Drop every lane where the mask live is false."""
+        for name in ("lane", "t", "h", "stop", "facold", "last_rejected", "count"):
+            setattr(self, name, getattr(self, name)[live])
+        self.y, self.k = self.y[:, live], self.k[:, :, live]
+        self.ring_t, self.ring_u = self.ring_t[:, live], self.ring_u[:, live]
+
+    @np.errstate(all="ignore")
+    def attempt(self) -> _Attempt:
+        """One DP5(4) attempt on every live lane; see _Attempt."""
+        f, cfg, k, y, t = self.f, self.cfg, self.k, self.y, self.t
+        a, e_w = _k._A, _k._E
+        min_step = cfg.min_step
+        inv_fac_min, inv_fac_max = 1.0 / _k._FAC_MIN, 1.0 / _k._FAC_MAX
+
+        room = self.stop - t
+        clipped = self.h >= room
+        h = np.where(clipped, room, self.h)
+        underflow = (h < min_step) & ~clipped
+
+        for i in range(1, 7):
+            ai = a[i]
+            acc = ai[0] * k[0]
+            for j in range(1, i):
+                acc += ai[j] * k[j]
+            y5 = y + h * acc
+            k[i] = f(y5)
+        # y5 is the last stage argument: the 5th-order solution (FSAL).
+        bad = ~(np.isfinite(k[1:]).all(axis=(0, 1)) & np.isfinite(y5).all(axis=0))
+
+        err_vec = e_w[0] * k[0]
+        for i in range(1, 7):
+            err_vec += e_w[i] * k[i]
+        err_vec *= h
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err = _rms(err_vec / sc)
+
+        # A lane that stops on underflow takes no step.
+        bad &= ~underflow
+        accept = ~underflow & ~bad & (err <= 1.0)
+        reject = ~underflow & ~bad & ~accept
+        fac11 = _pow(err, _k._EXPO1)
+
+        # Accepted lanes move to the new point.
+        t_tried = t + h
+        t = np.where(accept, np.where(clipped, self.stop, t_tried), t)
+        y = np.where(accept, y5, y)
+        k[0] = np.where(accept, k[6], k[0])
+        m = np.abs(y[self.watch]).max(axis=0)
+        grow = accept & (m > 0.0)
+        ring_t = np.where(grow, np.concatenate((self.ring_t[1:], t[None])), self.ring_t)
+        ring_u = np.where(grow, np.concatenate((self.ring_u[1:], 1.0 / m[None])), self.ring_u)
+        count = np.where(grow, np.minimum(self.count + 1, _RING), self.count)
+
+        fac = fac11 / _pow(self.facold, _k._BETA)
+        fac = _pymax(inv_fac_max, _pymin(inv_fac_min, fac / _k._SAFETY))
+        h_accept = h / fac
+        h_accept = np.where(self.last_rejected, _pymin(h_accept, h), h_accept)
+        h_accept = _pymin(h_accept, cfg.max_step)
+        h_reject = h / _pymin(inv_fac_min, fac11 / _k._SAFETY)
+        h_bad = h * 0.1
+
+        pole = (
+            (bad & (h_bad < min_step))
+            | (reject & (h_reject < min_step))
+            | (accept & (m > cfg.blowup_magnitude))
+        )
+        t_est = np.full(t.size, math.nan)
+        for j in np.flatnonzero(pole):
+            # Without a usable fit the pole is put at the end of the
+            # step that found it.
+            fallback = t[j] if accept[j] else t_tried[j]
+            t_est[j] = _pole_estimate(
+                ring_t[:, j], ring_u[:, j], count[j], float(fallback), float(t[j])
+            )
+
+        self.t, self.y = t, y
+        self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
+        self.facold = np.where(accept, _pymax(err, 1e-4), self.facold)
+        self.h = np.where(accept, h_accept, np.where(bad, h_bad, h_reject))
+        self.last_rejected = ~accept
+        return _Attempt(accept, accept & clipped, underflow, pole, t_est)
+
+
 def integrate_batch(
     system: str,
     states0,
@@ -144,117 +286,26 @@ def integrate_batch(
     if lanes == 0:
         return BatchResult((), t_est, t_end, y_end)
 
-    f = _rhs(system, float(kappa), float(n), float(c0))
-    a, e_w = _k._A, _k._E
-    horizon, min_step, max_step = cfg.horizon, cfg.min_step, cfg.max_step
-    inv_fac_min, inv_fac_max = 1.0 / _k._FAC_MIN, 1.0 / _k._FAC_MAX
+    y0 = np.array(rows).T.copy()
+    stepper = _Stepper(_rhs(system, float(kappa), float(n), float(c0)), y0, cfg)
+    at_pole = stepper.at_pole
+    kinds[at_pole] = _k.TERM_BLOWUP
+    t_est[at_pole] = 0.0
+    y_end[at_pole] = y0.T[at_pole]
 
-    with np.errstate(all="ignore"):
-        y = np.array(rows).T.copy()
-        k = np.empty((7, dim, lanes))
-        k[0] = f(y)
-        m0 = np.abs(y).max(axis=0)
-        # An initial state on the singular set or beyond the threshold
-        # is a pole at t = 0.
-        at_pole = ~np.isfinite(k[0]).all(axis=0) | (m0 > cfg.blowup_magnitude)
-        kinds[at_pole] = _k.TERM_BLOWUP
-        t_est[at_pole] = 0.0
-        y_end[at_pole] = y.T[at_pole]
-
-        live = ~at_pole
-        idx = np.flatnonzero(live)
-        y, k, m0 = y[:, live], k[:, :, live], m0[live]
-        h = _initial_step(f, y, k[0], cfg)
-        t = np.zeros(idx.size)
-        facold = np.full(idx.size, 1e-4)
-        last_rejected = np.zeros(idx.size, dtype=bool)
-        # Right-aligned ring of the last accepted (t, 1/max|y|); the
-        # final `count` columns are valid.
-        ring_t = np.zeros((_RING, idx.size))
-        ring_u = np.zeros((_RING, idx.size))
-        count = (m0 > 0.0).astype(np.int64)
-        ring_u[-1] = np.where(m0 > 0.0, 1.0 / m0, 0.0)
-
-        while idx.size:
-            room = horizon - t
-            clipped = h >= room
-            h = np.where(clipped, room, h)
-            underflow = (h < min_step) & ~clipped
-
-            for i in range(1, 7):
-                ai = a[i]
-                acc = ai[0] * k[0]
-                for j in range(1, i):
-                    acc += ai[j] * k[j]
-                y5 = y + h * acc
-                k[i] = f(y5)
-            # y5 is the last stage argument: the 5th-order solution (FSAL).
-            bad = ~(np.isfinite(k[1:]).all(axis=(0, 1)) & np.isfinite(y5).all(axis=0))
-
-            err_vec = e_w[0] * k[0]
-            for i in range(1, 7):
-                err_vec += e_w[i] * k[i]
-            err_vec *= h
-            sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = _rms(err_vec / sc)
-
-            # A lane that stops on underflow takes no step.
-            bad &= ~underflow
-            accept = ~underflow & ~bad & (err <= 1.0)
-            reject = ~underflow & ~bad & ~accept
-            fac11 = _pow(err, _k._EXPO1)
-
-            # Accepted lanes move to the new point.
-            t_tried = t + h
-            t = np.where(accept, np.where(clipped, horizon, t_tried), t)
-            y = np.where(accept, y5, y)
-            k[0] = np.where(accept, k[6], k[0])
-            m = np.abs(y).max(axis=0)
-            grow = accept & (m > 0.0)
-            ring_t = np.where(grow, np.concatenate((ring_t[1:], t[None])), ring_t)
-            ring_u = np.where(grow, np.concatenate((ring_u[1:], 1.0 / m[None])), ring_u)
-            count = np.where(grow, np.minimum(count + 1, _RING), count)
-
-            fac = fac11 / _pow(facold, _k._BETA)
-            fac = _pymax(inv_fac_max, _pymin(inv_fac_min, fac / _k._SAFETY))
-            h_accept = h / fac
-            h_accept = np.where(last_rejected, _pymin(h_accept, h), h_accept)
-            h_accept = _pymin(h_accept, max_step)
-            h_reject = h / _pymin(inv_fac_min, fac11 / _k._SAFETY)
-            h_bad = h * 0.1
-
-            pole = (
-                (bad & (h_bad < min_step))
-                | (reject & (h_reject < min_step))
-                | (accept & (m > cfg.blowup_magnitude))
+    while stepper.lane.size:
+        step = stepper.attempt()
+        done = step.landed | step.underflow | step.pole
+        if done.any():
+            ended = stepper.lane[done]
+            t_end[ended], t_est[ended] = stepper.t[done], step.t_est[done]
+            y_end[ended] = stepper.y[:, done].T
+            kinds[ended] = np.select(
+                [step.underflow[done], step.pole[done]],
+                [_k.TERM_UNDERFLOW, _k.TERM_BLOWUP],
+                _k.TERM_HORIZON,
             )
-            done = underflow | pole | (accept & clipped)
-            facold = np.where(accept, _pymax(err, 1e-4), facold)
-            h = np.where(accept, h_accept, np.where(bad, h_bad, h_reject))
-            last_rejected = ~accept
-            if not done.any():
-                continue
-
-            for j in np.flatnonzero(done):
-                lane = idx[j]
-                t_end[lane] = t[j]
-                y_end[lane] = y[:, j]
-                if underflow[j]:
-                    kinds[lane] = _k.TERM_UNDERFLOW
-                elif pole[j]:
-                    # Without a usable fit the pole is put at the end
-                    # of the step that found it.
-                    fallback = t[j] if accept[j] else t_tried[j]
-                    kinds[lane] = _k.TERM_BLOWUP
-                    t_est[lane] = _pole_estimate(
-                        ring_t[:, j], ring_u[:, j], count[j], float(fallback), float(t[j])
-                    )
-                else:
-                    kinds[lane] = _k.TERM_HORIZON
-            keep = ~done
-            idx, t, h, y, k = idx[keep], t[keep], h[keep], y[:, keep], k[:, :, keep]
-            facold, last_rejected = facold[keep], last_rejected[keep]
-            ring_t, ring_u, count = ring_t[:, keep], ring_u[:, keep], count[keep]
+            stepper.keep(~done)
 
     return BatchResult(
         kinds=tuple(_TERM_KINDS[code] for code in kinds.tolist()),

@@ -45,12 +45,12 @@ def monitor_swirl_invariants(trajectory: Trajectory, kappa: float) -> dict[str, 
 
     Returns {'angular_moment': ..., 'swirl_energy': ...} for
     J_a = (theta_over_r) v^2 and J_e = w^2 + kappa(1-v)^2 + C^2 v^-2
-    with C = theta_over_r(0) v(0)^2.  State columns follow SwirlState
-    field order (p, q, mu, nu, theta_r, theta_over_r).
+    with C = theta_over_r(0) v(0)^2.  The state width picks the columns:
+    six follow SwirlState field order (p, q, mu, nu, theta_r,
+    theta_over_r), three the swirl_q system (q, nu, theta_over_r).
     """
-    q = trajectory.states[:, 1]
-    nu = trajectory.states[:, 3]
-    tor = trajectory.states[:, 5]
+    columns = (0, 1, 2) if trajectory.states.shape[1] == 3 else (1, 3, 5)
+    q, nu, tor = (trajectory.states[:, j] for j in columns)
     w, v = _linearized(q, nu)
     c0 = float(tor[0] * v[0] ** 2)
     angular = tor * v**2

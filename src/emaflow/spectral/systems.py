@@ -3,9 +3,11 @@
 Along a characteristic the eigenvalues (p, q) of the velocity gradient
 and (mu, nu) of the potential Hessian obey closed Riccati-type systems;
 with swirl they couple into a six-variable system; the substitution
-w = q/(1-nu), v = 1/(1-nu) linearizes the no-swirl dynamics.  These
-functions are the single source of truth for the dynamics: the batched
-integrator calls them directly, and the scalar kernel in ``_kernels_py``
+w = q/(1-nu), v = 1/(1-nu) linearizes the no-swirl dynamics; carried
+together with position, velocity and the divergence integral they are
+the characteristic ensemble.  These functions are the single source of
+truth for the dynamics: the batched integrator and the ensemble call
+them directly on NumPy rows, and the scalar kernel in ``_kernels_py``
 repeats them on plain floats and is tested against them.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
@@ -25,6 +27,7 @@ __all__ = [
     "rhs_ep_qnu",
     "rhs_wv",
     "rhs_swirl_q",
+    "rhs_characteristics",
     "SYSTEM_DIMS",
 ]
 
@@ -131,6 +134,20 @@ def rhs_wv(state, kappa, c0=0.0):
     if v == 0.0:
         raise SingularInput("centrifugal term undefined at v = 0 with nonzero swirl")
     return (kappa * (1.0 - v) + c0 * c0 / v**3, w)
+
+
+def rhs_characteristics(state, kappa, n):
+    """Dynamics of one radial characteristic in dimension n.
+
+    State order (r, u, p, q, mu, nu, g): r' = u, u' = -kappa nu r, the
+    (p, mu) and (q, nu) pairs as in rhs_pmu and rhs_qnu, and
+    g' = p + (n-1) q, the divergence whose integral gives the continuity
+    density rho0 exp(-g).
+    """
+    r, u, p, q, mu, nu, _ = state
+    dp, dmu = rhs_pmu((p, mu), kappa)
+    dq, dnu = rhs_qnu((q, nu), kappa)
+    return (u, -kappa * nu * r, dp, dq, dmu, dnu, p + (n - 1) * q)
 
 
 # Integrator-facing registry: system name -> (kernel id, dimension).

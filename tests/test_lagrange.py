@@ -17,6 +17,7 @@ from emaflow.lagrange import (
     gradient_bound_check,
 )
 from emaflow.profiles import ProfilePreset, derive_density
+from emaflow.spectral import IntegratorConfig
 
 
 def _density_from_flow(profile, r, t):
@@ -90,6 +91,15 @@ def test_blowup_terminates_ensemble(canonical_supercritical):
     res = advance_ensemble(canonical_supercritical, n_chars=128, t_end=1.0, grid_size=64)
     assert res.termination.kind == "blowup_detected"
     assert abs(res.termination.t_est - math.pi / 6.0) <= 1e-2
+
+
+def test_blowup_test_ignores_radii_beyond_the_magnitude():
+    # Only p, q, mu and nu are watched: radii past blowup_magnitude are
+    # not a pole.
+    profile = ProfilePreset("quadratic", {"a": 0.2, "c": 0.3, "r_max": 1e10}).build()
+    res = advance_ensemble(profile, n_chars=16, t_end=0.5, grid_size=8)
+    assert res.termination.kind == "horizon_reached"
+    assert res.char_states[-1][-1, 0] > IntegratorConfig().blowup_magnitude
 
 
 def test_transport_identities_along_characteristics(subcritical_profile, tight_config):
@@ -193,21 +203,23 @@ def test_gradient_bound_flags_inconsistent_snapshot():
 # ---------------------------------------------------------------- crossing detection
 
 
-def _collapsing_outer_half(state, kappa, n, out):
-    out[:] = 0.0
-    half = state.shape[0] // 2
-    out[half:, 0] = -2.0 * state[half:, 0]
+def _collapsing_outer_half(state, kappa, n):
+    r = state[0]
+    dr = np.zeros_like(r)
+    half = r.shape[0] // 2
+    dr[half:] = -2.0 * r[half:]
+    return (dr,) + tuple(np.zeros_like(row) for row in state[1:])
 
 
 def test_crossing_reported_as_termination(equilibrium, monkeypatch):
-    monkeypatch.setattr(emaflow.lagrange, "_rhs", _collapsing_outer_half)
+    monkeypatch.setattr(emaflow.lagrange, "rhs_characteristics", _collapsing_outer_half)
     res = advance_ensemble(equilibrium, n_chars=8, t_end=2.0, grid_size=16)
     assert res.termination.kind == "crossing_detected"
     assert 0.0 < res.termination.t_est <= 2.0
 
 
 def test_crossing_raises_when_requested(equilibrium, monkeypatch):
-    monkeypatch.setattr(emaflow.lagrange, "_rhs", _collapsing_outer_half)
+    monkeypatch.setattr(emaflow.lagrange, "rhs_characteristics", _collapsing_outer_half)
     with pytest.raises(CrossingDetected, match="crossed"):
         advance_ensemble(
             equilibrium, n_chars=8, t_end=2.0, grid_size=16, raise_on_crossing=True
