@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
-from .errors import DomainError, EmaflowError
+from .errors import EmaflowError
 from .lagrange import advance_ensemble, bkm_monitor, ensemble_drift, gradient_bound_check
 from .spectral import BACKEND
 from .threshold import (
@@ -77,19 +77,9 @@ def cmd_simulate(config: RunConfig) -> int:
     rows = []
     for snap in result.snapshots:
         t_str = _fmt(snap.t)
-        for i in range(snap.grid.size):
-            rows.append(
-                (
-                    t_str,
-                    _fmt(snap.grid[i]),
-                    _fmt(snap.rho[i]),
-                    _fmt(snap.u[i]),
-                    _fmt(snap.p[i]),
-                    _fmt(snap.q[i]),
-                    _fmt(snap.mu[i]),
-                    _fmt(snap.nu[i]),
-                )
-            )
+        block = np.column_stack((snap.grid, snap.rho, snap.u, snap.p, snap.q, snap.mu, snap.nu))
+        # tolist() gives Python floats, whose repr is what _fmt writes.
+        rows.extend((t_str, ",".join(map(repr, row))) for row in block.tolist())
     _write_csv(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), rows)
 
     path_drift, density_drift = ensemble_drift(profile, result)
@@ -129,25 +119,12 @@ def cmd_classify(config: RunConfig) -> int:
     grid = default_classification_grid(profile, config.classify_grid_size)
     verdict = classify_profile(profile, grid)
 
-    margins = {}
-    for name, lam_f, h_f in (
-        ("gradient_branch", profile.du0, profile.d2phi0),
-        ("ratio_branch", profile.q0, profile.nu0),
-    ):
-        # The origin limit point plus the grid, as classify_profile sees them.
-        lam = np.concatenate(([float(lam_f(0.0))], np.asarray(lam_f(grid), dtype=float)))
-        h = np.concatenate(([float(h_f(0.0))], np.asarray(h_f(grid), dtype=float)))
-        if not (np.isfinite(lam).all() and np.isfinite(h).all()):
-            raise DomainError(f"{name} of the profile is not finite on the grid")
-        margin = profile.kappa * (1.0 - 2.0 * h) - lam * lam
-        margins[name] = float(margin.min())
-
     payload = {
         "class": verdict.regime,
         "witness_r": verdict.witness_r,
         "t_blowup": verdict.t_blowup,
         "horizon": verdict.horizon,
-        "margins": margins,
+        "margins": verdict.margins,
         "preset": config.preset,
         "n": profile.dimension,
         "kappa": profile.kappa,

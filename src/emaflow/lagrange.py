@@ -13,7 +13,9 @@ spectral/batch.py: its state is the seven field rows, each contiguous,
 flattened into one column, so a single step size and error norm span
 every characteristic.  Steps land exactly on the requested output
 times, where Eulerian fields are interpolated onto a fixed grid with a
-monotone cubic (no overshoot near steep gradients).
+monotone cubic (no overshoot near steep gradients): PCHIP, written here
+in NumPy with the arithmetic of scipy.interpolate.PchipInterpolator, so
+the package needs NumPy alone at run time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, CrossingDetected, DomainError
 from .profiles import RadialProfile, derive_density
@@ -120,29 +121,77 @@ def _initial_fields(profile: RadialProfile, seeds: np.ndarray) -> np.ndarray:
     return fields
 
 
+def _edge_slope(h0, h1, m0, m1):
+    # One-sided three-point end slope, kept shape-preserving (Moler,
+    # Numerical Computing with MATLAB, pchiptx).
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(steep, 3.0 * m0, d))
+
+
+def _pchip(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Monotone piecewise cubic through each row of y, evaluated at xi.
+
+    x is strictly increasing with at least 2 nodes, y has shape (k, x.size)
+    and xi lies in [x[0], x[-1]].  Interior slopes are the weighted
+    harmonic mean of the adjacent secants, or 0 at a flat secant or a
+    sign change (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17:238).
+    Every operation is the one scipy.interpolate.PchipInterpolator
+    performs, in its order, so the values equal scipy's bit for bit.
+    Non-finite values or slopes raise DomainError, where scipy raises
+    ValueError.
+    """
+    if not np.isfinite(y).all():
+        raise DomainError("snapshot fields are not finite; cannot interpolate them")
+    h = x[1:] - x[:-1]
+    mk = (y[:, 1:] - y[:, :-1]) / h
+    if x.size == 2:
+        d = np.concatenate([mk, mk], axis=1)
+    else:
+        smk = np.sign(mk)
+        flat = (smk[:, 1:] != smk[:, :-1]) | (mk[:, 1:] == 0) | (mk[:, :-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:, :-1] + w2 / mk[:, 1:]) / (w1 + w2)
+            d[:, 1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[:, 0] = _edge_slope(h[0], h[1], mk[:, 0], mk[:, 1])
+        d[:, -1] = _edge_slope(h[-1], h[-2], mk[:, -1], mk[:, -2])
+    if not np.isfinite(d).all():
+        raise DomainError("snapshot field slopes are not finite; cannot interpolate them")
+
+    # Cubic Hermite coefficients of each query's interval, summed in
+    # powers of s = xi - x[i] as scipy's PPoly does (not Horner).
+    i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, x.size - 2)
+    hi = h[i]
+    slope = mk[:, i]
+    d0 = d[:, i]
+    t = (d0 + d[:, i + 1] - 2 * slope) / hi
+    s = xi - x[i]
+    res = 0.0 + y[:, i]
+    z = s
+    res += d0 * z
+    z = z * s
+    res += ((slope - d0) / hi - t) * z
+    z = z * s
+    res += t / hi * z
+    return res
+
+
 def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndarray) -> EulerianSnapshot:
     r = state[0]
     n = profile.dimension
     # Evaluate on the grid clamped to the characteristic hull: outside
     # it the fields take boundary values.
     x = np.clip(grid, r[0], r[-1])
-
-    def onto(values: np.ndarray) -> np.ndarray:
-        return PchipInterpolator(r, values, extrapolate=False)(x)
-
     rho_chars = (1.0 - state[4]) * (1.0 - state[5]) ** (n - 1)
-    fields = {
-        "rho": onto(rho_chars),
-        "u": onto(state[1]),
-        "p": onto(state[2]),
-        "q": onto(state[3]),
-        "mu": onto(state[4]),
-        "nu": onto(state[5]),
-    }
-    bkm = float(
-        max(np.max(np.abs(fields[name])) for name in ("p", "q", "mu", "nu"))
+    rho, u, p, q, mu, nu = _pchip(r, np.vstack([rho_chars, state[1:6]]), x)
+    bkm = float(max(np.max(np.abs(values)) for values in (p, q, mu, nu)))
+    return EulerianSnapshot(
+        t=float(t), grid=grid.copy(), rho=rho, u=u, p=p, q=q, mu=mu, nu=nu, bkm_integrand=bkm
     )
-    return EulerianSnapshot(t=float(t), grid=grid.copy(), bkm_integrand=bkm, **fields)
 
 
 def advance_ensemble(

@@ -16,7 +16,7 @@ silently rounded to either side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,15 +52,17 @@ class Verdict:
     """Classification of a point or profile.
 
     t_blowup is present exactly for supercritical verdicts; witness_r
-    marks the first failing radius of a profile-level verdict; horizon
-    records the time horizon of horizon-relative (numerical) verdicts
-    such as Sigma membership.
+    marks the first failing radius of a profile-level verdict; margins
+    maps each branch of a profile-level verdict to its smallest
+    threshold margin; horizon records the time horizon of
+    horizon-relative (numerical) verdicts such as Sigma membership.
     """
 
     regime: str
     t_blowup: float | None = None
     witness_r: float | None = None
     horizon: float | None = None
+    margins: dict[str, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.regime not in _REGIMES:
@@ -150,7 +152,11 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     Otherwise the verdict is supercritical (witness_r = first failing
     radius, t_blowup = min closed-form time over the supercritical
     points) or boundary when nothing worse than a tolerance-level
-    equality is found.
+    equality is found.  Every point is judged as classify_point judges
+    it, and the first non-finite one raises the same DomainError.
+    margins holds the smallest threshold_margin of each branch,
+    "gradient_branch" and "ratio_branch", over the origin and the grid;
+    a branch that is not finite there raises DomainError.
     """
     if r_grid is None:
         r_grid = default_classification_grid(profile)
@@ -162,44 +168,53 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     r_arr = np.sort(r_arr)
     kappa = profile.kappa
 
-    # Origin limit: both branches coincide there.
-    points: list[tuple[float, tuple[tuple[float, float], ...]]] = [
-        (0.0, ((float(profile.du0(0.0)), float(profile.d2phi0(0.0))),))
-    ]
-    p_branch = np.asarray(profile.du0(r_arr), dtype=float)
-    mu_branch = np.asarray(profile.d2phi0(r_arr), dtype=float)
-    q_branch = np.asarray(profile.q0(r_arr), dtype=float)
-    nu_branch = np.asarray(profile.nu0(r_arr), dtype=float)
-    for i, r in enumerate(r_arr):
-        points.append(
-            (
-                float(r),
-                (
-                    (float(p_branch[i]), float(mu_branch[i])),
-                    (float(q_branch[i]), float(nu_branch[i])),
-                ),
-            )
-        )
+    # Rows: the gradient branch (u0', phi0'') and the ratio branch
+    # (u0/r, phi0'/r).  Columns: the origin limit point, then the grid.
+    branches = (
+        ("gradient_branch", profile.du0, profile.d2phi0),
+        ("ratio_branch", profile.q0, profile.nu0),
+    )
+    lam = np.empty((2, r_arr.size + 1))
+    h = np.empty_like(lam)
+    for row, (_, lam_f, h_f) in enumerate(branches):
+        lam[row, 0], lam[row, 1:] = lam_f(0.0), lam_f(r_arr)
+        h[row, 0], h[row, 1:] = h_f(0.0), h_f(r_arr)
 
-    witness = None
-    boundary_only = True
-    t_min = None
-    for r, branches in points:
-        for lam0, h0 in branches:
-            verdict = classify_point(lam0, h0, kappa)
-            if verdict.regime == "subcritical":
-                continue
-            if witness is None:
-                witness = r
-            if verdict.regime == "supercritical":
-                boundary_only = False
-                if t_min is None or verdict.t_blowup < t_min:
-                    t_min = verdict.t_blowup
-    if witness is None:
-        return Verdict(regime="subcritical")
-    if boundary_only:
-        return Verdict(regime="boundary", witness_r=witness)
-    return Verdict(regime="supercritical", t_blowup=t_min, witness_r=witness)
+    def judged(values):
+        # Points in judging order: the origin once, on the gradient
+        # branch (both branches coincide there), then radius by radius.
+        return np.concatenate((values[0, :1], values[:, 1:].T.ravel()))
+
+    lam_pts, h_pts = judged(lam), judged(h)
+    # Checks kappa, then raises for the first non-finite point, if any.
+    first_bad = int(np.argmin(np.isfinite(lam_pts) & np.isfinite(h_pts)))
+    _check_point(float(lam_pts[first_bad]), float(h_pts[first_bad]), kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = kappa * (1.0 - 2.0 * h) - lam * lam
+    m_pts = judged(margin)
+    boundary = np.abs(m_pts) <= TOL_BOUNDARY * max(1.0, kappa)
+    above = m_pts > 0.0
+    failing = np.flatnonzero(boundary | ~above)
+    # The scalar closed form, point by point: np.arccos may differ from
+    # math.acos by an ulp.
+    times = [
+        classify_point(float(lam_pts[k]), float(h_pts[k]), kappa).t_blowup
+        for k in np.flatnonzero(~boundary & ~above)
+    ]
+
+    margins = {}
+    for row, (name, _, _) in enumerate(branches):
+        if not (np.isfinite(lam[row]).all() and np.isfinite(h[row]).all()):
+            raise DomainError(f"{name} of the profile is not finite on the grid")
+        margins[name] = float(margin[row].min())
+    if failing.size == 0:
+        return Verdict(regime="subcritical", margins=margins)
+    witness = 0.0 if failing[0] == 0 else float(r_arr[(failing[0] - 1) // 2])
+    if not times:
+        return Verdict(regime="boundary", witness_r=witness, margins=margins)
+    return Verdict(
+        regime="supercritical", t_blowup=min(times), witness_r=witness, margins=margins
+    )
 
 
 def _sigma_config(kappa, horizon, config) -> IntegratorConfig:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emaflow.cli import main
+from emaflow.config import SWIRL_FIELDS
 from emaflow.spectral import SwirlState
 from emaflow.threshold import sigma_membership
 
@@ -338,8 +339,51 @@ def simulate_argv(draw):
     return argv
 
 
-@settings(max_examples=225, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(classify_argv(), pointwise_sweep_argv(), simulate_argv()))
+def _short_horizon(horizon, kappa):
+    # Like simulate.t_end, the horizon sets the step count and nothing
+    # caps it: a bounded lane takes about horizon * max(1, sqrt(kappa))
+    # steps (a 3x3 sweep at kappa 100 took 2.5 s to horizon 50 and 61 s
+    # to horizon 1000).  Keep that product at 10 or below.
+    try:
+        scale = math.sqrt(max(1.0, float(kappa)))
+    except ValueError:
+        scale = 1.0
+    try:
+        return not 10.0 / scale < float(horizon) < math.inf
+    except ValueError:
+        return True
+
+
+def _mostly(plausible):
+    # NUMBERS one time in four, else a plausible value, so that a fair
+    # share of examples gets past the config checks into the integrator.
+    return st.integers(0, 3).flatmap(lambda k: NUMBERS if k == 0 else plausible)
+
+
+def _within(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr))
+
+
+@st.composite
+def swirl_sweep_argv(draw):
+    argv = ["sweep"] + _set("sweep.mode", "swirl_sigma")
+    fields = draw(st.permutations(SWIRL_FIELDS))
+    for key, name in (("sweep.axis1", fields[0]), ("sweep.axis2", fields[1])):
+        count = draw(_mostly(st.integers(1, 3).map(str)))
+        argv += _set(key, f"{name}, {draw(_within(-2, 0))}, {draw(_within(0.5, 2))}, {count}")
+    for name in fields[2:2 + draw(st.integers(0, 4))]:
+        argv += _set(f"sweep.{name}", draw(_within(-1, 1)))
+    kappa = draw(_within(0.01, 100).filter(_bounded_steps))
+    # The horizon is always set: the default, 500 / sqrt(kappa), grows
+    # without bound as kappa goes to 0.
+    horizon = draw(_within(0.01, 10).filter(lambda h: _short_horizon(h, kappa)))
+    return argv + _set("run.kappa", kappa) + _set("sweep.horizon", horizon)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    argv=st.one_of(classify_argv(), pointwise_sweep_argv(), simulate_argv(), swirl_sweep_argv())
+)
 @example(argv=["classify", "--set", "profile.preset=quadratic", "--set", "profile.c=1e308"])
 @example(argv=["classify", "--set", "profile.preset=bump", "--set", "profile.c=1e200"])
 @example(argv=["classify", "--set", "profile.preset=quadratic", "--set", "profile.r_max=5e-324"])
@@ -399,6 +443,32 @@ def test_simulate_rejects_an_overflowing_initial_density(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- module entry point
+
+
+# Runs main() with the rest of the command line, then fails if anything
+# imported scipy on the way.
+_WITHOUT_SCIPY = (
+    "import sys; from emaflow.cli import main; code = main(sys.argv[1:]); "
+    "assert 'scipy' not in sys.modules, 'scipy was imported'; sys.exit(code)"
+)
+
+
+def test_commands_run_on_numpy_alone(tmp_path):
+    # scipy is a test dependency only; it would cost every cold command
+    # most of its start-up time.
+    probe = subprocess.run(
+        [sys.executable, "-c", "import emaflow.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert (probe.returncode, probe.stderr) == (0, "")
+    for argv in (["classify"], ["simulate", "--set", "simulate.n_chars=32"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, *argv, "--out", str(tmp_path / argv[0])],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_module_entry_point(tmp_path):

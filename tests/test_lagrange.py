@@ -7,10 +7,11 @@ import pytest
 from scipy.optimize import brentq
 
 import emaflow.lagrange
-from emaflow.errors import ConfigError, CrossingDetected
+from emaflow.errors import ConfigError, CrossingDetected, DomainError
 from emaflow.flow import flow_radius, pushforward_density
 from emaflow.lagrange import (
     EulerianSnapshot,
+    _pchip,
     advance_ensemble,
     bkm_monitor,
     default_seeds,
@@ -247,3 +248,63 @@ def test_crossing_raises_when_requested(equilibrium, monkeypatch):
 def test_ensemble_input_validation(equilibrium, kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
         advance_ensemble(equilibrium, **({"n_chars": 8, "t_end": 1.0} | kwargs))
+
+
+# ---------------------------------------------------------------- snapshot interpolant
+
+
+def _assert_pchip_is_scipy(x, y, xi):
+    from scipy.interpolate import PchipInterpolator
+
+    got = _pchip(x, y, xi)
+    for row, values in zip(got, y):
+        want = PchipInterpolator(x, values, extrapolate=False)(xi)
+        assert np.array_equal(row, want)
+        assert np.array_equal(np.signbit(row), np.signbit(want))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 64, 16385])
+def test_pchip_equals_scipy_bitwise(m, rng):
+    # Random increasing nodes over several scales; rows that are smooth,
+    # flat in runs, exactly zero in places and changing sign.
+    gaps = rng.uniform(0.1, 1.0, m - 1) * 10.0 ** rng.uniform(-3.0, 2.0, m - 1)
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    smooth = np.sin(3.0 * x / x[-1]) * np.exp(-x / x[-1])
+    runs = np.repeat(rng.normal(size=m), 3)[:m]
+    sparse = rng.integers(-2, 3, m) * 0.5
+    signs = rng.choice([-1.0, 0.0, 1.0], m) * rng.exponential(1.0, m)
+    y = np.vstack([smooth, runs, sparse, signs, -smooth])
+    xi = np.concatenate([x, [x[0], x[-1]], rng.uniform(x[0], x[-1], 4096)])
+    _assert_pchip_is_scipy(x, y, xi)
+
+
+@pytest.mark.parametrize(
+    "x,y,end,branch",
+    [
+        # The three-point end slope changes sign: it is set to 0.
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0], 0, "flip"),
+        ([0.0, 1.0, 2.0], [6.0, 1.0, 0.0], -1, "flip"),
+        # The secants change sign and the slope exceeds three times the
+        # end secant: it is capped at that.
+        ([0.0, 10.0, 11.0], [0.0, 10.0, 5.0], 0, "cap"),
+        ([0.0, 1.0, 11.0], [5.0, 0.0, 10.0], -1, "cap"),
+    ],
+)
+def test_pchip_end_slopes_take_both_shape_preserving_branches(x, y, end, branch):
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = np.array(x), np.array(y)
+    secant = (y[1] - y[0]) / (x[1] - x[0]) if end == 0 else (y[-1] - y[-2]) / (x[-1] - x[-2])
+    slope = PchipInterpolator(x, y).derivative()(x[end])
+    assert slope == (0.0 if branch == "flip" else 3.0 * secant)
+    xi = np.concatenate([x, np.linspace(x[0], x[-1], 101)])
+    _assert_pchip_is_scipy(x, np.vstack([y, -y, 2.5 * y]), xi)
+
+
+def test_pchip_rejects_non_finite_fields():
+    x = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(DomainError, match="not finite"):
+        _pchip(x, np.array([[0.0, np.inf, 1.0]]), x)
+    # Finite values whose secant overflows.
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="slopes are not finite"):
+        _pchip(x * 1e-300, np.array([[-1e300, 1e300, 0.0]]), x * 1e-300)

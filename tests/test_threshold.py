@@ -166,6 +166,60 @@ def test_tuned_profile_sits_on_boundary():
     assert v.t_blowup is None
 
 
+def _pointwise_profile_verdict(profile, grid):
+    # classify_point at every point, in order: the origin once, then the
+    # gradient and the ratio branch radius by radius.
+    kappa = profile.kappa
+    points = [(0.0, float(profile.du0(0.0)), float(profile.d2phi0(0.0)))]
+    for r in grid:
+        points.append((float(r), float(profile.du0(r)), float(profile.d2phi0(r))))
+        points.append((float(r), float(profile.q0(r)), float(profile.nu0(r))))
+    verdicts = [(r, classify_point(lam, h, kappa)) for r, lam, h in points]
+    failing = [(r, v) for r, v in verdicts if v.regime != "subcritical"]
+    times = [v.t_blowup for _, v in failing if v.regime == "supercritical"]
+    if not failing:
+        return Verdict(regime="subcritical")
+    if not times:
+        return Verdict(regime="boundary", witness_r=failing[0][0])
+    return Verdict(regime="supercritical", t_blowup=min(times), witness_r=failing[0][0])
+
+
+def test_classify_profile_equals_the_pointwise_verdicts(rng):
+    grid_sizes = (1, 7, 64)
+    regimes = set()
+    for trial in range(60):
+        if trial % 2:
+            params = {"a": rng.uniform(-0.5, 0.4), "c": rng.uniform(-2, 2), "d": rng.uniform(0.3, 2)}
+            profile = ProfilePreset("quadratic", params).build(kappa=rng.uniform(0.2, 3.0))
+        else:
+            params = {"b": rng.uniform(-1, 1), "c": rng.uniform(-1, 1)}
+            profile = ProfilePreset("bump", params).build(dimension=int(rng.integers(1, 4)))
+        grid = default_classification_grid(profile, grid_sizes[trial % 3])
+        verdict = classify_profile(profile, grid)
+        assert verdict == _pointwise_profile_verdict(profile, grid)
+        regimes.add(verdict.regime)
+        for name, lam_f, h_f in (
+            ("gradient_branch", profile.du0, profile.d2phi0),
+            ("ratio_branch", profile.q0, profile.nu0),
+        ):
+            radii = [0.0, *grid.tolist()]
+            margins = [threshold_margin(float(lam_f(r)), float(h_f(r)), profile.kappa) for r in radii]
+            assert verdict.margins[name] == min(margins)
+    assert regimes == {"subcritical", "supercritical"}
+    c = math.sqrt(0.4)
+    tuned = ProfilePreset("quadratic", {"a": 0.3, "c": c, "d": 1.0}).build()
+    grid = default_classification_grid(tuned, 16)
+    assert classify_profile(tuned, grid) == _pointwise_profile_verdict(tuned, grid)
+
+
+def test_classify_profile_raises_at_the_first_non_finite_point():
+    profile = ProfilePreset("quadratic", {"c": 1e308}).build()
+    with np.errstate(over="ignore"), pytest.raises(
+        DomainError, match=r"point \(-inf, 0.0\) must be finite"
+    ):
+        classify_profile(profile)
+
+
 def test_classify_profile_grid_validation(equilibrium):
     with pytest.raises(DomainError, match="empty"):
         classify_profile(equilibrium, r_grid=np.array([]))
