@@ -15,20 +15,35 @@ In both cases the reported t_est comes from fitting a line to
 1/max|y| over the last three accepted steps: near a simple pole the
 reciprocal magnitude is locally linear in t, so its extrapolated zero
 estimates the blowup time.
+
+Each system has its own stepper: an integrate function whose stages are
+written out on scalar locals, one per state component, as Hairer's
+dopri5.f writes them.  Its source is generated from the _A and _E
+tableau literals and compiled with exec on the system's first call, as
+dataclasses builds __init__.  Each stage calls the system's function in
+``systems`` directly.  Every stage and error sum starts from 0.0 and
+runs over its whole tableau row in index order, zero weights included,
+so the floating-point operations and their order are fixed; the tests
+pin the results bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+from collections import deque
 
 import numpy as np
+
+from .systems import SYSTEM_RHS
 
 TERM_HORIZON = 0
 TERM_BLOWUP = 1
 TERM_UNDERFLOW = 2
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau; the systems are autonomous, so the nodes
+# c_i are not needed.
 _A = (
     (),
     (0.2,),
@@ -55,55 +70,20 @@ _BETA = 0.04
 _EXPO1 = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2   # strongest shrink per step
 _FAC_MAX = 10.0  # strongest growth per step
+_INV_FAC_MIN = 1.0 / _FAC_MIN
+_INV_FAC_MAX = 1.0 / _FAC_MAX
+
+_RING = 3  # accepted points in the pole fit
 
 
-def _eval_rhs(sys_id, y, kappa, n, c0, out):
-    """Derivative of system sys_id at y, written into out.
-
-    Mirrors the public functions in ``systems``; the wv centrifugal
-    singularity is mapped to inf so the step controller backs off
-    instead of raising mid-stage.
-    """
-    if sys_id == 0 or sys_id == 1:
-        a, b = y[0], y[1]
-        out[0] = -a * a - kappa * b
-        out[1] = a * (1.0 - b)
-    elif sys_id == 2:
-        p, q, mu, nu, tr, tor = y
-        out[0] = -p * p - kappa * mu + 2.0 * tr * tor - tor * tor
-        out[1] = -q * q - kappa * nu + tor * tor
-        out[2] = p * (1.0 - mu)
-        out[3] = q * (1.0 - nu)
-        out[4] = -(p + q) * tr - (p - q) * tor
-        out[5] = -2.0 * q * tor
-    elif sys_id == 3:
-        q, nu = y[0], y[1]
-        out[0] = -q * q - kappa * nu
-        out[1] = q * (1.0 - n * nu)
-    elif sys_id == 4:
-        w, v = y[0], y[1]
-        if c0 == 0.0:
-            out[0] = kappa * (1.0 - v)
-        else:
-            v3 = v * v * v
-            out[0] = kappa * (1.0 - v) + c0 * c0 / v3 if v3 != 0.0 else math.inf
-        out[1] = w
-    elif sys_id == 5:
-        q, nu, tor = y[0], y[1], y[2]
-        out[0] = -q * q - kappa * nu + tor * tor
-        out[1] = q * (1.0 - nu)
-        out[2] = -2.0 * q * tor
-    else:
-        raise ValueError(f"unknown system id {sys_id}")
-
-
-def _fit_pole_time(ring_t, ring_u):
-    """Zero crossing of the least-squares line through (t, 1/max|y|).
+def _fit_pole_time(ring):
+    """Zero crossing of the least-squares line through the (t, 1/max|y|)
+    points of ring.
 
     Returns None when fewer than two usable points exist or the
     magnitude is not growing (nonnegative slope).
     """
-    pts = [(t, u) for t, u in zip(ring_t, ring_u) if u > 0.0]
+    pts = [(t, u) for t, u in ring if u > 0.0]
     if len(pts) < 2:
         return None
     tb = sum(t for t, _ in pts) / len(pts)
@@ -118,6 +98,14 @@ def _fit_pole_time(ring_t, ring_u):
     return tb - ub / slope
 
 
+def _pole_estimate(ring, fallback, t):
+    """Pole time fitted to the ring, never before t; fallback without a fit."""
+    est = _fit_pole_time(ring)
+    if est is None:
+        est = fallback
+    return max(est, t)
+
+
 def _rms(values):
     # Squares as products: float ** 2 goes through libm pow, which is
     # off by an ulp now and then and raises OverflowError where a
@@ -125,16 +113,18 @@ def _rms(values):
     return math.sqrt(sum(v * v for v in values) / len(values))
 
 
-def _initial_step(sys_id, y, f0, kappa, n, c0, rel_tol, abs_tol, max_step, horizon):
+def _initial_step(f, args, y, f0, rel_tol, abs_tol, max_step, horizon):
     d = len(y)
     sc = [abs_tol + rel_tol * abs(y[i]) for i in range(d)]
     d0 = _rms([y[i] / sc[i] for i in range(d)])
     d1 = _rms([f0[i] / sc[i] for i in range(d)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, max_step, horizon)
-    y1 = [y[i] + h0 * f0[i] for i in range(d)]
-    f1 = [0.0] * d
-    _eval_rhs(sys_id, y1, kappa, n, c0, f1)
+    if h0 == 0.0:
+        # d1 overflowed to inf: no step is small enough, so the run ends
+        # in step underflow at t = 0, as the batch's nan arithmetic does.
+        return 0.0
+    f1 = f([y[i] + h0 * f0[i] for i in range(d)], *args)
     if all(math.isfinite(v) for v in f1):
         d2 = _rms([(f1[i] - f0[i]) / sc[i] for i in range(d)]) / h0
     else:
@@ -144,66 +134,35 @@ def _initial_step(sys_id, y, f0, kappa, n, c0, rel_tol, abs_tol, max_step, horiz
     return min(100.0 * h0, h1, max_step, horizon)
 
 
-def integrate_kernel(
-    sys_id,
-    y0,
-    kappa,
-    n,
-    c0,
-    rel_tol,
-    abs_tol,
-    max_step,
-    min_step,
-    blowup_magnitude,
-    horizon,
-    record,
-):
-    """Adaptive integration of system sys_id from t=0 to the horizon.
+def _finish(times, states, record, term, t_est=math.nan):
+    if not record:
+        # keep only endpoints
+        del times[1:-1]
+        del states[1:-1]
+    return np.array(times), np.array(states), term, t_est
 
-    Returns (times, states, term_code, t_est): arrays of the accepted
-    steps (just first and last when record is false), a TERM_* code,
-    and the pole estimate (nan unless TERM_BLOWUP).
-    """
-    d = len(y0)
-    y = [float(v) for v in y0]
+
+# One integrate function, for state components y0, y1, ...  The fields
+# in braces are the per-dimension pieces _stepper fills in.
+_SOURCE = """\
+def integrate(y, kappa, n, c0, rel_tol, abs_tol, max_step, min_step,
+              blowup_magnitude, horizon, record):
+    {y}, = map(float, y)
     t = 0.0
     times = [0.0]
-    states = [tuple(y)]
-
-    k = [[0.0] * d for _ in range(7)]
-    ytmp = [0.0] * d
-    _eval_rhs(sys_id, y, kappa, n, c0, k[0])
-    if not all(math.isfinite(v) for v in k[0]):
+    states = [({y},)]
+    {k0}, = f(({y},), {args})
+    if not ({k0_finite}):
         # Initial state already on the singular set.
-        return (
-            np.array(times),
-            np.array(states),
-            TERM_BLOWUP,
-            0.0,
-        )
-
-    h = _initial_step(sys_id, y, k[0], kappa, n, c0, rel_tol, abs_tol, max_step, horizon)
+        return _finish(times, states, record, TERM_BLOWUP, 0.0)
+    m = max({abs_y})
+    if m > blowup_magnitude:
+        return _finish(times, states, record, TERM_BLOWUP, 0.0)
+    h = _initial_step(f, ({args},), ({y},), ({k0},), rel_tol, abs_tol, max_step, horizon)
     facold = 1e-4
     last_rejected = False
-
-    m0 = max(abs(v) for v in y)
-    if m0 > blowup_magnitude:
-        return np.array(times), np.array(states), TERM_BLOWUP, 0.0
-    ring_t = [0.0] if m0 > 0.0 else []
-    ring_u = [1.0 / m0] if m0 > 0.0 else []
-
-    def finish(term, t_est=math.nan):
-        if not record:
-            # keep only endpoints
-            del times[1:-1]
-            del states[1:-1]
-        return np.array(times), np.array(states), term, t_est
-
-    def pole_estimate(fallback):
-        est = _fit_pole_time(ring_t, ring_u)
-        if est is None:
-            est = fallback
-        return max(est, t)
+    # the last accepted (t, 1/max|y|) points, for the pole fit
+    ring = deque([(0.0, 1.0 / m)] if m > 0.0 else (), maxlen=_RING)
 
     while True:
         clipped = h >= horizon - t
@@ -212,68 +171,40 @@ def integrate_kernel(
         if h < min_step and not clipped:
             # Time granularity exhausted without the controller asking
             # for refinement; distinct from pole-driven underflow below.
-            return finish(TERM_UNDERFLOW)
+            return _finish(times, states, record, TERM_UNDERFLOW)
 
-        bad_stage = False
-        for i in range(1, 7):
-            ai = _A[i]
-            for j in range(d):
-                acc = 0.0
-                for m in range(i):
-                    acc += ai[m] * k[m][j]
-                ytmp[j] = y[j] + h * acc
-            _eval_rhs(sys_id, ytmp, kappa, n, c0, k[i])
-            if not all(math.isfinite(v) for v in k[i]):
-                bad_stage = True
-                break
-        # Stage 7 argument is the 5th-order solution (FSAL).
-        if not bad_stage:
-            y5 = ytmp
-            if not all(math.isfinite(v) for v in y5):
-                bad_stage = True
-
-        if bad_stage:
+{stages}
+        # The last stage's argument z is the 5th-order solution (FSAL).
+        if not ({stages_finite}):
             if 0.1 * h < min_step:
-                return finish(TERM_BLOWUP, pole_estimate(t + h))
+                return _finish(times, states, record, TERM_BLOWUP, _pole_estimate(ring, t + h, t))
             h *= 0.1
             last_rejected = True
             continue
 
-        err_acc = 0.0
-        for j in range(d):
-            e = 0.0
-            for i in range(7):
-                e += _E[i] * k[i][j]
-            e *= h
-            sc = abs_tol + rel_tol * max(abs(y[j]), abs(y5[j]))
-            r = e / sc
-            err_acc += r * r
-        err = math.sqrt(err_acc / d)
+{errors}
+        err = sqrt(({err_sum}) / {d})
 
         if err <= 1.0:
             t = horizon if clipped else t + h
-            y = list(y5)
-            k[0] = list(k[6])
+            {y}, = {z},
+            {k0}, = {k6},
             times.append(t)
-            states.append(tuple(y))
+            states.append(({y},))
             if not record and len(times) > 2:
                 del times[1]
                 del states[1]
-            m = max(abs(v) for v in y)
+            m = max({abs_y})
             if m > 0.0:
-                ring_t.append(t)
-                ring_u.append(1.0 / m)
-                if len(ring_t) > 3:
-                    ring_t.pop(0)
-                    ring_u.pop(0)
+                ring.append((t, 1.0 / m))
             if m > blowup_magnitude:
-                return finish(TERM_BLOWUP, pole_estimate(t))
+                return _finish(times, states, record, TERM_BLOWUP, _pole_estimate(ring, t, t))
             if clipped:
-                return finish(TERM_HORIZON)
+                return _finish(times, states, record, TERM_HORIZON)
 
-            fac11 = err**_EXPO1
-            fac = fac11 / facold**_BETA
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+            fac11 = err ** _EXPO1
+            fac = fac11 / facold ** _BETA
+            fac = max(_INV_FAC_MAX, min(_INV_FAC_MIN, fac / _SAFETY))
             hnew = h / fac
             facold = max(err, 1e-4)
             if last_rejected:
@@ -281,9 +212,73 @@ def integrate_kernel(
             last_rejected = False
             h = min(hnew, max_step)
         else:
-            fac11 = err**_EXPO1
-            hnew = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
+            fac11 = err ** _EXPO1
+            hnew = h / min(_INV_FAC_MIN, fac11 / _SAFETY)
             last_rejected = True
             if hnew < min_step:
-                return finish(TERM_BLOWUP, pole_estimate(t + h))
+                return _finish(times, states, record, TERM_BLOWUP, _pole_estimate(ring, t + h, t))
             h = hnew
+"""
+
+
+@functools.cache
+def _stepper(sys_id, d):
+    """The integrate function of system sys_id in dimension d.
+
+    Generated and compiled on first use, so importing the package costs
+    nothing for systems that are never integrated.
+    """
+    rhs = SYSTEM_RHS[sys_id]
+    comps = range(d)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{j}" for j in comps)
+
+    def weighted(weights, j):
+        # sum_i weights[i] * k_i[j], accumulated from 0.0 in index order
+        return "(0.0" + "".join(f" + {w!r} * k{i}_{j}" for i, w in enumerate(weights)) + ")"
+
+    args = ", ".join(list(inspect.signature(rhs).parameters)[1:])
+    stages = []
+    for i in range(1, 7):
+        stages += [f"        z{j} = y{j} + h * {weighted(_A[i], j)}" for j in comps]
+        stages.append(f"        {names(f'k{i}_')}, = f(({names('z')},), {args})")
+    errors = [
+        f"        r{j} = {weighted(_E, j)} * h"
+        f" / (abs_tol + rel_tol * max(abs(y{j}), abs(z{j})))"
+        for j in comps
+    ]
+    finite = [f"isfinite(k{i}_{j})" for i in range(1, 7) for j in comps]
+    source = _SOURCE.format(
+        y=names("y"),
+        z=names("z"),
+        k0=names("k0_"),
+        k6=names("k6_"),
+        args=args,
+        d=d,
+        abs_y=", ".join(f"abs(y{j})" for j in comps),
+        k0_finite=" and ".join(f"isfinite(k0_{j})" for j in comps),
+        stages="\n".join(stages),
+        stages_finite=" and ".join(finite + [f"isfinite(z{j})" for j in comps]),
+        errors="\n".join(errors),
+        err_sum="0.0" + "".join(f" + r{j} * r{j}" for j in comps),
+    )
+    namespace = dict(globals(), f=rhs, isfinite=math.isfinite, sqrt=math.sqrt)
+    exec(source, namespace)
+    return namespace["integrate"]
+
+
+def integrate_kernel(
+    sys_id, y0, kappa, n, c0, rel_tol, abs_tol, max_step, min_step, blowup_magnitude, horizon,
+    record,
+):
+    """Adaptive integration of system sys_id from t=0 to the horizon.
+
+    Returns (times, states, term_code, t_est): arrays of the accepted
+    steps (just first and last when record is false), a TERM_* code,
+    and the pole estimate (nan unless TERM_BLOWUP).
+    """
+    return _stepper(sys_id, len(y0))(
+        y0, kappa, n, c0, rel_tol, abs_tol, max_step, min_step,
+        blowup_magnitude, horizon, record,
+    )

@@ -2,7 +2,7 @@
 
 _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
 for every live lane, toward that lane's own stop time, with the tableau,
-PI controller constants and event rules of the scalar kernel
+PI controller constants and event rules of the scalar stepper
 (``_kernels_py``) applied elementwise.  Each lane owns its time, step
 size, controller memory and pole-fit ring; no value ever crosses from
 one lane to another, so a lane's result does not depend on which other
@@ -16,10 +16,12 @@ Two drivers run it:
   config.horizon and drops finished lanes from the working arrays, so
   the cost of a step follows the lanes still running.  This is the
   record=False contract of integrate: per lane, the termination kind,
-  the pole estimate, and the final time and state.  A step costs about
-  the same from one lane to a few hundred, so one lane is about ten
-  times slower than the scalar kernel, and a batch of a hundred lanes
-  several times faster.
+  the pole estimate, and the final time and state.  An attempt costs
+  about the same from one lane to a few dozen: on qnu at rel_tol 1e-9,
+  124 us at 1 lane and 173 us at 64, against 3.9 us for one attempt of
+  the scalar stepper (``benchmarks/step_cost.py``).  So one lane is about
+  30 times slower than the scalar stepper, and the batch breaks even
+  with a loop of scalar calls at about 42 lanes.
 * lagrange.advance_ensemble runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.
@@ -27,8 +29,10 @@ Two drivers run it:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from inspect import signature
 from itertools import repeat
 from typing import NamedTuple
 
@@ -36,11 +40,11 @@ import numpy as np
 
 from . import _kernels_py as _k
 from .integrator import _TERM_KINDS, IntegratorConfig, _as_state_vector, _check_call
-from .systems import rhs_ep_qnu, rhs_pmu, rhs_qnu, rhs_swirl, rhs_swirl_q, rhs_wv
+from .systems import SYSTEM_RHS
 
 __all__ = ["BatchResult", "integrate_batch"]
 
-_RING = 3  # accepted points in the pole fit, as in the scalar kernel
+_RING = _k._RING
 
 
 @dataclass(frozen=True)
@@ -57,26 +61,10 @@ class BatchResult:
     final_state: np.ndarray
 
 
-def _rhs_wv(y, kappa, c0):
-    # rhs_wv, with the kernel's answer on v^3 = 0: inf, not an exception.
-    if c0 == 0.0:
-        return rhs_wv(y, kappa)
-    w, v = y
-    v3 = v * v * v
-    return (np.where(v3 != 0.0, kappa * (1.0 - v) + c0 * c0 / v3, np.inf), w)
-
-
-_RHS = {"qnu": rhs_qnu, "pmu": rhs_pmu, "swirl": rhs_swirl, "swirl_q": rhs_swirl_q}
-
-
-def _rhs(system, kappa, n, c0):
+def _rhs(sys_id, **values):
     """f(y) -> tuple of d rows for a (d, lanes) state y."""
-    if system == "ep":
-        return lambda y: rhs_ep_qnu(y, kappa, n)
-    if system == "wv":
-        return lambda y: _rhs_wv(y, kappa, c0)
-    rhs = _RHS[system]
-    return lambda y: rhs(y, kappa)
+    rhs = SYSTEM_RHS[sys_id]
+    return functools.partial(rhs, **{p: values[p] for p in list(signature(rhs).parameters)[1:]})
 
 
 def _pow(x, e):
@@ -113,17 +101,6 @@ def _initial_step(f, y, f0, cfg):
     dm = _pymax(d1, d2)
     h1 = np.where(dm <= 1e-15, _pymax(1e-6, h0 * 1e-3), _pow(0.01 / dm, 0.2))
     return _pymin(_pymin(_pymin(100.0 * h0, h1), cfg.max_step), cfg.horizon)
-
-
-def _pole_estimate(ring_t, ring_u, count, fallback, t):
-    # pole_estimate of the scalar kernel, on one lane's ring.
-    est = _k._fit_pole_time(
-        [float(v) for v in ring_t[_RING - count:]],
-        [float(v) for v in ring_u[_RING - count:]],
-    )
-    if est is None:
-        est = fallback
-    return max(est, t)
 
 
 class _Attempt(NamedTuple):
@@ -188,7 +165,7 @@ class _Stepper:
         f, cfg, k, y, t = self.f, self.cfg, self.k, self.y, self.t
         a, e_w = _k._A, _k._E
         min_step = cfg.min_step
-        inv_fac_min, inv_fac_max = 1.0 / _k._FAC_MIN, 1.0 / _k._FAC_MAX
+        inv_fac_min, inv_fac_max = _k._INV_FAC_MIN, _k._INV_FAC_MAX
 
         room = self.stop - t
         clipped = self.h >= room
@@ -247,9 +224,9 @@ class _Stepper:
             # Without a usable fit the pole is put at the end of the
             # step that found it.
             fallback = t[j] if accept[j] else t_tried[j]
-            t_est[j] = _pole_estimate(
-                ring_t[:, j], ring_u[:, j], count[j], float(fallback), float(t[j])
-            )
+            valid = slice(_RING - count[j], None)
+            ring = zip(ring_t[valid, j].tolist(), ring_u[valid, j].tolist())
+            t_est[j] = _k._pole_estimate(ring, float(fallback), float(t[j]))
 
         self.t, self.y = t, y
         self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
@@ -276,7 +253,7 @@ def integrate_batch(
     lane does the operations of the scalar kernel in its order, so it
     ends where integrate(..., record=False) ends.
     """
-    _, dim, cfg = _check_call(system, kappa, n, c0, config)
+    sys_id, dim, cfg = _check_call(system, kappa, n, c0, config)
     rows = [_as_state_vector(s, dim) for s in states0]
     lanes = len(rows)
     kinds = np.zeros(lanes, dtype=np.int64)
@@ -287,7 +264,7 @@ def integrate_batch(
         return BatchResult((), t_est, t_end, y_end)
 
     y0 = np.array(rows).T.copy()
-    stepper = _Stepper(_rhs(system, float(kappa), float(n), float(c0)), y0, cfg)
+    stepper = _Stepper(_rhs(sys_id, kappa=float(kappa), n=float(n), c0=float(c0)), y0, cfg)
     at_pole = stepper.at_pole
     kinds[at_pole] = _k.TERM_BLOWUP
     t_est[at_pole] = 0.0

@@ -1,14 +1,16 @@
 """Adaptive integration of the characteristic ODE systems.
 
-Thin facade over the stepping kernel in ``_kernels_py``: validates
-inputs, dispatches on the system name, and wraps the raw kernel output
-in a Trajectory.
+integrate validates its inputs, runs the system's straight-line
+Dormand-Prince stepper from ``_kernels_py`` (generated on the system's
+first call) and wraps the stepper's output in a Trajectory.  The input
+checks are shared with integrate_batch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,9 +137,13 @@ def _check_call(system: str, kappa, n, c0, config) -> tuple[int, int, Integrator
     if system not in SYSTEM_DIMS:
         raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
     sys_id, dim = SYSTEM_DIMS[system]
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
+    if isinstance(kappa, bool) or not (
+        isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0
+    ):
         raise DomainError(f"kappa must be positive, got {kappa!r}")
-    if n < 1 or n != int(n):
+    if isinstance(n, bool) or not (
+        isinstance(n, numbers.Real) and math.isfinite(n) and n >= 1 and n == int(n)
+    ):
         raise DomainError(f"dimension n must be a positive integer, got {n!r}")
     if not math.isfinite(c0):
         raise DomainError(f"c0 must be finite, got {c0!r}")

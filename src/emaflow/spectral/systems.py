@@ -7,14 +7,19 @@ w = q/(1-nu), v = 1/(1-nu) linearizes the no-swirl dynamics; carried
 together with position, velocity and the divergence integral they are
 the characteristic ensemble.  These functions are the single source of
 truth for the dynamics: the batched integrator and the ensemble call
-them directly on NumPy rows, and the scalar kernel in ``_kernels_py``
-repeats them on plain floats and is tested against them.
+them on NumPy rows, and each stage of the scalar stepper in
+``_kernels_py`` calls them on plain floats.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
-centrifugal term is singular at v = 0.
+centrifugal term is singular at v = 0; both integrators step the wv
+system through rhs_wv_inf, which is total.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from ..errors import SingularInput
 
@@ -26,9 +31,11 @@ __all__ = [
     "rhs_swirl",
     "rhs_ep_qnu",
     "rhs_wv",
+    "rhs_wv_inf",
     "rhs_swirl_q",
     "rhs_characteristics",
     "SYSTEM_DIMS",
+    "SYSTEM_RHS",
 ]
 
 from dataclasses import dataclass
@@ -136,6 +143,23 @@ def rhs_wv(state, kappa, c0=0.0):
     return (kappa * (1.0 - v) + c0 * c0 / v**3, w)
 
 
+def rhs_wv_inf(state, kappa, c0):
+    """rhs_wv as the integrators evaluate it: inf where v^3 = 0.
+
+    A stage that lands on the singular set then reads as non-finite and
+    the step controller backs off, instead of an exception mid-step.
+    state holds plain floats (the scalar stepper) or NumPy rows (the
+    batch); v^3 is the product v*v*v in both.
+    """
+    w, v = state
+    if c0 == 0.0:
+        return rhs_wv(state, kappa)
+    v3 = v * v * v
+    if isinstance(v3, float):
+        return (kappa * (1.0 - v) + c0 * c0 / v3 if v3 != 0.0 else math.inf, w)
+    return (np.where(v3 != 0.0, kappa * (1.0 - v) + c0 * c0 / v3, np.inf), w)
+
+
 def rhs_characteristics(state, kappa, n):
     """Dynamics of one radial characteristic in dimension n.
 
@@ -159,3 +183,7 @@ SYSTEM_DIMS = {
     "wv": (4, 2),
     "swirl_q": (5, 3),
 }
+
+# Kernel id -> derivative function.  The parameters after the state are
+# named as integrate's (kappa, n, c0), and the integrators pass them so.
+SYSTEM_RHS = (rhs_qnu, rhs_pmu, rhs_swirl, rhs_ep_qnu, rhs_wv_inf, rhs_swirl_q)

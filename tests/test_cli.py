@@ -471,6 +471,32 @@ def test_commands_run_on_numpy_alone(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
+_NO_STEPPER_UNTIL_INTEGRATE = """
+import sys
+import emaflow.cli
+from emaflow.spectral import _kernels_py, integrate
+generated = _kernels_py._stepper.cache_info
+assert generated().currsize == 0, "import"
+assert emaflow.cli.main(sys.argv[1:]) == 0
+assert generated().currsize == 0, "classify"
+integrate("qnu", (0.5, 0.0), 1.0)
+assert generated().currsize == 1, "integrate"
+"""
+
+
+def test_classify_generates_no_stepper(tmp_path):
+    # A scalar stepper is generated on its system's first integrate
+    # call; import and a cold classify, which integrates nothing, must
+    # not pay for one.
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_STEPPER_UNTIL_INTEGRATE,
+         "classify", "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_module_entry_point(tmp_path):
     out = str(tmp_path / "run")
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from emaflow.spectral import (
     rhs_swirl_q,
     rhs_wv,
 )
+from emaflow.spectral.systems import rhs_wv_inf
 from emaflow.spectral.systems import SingularInput
 from emaflow.validation import _ep_excursion_bound
 
@@ -135,6 +136,19 @@ def test_rhs_wv_singular_at_vanishing_v():
         rhs_wv(np.array([1.0, 0.0]), 1.0, c0=1.0)
 
 
+def test_rhs_wv_inf_is_total_on_floats_and_rows():
+    # v^3 = 0 (v = +-0, or v so small its cube underflows) reads as inf.
+    for v in (0.0, -0.0, 1e-120):
+        assert rhs_wv_inf((1.0, v), 1.0, 0.3) == (math.inf, 1.0)
+    dw = 1.5 * (1.0 - 0.8) + 0.3 * 0.3 / (0.8 * 0.8 * 0.8)
+    assert rhs_wv_inf((0.2, 0.8), 1.5, 0.3) == (dw, 0.2)
+    assert rhs_wv_inf((0.2, 0.0), 2.0, 0.0) == rhs_wv((0.2, 0.0), 2.0) == (2.0, 0.2)
+    with np.errstate(divide="ignore"):  # as in the batch stepper
+        rows = rhs_wv_inf((np.array([1.0, 0.2, 0.5]), np.array([0.0, 0.8, -0.0])), 1.5, 0.3)
+    np.testing.assert_array_equal(rows[0], [math.inf, dw, math.inf])
+    np.testing.assert_array_equal(rows[1], [1.0, 0.2, 0.5])
+
+
 @given(kappa=kappas)
 def test_rest_states_are_fixed_points(kappa):
     for system, zero in [
@@ -207,6 +221,42 @@ def test_integrate_wrong_state_length():
 def test_integrate_nonfinite_state():
     with pytest.raises(DomainError, match="finite"):
         integrate("qnu", (np.nan, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("n", [float("inf"), float("nan"), 2.5, 0, True, "2"])
+def test_bad_dimension_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="dimension n"):
+        integrate("ep", (0.1, 0.1), 1.0, n=n)
+    with pytest.raises(DomainError, match="dimension n"):
+        integrate_batch("ep", [(0.1, 0.1)], 1.0, n=n)
+
+
+@pytest.mark.parametrize("kappa", [True, False, float("inf"), float("nan"), 0.0])
+def test_bad_kappa_is_a_domain_error(kappa):
+    with pytest.raises(DomainError, match="kappa"):
+        integrate("ep", (0.1, 0.1), kappa)
+    with pytest.raises(DomainError, match="kappa"):
+        integrate_batch("ep", [(0.1, 0.1)], kappa)
+
+
+def test_integral_dimension_types_are_accepted():
+    want = integrate("ep", (0.1, 0.1), 1.0, n=2, record=False).final_state
+    for n in (2.0, np.int64(2), np.float64(2.0)):
+        got = integrate("ep", (0.1, 0.1), 1.0, n=n, record=False).final_state
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("magnitude", [1e9, 1e200])
+def test_start_with_overflowing_derivative_norm_ends_like_the_batch(magnitude):
+    # The derivative scaled by the tolerance overflows the RMS norm, so
+    # the initial step size is 0: a pole at the start when the state is
+    # past the threshold, step underflow at t = 0 otherwise.
+    cfg = IntegratorConfig(blowup_magnitude=magnitude)
+    traj = integrate("qnu", (1e150, 0.0), 1.0, config=cfg, record=False)
+    batch = integrate_batch("qnu", [(1e150, 0.0)], 1.0, config=cfg)
+    assert traj.termination.kind == batch.kinds[0]
+    assert traj.termination.kind == ("blowup_detected" if magnitude < 1e150 else "step_underflow")
+    assert traj.final_time == batch.final_time[0] == 0.0
 
 
 def test_integrate_options_are_keyword_only():
