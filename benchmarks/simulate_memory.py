@@ -1,0 +1,74 @@
+"""Resident memory of one `emaflow simulate`, layer by layer.
+
+    PYTHONPATH=src python benchmarks/simulate_memory.py [--seed 1] [-- SIMULATE ARGS...]
+
+Runs one simulate in this process, by default the command of the
+perfbench `ensemble_snapshots` workload at --seed (16384
+characteristics, 65 snapshots on a 1024-point grid), and reads VmRSS
+(resident now) and VmHWM (resident peak so far) from /proc/self/status
+at three points:
+
+* import: after `import emaflow.cli`;
+* ensemble: when the last snapshots.csv row has been produced, that is,
+  once the ensemble has run to its end and every row exists;
+* csv: when snapshots.csv is in place.
+
+The last two points are found by wrapping `cli._write_csv`, so the
+script measures any tree that has it.  Outputs go to a temporary
+directory unless the arguments give --out.  Prints one JSON object with
+the figures in MB (2^20 bytes) and the exit code.  Linux only.
+"""
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+
+def _status_mb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return {key: int(fields[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM")}
+
+
+def _workload_args(seed):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+    try:
+        from workloads import EnsembleSnapshots
+    finally:
+        sys.path.pop(0)
+    return [str(arg) for arg in EnsembleSnapshots(seed).commands[0].args]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="ensemble_snapshots seed")
+    parser.add_argument("args", nargs="*", help="simulate arguments (after --)")
+    opts = parser.parse_args()
+    args = opts.args or _workload_args(opts.seed)
+    if args[0] != "simulate":
+        parser.error("the arguments must be a simulate command")
+
+    import emaflow.cli as cli
+
+    points = {"import": _status_mb()}
+    write_csv = cli._write_csv
+
+    def measured_write_csv(path, header, rows):
+        def all_rows():
+            yield from rows
+            points["ensemble"] = _status_mb()
+
+        write_csv(path, header, all_rows())
+        points["csv"] = _status_mb()
+
+    cli._write_csv = measured_write_csv
+    with tempfile.TemporaryDirectory() as tmp:
+        out = [] if "--out" in args else ["--out", tmp]
+        code = cli.main(args + out)
+    print(json.dumps({"args": " ".join(args), "exit_code": code, "mb": points}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
 from .errors import EmaflowError
-from .lagrange import advance_ensemble, bkm_monitor, ensemble_drift, gradient_bound_check
+from .lagrange import EnsembleRun, bkm_integral, gradient_bound_check, state_drift
 from .spectral import BACKEND
 from .threshold import (
     classify_point,
@@ -44,9 +45,17 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Rows are written as they come, to a temporary file beside path
+    # that replaces it only once every row is written: an error while
+    # rows are produced leaves path as it was.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(",".join(row) + "\n" for row in rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, payload) -> str:
@@ -63,32 +72,40 @@ def _outdir(config: RunConfig) -> Path:
 
 def cmd_simulate(config: RunConfig) -> int:
     profile = config.build_profile()
-    output_times = np.linspace(0.0, config.t_end, config.n_snapshots)
-    result = advance_ensemble(
+    run = EnsembleRun(
         profile,
         n_chars=config.n_chars,
         t_end=config.t_end,
         config=config.integrator,
-        output_times=output_times,
+        output_times=np.linspace(0.0, config.t_end, config.n_snapshots),
         grid_size=config.grid_size,
     )
     outdir = _outdir(config)
 
-    rows = []
-    for snap in result.snapshots:
-        t_str = _fmt(snap.t)
-        block = np.column_stack((snap.grid, snap.rho, snap.u, snap.p, snap.q, snap.mu, snap.nu))
-        # tolist() gives Python floats, whose repr is what _fmt writes.
-        rows.extend((t_str, ",".join(map(repr, row))) for row in block.tolist())
-    _write_csv(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), rows)
-
-    path_drift, density_drift = ensemble_drift(profile, result)
-
+    # Each output time is written and folded into the diagnostics, then
+    # dropped, so memory does not grow with the number of snapshots.
+    times, integrands = [], []
+    path_drift = density_drift = 0.0
     bound_margin = None
-    for snap in result.snapshots:
-        _, margin = gradient_bound_check(snap)
-        bound_margin = margin if bound_margin is None else min(bound_margin, margin)
 
+    def rows():
+        nonlocal path_drift, density_drift, bound_margin
+        for snap, state in run:
+            t_str = _fmt(snap.t)
+            block = np.column_stack((snap.grid, snap.rho, snap.u, snap.p, snap.q, snap.mu, snap.nu))
+            # tolist() gives Python floats, whose repr is what _fmt writes.
+            yield from ((t_str, ",".join(map(repr, row))) for row in block.tolist())
+            times.append(snap.t)
+            integrands.append(snap.bkm_integrand)
+            path, density = state_drift(profile, run.seeds, run.rho0, state)
+            path_drift = max(path_drift, path)
+            density_drift = max(density_drift, density)
+            _, margin = gradient_bound_check(snap)
+            bound_margin = margin if bound_margin is None else min(bound_margin, margin)
+
+    _write_csv(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), rows())
+
+    termination = run.termination
     diag = {
         "backend": BACKEND,
         "preset": config.preset,
@@ -97,21 +114,18 @@ def cmd_simulate(config: RunConfig) -> int:
         "seed": config.seed,
         "n_chars": config.n_chars,
         "t_end": config.t_end,
-        "termination": result.termination.kind,
-        "t_blowup_estimate": result.termination.t_est,
-        "n_snapshots_written": len(result.snapshots),
-        "bkm_integral": bkm_monitor(result.snapshots) if len(result.snapshots) >= 2 else None,
+        "termination": termination.kind,
+        "t_blowup_estimate": termination.t_est,
+        "n_snapshots_written": len(times),
+        "bkm_integral": bkm_integral(times, integrands) if len(times) >= 2 else None,
         "path_invariant_drift": path_drift,
         "density_consistency_drift": density_drift,
         "gradient_bound_min_margin": bound_margin,
     }
     _write_json(outdir / "diagnostics.json", diag)
 
-    print(
-        f"simulate: termination={result.termination.kind} "
-        f"snapshots={len(result.snapshots)} out={outdir}"
-    )
-    return 0 if result.termination.kind == "horizon_reached" else 2
+    print(f"simulate: termination={termination.kind} snapshots={len(times)} out={outdir}")
+    return 0 if termination.kind == "horizon_reached" else 2
 
 
 def cmd_classify(config: RunConfig) -> int:

@@ -15,7 +15,9 @@ every characteristic.  Steps land exactly on the requested output
 times, where Eulerian fields are interpolated onto a fixed grid with a
 monotone cubic (no overshoot near steep gradients): PCHIP, written here
 in NumPy with the arithmetic of scipy.interpolate.PchipInterpolator, so
-the package needs NumPy alone at run time.
+the package needs NumPy alone at run time.  EnsembleRun hands out each
+output time as it is reached and keeps none of them; advance_ensemble
+collects them all.
 """
 
 from __future__ import annotations
@@ -35,11 +37,15 @@ __all__ = [
     "CharacteristicState",
     "EulerianSnapshot",
     "EnsembleResult",
+    "EnsembleRun",
     "advance_ensemble",
+    "bkm_integral",
     "bkm_monitor",
     "ensemble_drift",
+    "ensemble_energies",
     "gradient_bound_check",
     "default_seeds",
+    "state_drift",
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -194,6 +200,136 @@ def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndar
     )
 
 
+class EnsembleRun:
+    """The characteristic ensemble, checked and set up, stepped as it is iterated.
+
+    Takes the arguments of advance_ensemble and raises its errors for
+    the arguments and the initial data at construction, before any
+    stepping.  Iterating steps the ensemble from t = 0, yielding
+    (snapshot, state) at each output time in order, state being the
+    (m, 7) array of characteristic rows (columns r, u, p, q, mu, nu, g).
+    Nothing is kept between output times, so a consumer that drops each
+    pair needs memory for one output time only.  termination is None
+    until an iteration ends, then says how it ended.  seeds are the
+    initial radii and rho0 the initial density on them.
+    """
+
+    def __init__(
+        self,
+        profile: RadialProfile,
+        n_chars: int = 1024,
+        t_end: float = 1.0,
+        config: IntegratorConfig | None = None,
+        *,
+        output_times=None,
+        grid=None,
+        grid_size: int = 256,
+        seeds=None,
+        raise_on_crossing: bool = False,
+    ):
+        if config is None:
+            config = IntegratorConfig()
+        if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
+            raise ConfigError(f"t_end must be positive, got {t_end!r}")
+        t_end = float(t_end)
+
+        if seeds is None:
+            seeds = default_seeds(profile, n_chars)
+        else:
+            seeds = np.asarray(seeds, dtype=float)
+            if seeds.ndim != 1 or seeds.size < 2:
+                raise ConfigError("seeds must be a 1-d array of at least 2 radii")
+            if np.any(np.diff(seeds) <= 0):
+                raise ConfigError("seeds must be strictly increasing")
+            if seeds[0] < 0 or seeds[-1] > profile.r_max:
+                raise ConfigError(f"seeds must lie in [0, {profile.r_max!r}]")
+
+        if output_times is None:
+            output_times = np.linspace(0.0, t_end, 9)
+        output_times = np.unique(np.asarray(output_times, dtype=float))
+        if output_times.size == 0:
+            raise ConfigError("output_times is empty")
+        if output_times[0] < 0 or output_times[-1] > t_end:
+            raise ConfigError(f"output_times must lie in [0, {t_end!r}]")
+
+        if grid is None:
+            if grid_size < 2:
+                raise ConfigError(f"grid_size must be >= 2, got {grid_size!r}")
+            grid = np.linspace(0.0, profile.r_max, grid_size)
+        else:
+            grid = np.asarray(grid, dtype=float)
+            if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
+                raise ConfigError("grid must be a nonempty strictly increasing 1-d array")
+
+        fields = _initial_fields(profile, seeds)
+        rho0 = np.asarray(derive_density(profile, seeds), dtype=float)
+        if not (np.isfinite(fields).all() and np.isfinite(rho0).all()):
+            raise DomainError("initial characteristic data of the profile are not finite")
+
+        self._profile = profile
+        self.seeds = seeds
+        self.rho0 = rho0
+        self.termination: Termination | None = None
+        self._config = config.replace(horizon=t_end)
+        self._output_times = output_times
+        self._grid = grid
+        self._fields = fields
+        self._raise_on_crossing = raise_on_crossing
+
+    def __iter__(self):
+        self.termination = yield from self._outputs()
+
+    def _outputs(self):
+        # The one stepping loop: yields each output, returns the Termination.
+        profile, grid, fields = self._profile, self._grid, self._fields
+        kappa = profile.kappa
+        n = profile.dimension
+        m = self.seeds.size
+        t_end = self._config.horizon
+
+        def output(t: float, current: np.ndarray):
+            current = current.copy()
+            return _snapshot(profile, t, current, grid), current.T
+
+        stops = [float(x) for x in self._output_times if x > 0.0]
+        if not stops or stops[-1] < t_end:
+            stops.append(t_end)
+        emit_set = set(float(x) for x in self._output_times)
+        if 0.0 in emit_set:
+            yield output(0.0, fields)
+
+        def f(y):
+            rows = rhs_characteristics(y.reshape(7, m, y.shape[1]), kappa, n)
+            return np.concatenate(rows)
+
+        # One lane; the blowup test watches the p, q, mu, nu rows only.
+        stepper = _Stepper(f, fields.reshape(-1, 1), self._config, watch=slice(2 * m, 6 * m))
+        if stepper.at_pole[0]:
+            return Termination(kind="blowup_detected", t_est=0.0)
+        stepper.stop[0] = stops[0]
+        while True:
+            step = stepper.attempt()
+            if step.underflow[0]:
+                return Termination(kind="step_underflow")
+            if step.pole[0]:
+                return Termination(kind="blowup_detected", t_est=float(step.t_est[0]))
+            if not step.accepted[0]:
+                continue
+            t = float(stepper.t[0])
+            current = stepper.y.reshape(7, m)
+            if np.any(np.diff(current[0]) <= 0.0):
+                if self._raise_on_crossing:
+                    raise CrossingDetected(f"characteristics crossed at t = {t!r}")
+                return Termination(kind="crossing_detected", t_est=t)
+            if step.landed[0]:
+                stops.pop(0)
+                if t in emit_set:
+                    yield output(t, current)
+                if not stops:
+                    return Termination(kind="horizon_reached")
+                stepper.stop[0] = stops[0]
+
+
 def advance_ensemble(
     profile: RadialProfile,
     n_chars: int = 1024,
@@ -219,144 +355,100 @@ def advance_ensemble(
     non-finite derivative, ends as 'blowup_detected' with t_est = 0
     after the t = 0 snapshot and without a step.  Initial data or a
     density that is not finite raises DomainError.  config.horizon is
-    ignored here, t_end plays its role.
+    ignored here, t_end plays its role.  This collects every output of
+    one EnsembleRun.
     """
-    if config is None:
-        config = IntegratorConfig()
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
-        raise ConfigError(f"t_end must be positive, got {t_end!r}")
-    t_end = float(t_end)
-
-    if seeds is None:
-        seeds = default_seeds(profile, n_chars)
-    else:
-        seeds = np.asarray(seeds, dtype=float)
-        if seeds.ndim != 1 or seeds.size < 2:
-            raise ConfigError("seeds must be a 1-d array of at least 2 radii")
-        if np.any(np.diff(seeds) <= 0):
-            raise ConfigError("seeds must be strictly increasing")
-        if seeds[0] < 0 or seeds[-1] > profile.r_max:
-            raise ConfigError(f"seeds must lie in [0, {profile.r_max!r}]")
-
-    if output_times is None:
-        output_times = np.linspace(0.0, t_end, 9)
-    output_times = np.unique(np.asarray(output_times, dtype=float))
-    if output_times.size == 0:
-        raise ConfigError("output_times is empty")
-    if output_times[0] < 0 or output_times[-1] > t_end:
-        raise ConfigError(f"output_times must lie in [0, {t_end!r}]")
-
-    if grid is None:
-        if grid_size < 2:
-            raise ConfigError(f"grid_size must be >= 2, got {grid_size!r}")
-        grid = np.linspace(0.0, profile.r_max, grid_size)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ConfigError("grid must be a nonempty strictly increasing 1-d array")
-
-    kappa = profile.kappa
-    n = profile.dimension
-    m = seeds.size
-    fields = _initial_fields(profile, seeds)
-    rho0 = np.asarray(derive_density(profile, seeds), dtype=float)
-    if not (np.isfinite(fields).all() and np.isfinite(rho0).all()):
-        raise DomainError("initial characteristic data of the profile are not finite")
-
-    result = EnsembleResult(
-        snapshots=[],
-        termination=Termination(kind="horizon_reached"),
-        seeds=seeds.copy(),
-        rho0=rho0,
+    run = EnsembleRun(
+        profile,
+        n_chars,
+        t_end,
+        config,
+        output_times=output_times,
+        grid=grid,
+        grid_size=grid_size,
+        seeds=seeds,
+        raise_on_crossing=raise_on_crossing,
+    )
+    outputs = list(run)
+    return EnsembleResult(
+        snapshots=[snapshot for snapshot, _ in outputs],
+        termination=run.termination,
+        seeds=run.seeds.copy(),
+        rho0=run.rho0,
+        char_times=[snapshot.t for snapshot, _ in outputs],
+        char_states=[state for _, state in outputs],
     )
 
-    def emit(t: float, current: np.ndarray):
-        current = current.copy()
-        result.snapshots.append(_snapshot(profile, t, current, grid))
-        result.char_times.append(float(t))
-        result.char_states.append(current.T)
 
-    stops = [float(x) for x in output_times if x > 0.0]
-    if not stops or stops[-1] < t_end:
-        stops.append(t_end)
-    emit_set = set(float(x) for x in output_times)
-    if 0.0 in emit_set:
-        emit(0.0, fields)
-
-    def f(y):
-        rows = rhs_characteristics(y.reshape(7, m, y.shape[1]), kappa, n)
-        return np.concatenate(rows)
-
-    # One lane; the blowup test watches the p, q, mu, nu rows only.
-    stepper = _Stepper(
-        f, fields.reshape(-1, 1), config.replace(horizon=t_end), watch=slice(2 * m, 6 * m)
-    )
-    if stepper.at_pole[0]:
-        result.termination = Termination(kind="blowup_detected", t_est=0.0)
-        return result
-    stepper.stop[0] = stops[0]
-    while True:
-        step = stepper.attempt()
-        if step.underflow[0]:
-            result.termination = Termination(kind="step_underflow")
-            return result
-        if step.pole[0]:
-            result.termination = Termination(kind="blowup_detected", t_est=float(step.t_est[0]))
-            return result
-        if not step.accepted[0]:
-            continue
-        t = float(stepper.t[0])
-        current = stepper.y.reshape(7, m)
-        if np.any(np.diff(current[0]) <= 0.0):
-            if raise_on_crossing:
-                raise CrossingDetected(f"characteristics crossed at t = {t!r}")
-            result.termination = Termination(kind="crossing_detected", t_est=t)
-            return result
-        if step.landed[0]:
-            stops.pop(0)
-            if t in emit_set:
-                emit(t, current)
-            if not stops:
-                return result
-            stepper.stop[0] = stops[0]
+def bkm_integral(times, integrands) -> float:
+    """Trapezoidal integral of the regularity integrand over its times."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ConfigError("no snapshots to integrate over")
+    if np.any(np.diff(times) <= 0):
+        raise ConfigError("snapshot times must be strictly increasing")
+    return float(_trapezoid(np.asarray(integrands, dtype=float), times))
 
 
 def bkm_monitor(snapshots) -> float:
     """Trapezoidal integral of the regularity integrand over snapshots."""
-    if not snapshots:
-        raise ConfigError("no snapshots to integrate over")
-    times = np.array([s.t for s in snapshots])
-    if np.any(np.diff(times) <= 0):
-        raise ConfigError("snapshot times must be strictly increasing")
-    values = np.array([s.bkm_integrand for s in snapshots])
-    return float(_trapezoid(values, times))
+    return bkm_integral([s.t for s in snapshots], [s.bkm_integrand for s in snapshots])
+
+
+def state_drift(profile: RadialProfile, seeds, rho0, state) -> tuple[float, float]:
+    """Drift of the two conserved ensemble quantities at one recorded state.
+
+    seeds and rho0 are the initial radii and density and state the
+    (m, 7) characteristic rows, as an EnsembleRun yields them.  Returns
+    (path, density) over the characteristics: path is the drift of the
+    path invariant r(1 - nu) from its initial value, relative to
+    max(1, |initial value|); density is the absolute difference of the
+    spectral density (1 - mu)(1 - nu)^(n-1) from the continuity density
+    rho0 exp(-g).
+    """
+    n = profile.dimension
+    ref = seeds * (1.0 - np.asarray(profile.nu0(seeds), dtype=float))
+    denom = np.maximum(1.0, np.abs(ref))
+    r = state[:, 0]
+    mu = state[:, 4]
+    nu = state[:, 5]
+    g = state[:, 6]
+    path = float(np.max(np.abs(r * (1.0 - nu) - ref) / denom))
+    rho_ma = (1.0 - mu) * (1.0 - nu) ** (n - 1)
+    rho_cont = rho0 * np.exp(-g)
+    return path, float(np.max(np.abs(rho_ma - rho_cont)))
 
 
 def ensemble_drift(profile: RadialProfile, result: EnsembleResult) -> tuple[float, float]:
-    """Worst drift of the two conserved ensemble quantities.
-
-    Returns (path, density) over every recorded time and
-    characteristic: path is the drift of the path invariant r(1 - nu)
-    from its initial value, relative to max(1, |initial value|);
-    density is the absolute difference of the spectral density
-    (1 - mu)(1 - nu)^(n-1) from the continuity density rho0 exp(-g).
-    """
-    n = profile.dimension
-    seeds = result.seeds
-    ref = seeds * (1.0 - np.asarray(profile.nu0(seeds), dtype=float))
-    denom = np.maximum(1.0, np.abs(ref))
+    """Worst state_drift over every recorded time of result."""
     path = 0.0
     density = 0.0
     for state in result.char_states:
-        r = state[:, 0]
-        mu = state[:, 4]
-        nu = state[:, 5]
-        g = state[:, 6]
-        path = max(path, float(np.max(np.abs(r * (1.0 - nu) - ref) / denom)))
-        rho_ma = (1.0 - mu) * (1.0 - nu) ** (n - 1)
-        rho_cont = result.rho0 * np.exp(-g)
-        density = max(density, float(np.max(np.abs(rho_ma - rho_cont))))
+        state_path, state_density = state_drift(profile, result.seeds, result.rho0, state)
+        path = max(path, state_path)
+        density = max(density, state_density)
     return path, density
+
+
+def ensemble_energies(profile: RadialProfile, result: EnsembleResult, weights) -> list[float]:
+    """Discrete Lagrangian energy of the ensemble at each recorded time.
+
+    The seeds of result are quadrature nodes r0_i with weights w_i, and
+
+        E = 1/2 sum_i w_i [u_i^2 + kappa (r_i - Gamma_i)^2] rho0(r0_i) r0_i^(n-1),
+
+    Gamma_i = r0_i - phi0'(r0_i) being the rest point each particle
+    oscillates about: flow.conserved_energy with omega_n = 1, from the
+    ensemble's states instead of the closed form.
+    """
+    nodes = result.seeds
+    gam = nodes - np.asarray(profile.dphi0(nodes), dtype=float)
+    factor = result.rho0 * nodes ** (profile.dimension - 1) * weights
+    kappa = profile.kappa
+    return [
+        0.5 * float(np.sum((state[:, 1] ** 2 + kappa * (state[:, 0] - gam) ** 2) * factor))
+        for state in result.char_states
+    ]
 
 
 def gradient_bound_check(snapshot: EulerianSnapshot, tol_interp: float = 1e-8):

@@ -16,6 +16,10 @@ In both cases the reported t_est comes from fitting a line to
 reciprocal magnitude is locally linear in t, so its extrapolated zero
 estimates the blowup time.
 
+A run also ends, as step underflow, when a step falls below min_step
+without a rejection, or when an accepted step would not advance t
+(min_step below the resolution of t).
+
 Each system has its own stepper: an integrate function whose stages are
 written out on scalar locals, one per state component, as Hairer's
 dopri5.f writes them.  Its source is generated from the _A and _E
@@ -186,7 +190,12 @@ def integrate(y, kappa, n, c0, rel_tol, abs_tol, max_step, min_step,
         err = sqrt(({err_sum}) / {d})
 
         if err <= 1.0:
-            t = horizon if clipped else t + h
+            t_new = horizon if clipped else t + h
+            if t_new == t:
+                # h is below the resolution of t: the step would not
+                # move the run, so it ends here.
+                return _finish(times, states, record, TERM_UNDERFLOW)
+            t = t_new
             {y}, = {z},
             {k0}, = {k6},
             times.append(t)

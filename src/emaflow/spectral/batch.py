@@ -6,9 +6,10 @@ PI controller constants and event rules of the scalar stepper
 (``_kernels_py``) applied elementwise.  Each lane owns its time, step
 size, controller memory and pole-fit ring; no value ever crosses from
 one lane to another, so a lane's result does not depend on which other
-lanes share its batch.  A lane ends on controller underflow or a pole:
-a watched magnitude beyond the threshold, a non-finite stage or a
-rejection below min_step.
+lanes share its batch.  A lane ends on step underflow (a step below
+min_step, or an accepted step too small to move t) or a pole: a watched
+magnitude beyond the threshold, a non-finite stage or a rejection below
+min_step.
 
 Two drivers run it:
 
@@ -22,7 +23,7 @@ Two drivers run it:
   the scalar stepper (``benchmarks/step_cost.py``).  So one lane is about
   30 times slower than the scalar stepper, and the batch breaks even
   with a loop of scalar calls at about 42 lanes.
-* lagrange.advance_ensemble runs the whole characteristic ensemble as
+* lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.
 """
@@ -189,15 +190,20 @@ class _Stepper:
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = _rms(err_vec / sc)
 
-        # A lane that stops on underflow takes no step.
+        # A lane that stops on underflow takes no step, and neither does
+        # one whose step passes but would not move t (h below its
+        # resolution): that ends the lane as underflow too.
+        t_tried = t + h
+        t_new = np.where(clipped, self.stop, t_tried)
+        passed = ~bad & (err <= 1.0)
+        underflow |= passed & (t_new == t)
+        accept = passed & ~underflow
         bad &= ~underflow
-        accept = ~underflow & ~bad & (err <= 1.0)
-        reject = ~underflow & ~bad & ~accept
+        reject = ~(underflow | bad | accept)
         fac11 = _pow(err, _k._EXPO1)
 
         # Accepted lanes move to the new point.
-        t_tried = t + h
-        t = np.where(accept, np.where(clipped, self.stop, t_tried), t)
+        t = np.where(accept, t_new, t)
         y = np.where(accept, y5, y)
         k[0] = np.where(accept, k[6], k[0])
         m = np.abs(y[self.watch]).max(axis=0)

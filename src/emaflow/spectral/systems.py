@@ -11,7 +11,7 @@ them on NumPy rows, and each stage of the scalar stepper in
 ``_kernels_py`` calls them on plain floats.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
-centrifugal term is singular at v = 0; both integrators step the wv
+centrifugal term is singular where v^3 = 0; both integrators step the wv
 system through rhs_wv_inf, which is total.
 """
 
@@ -133,14 +133,17 @@ def rhs_wv(state, kappa, c0=0.0):
 
     Without swirl (c0 = 0) this is the harmonic system w' = kappa(1-v),
     v' = w.  A nonzero angular constant c0 adds the centrifugal term
-    c0^2 / v^3, singular on v = 0.
+    c0^2 / v^3, singular on v = 0: SingularInput wherever v^3 is 0.0,
+    which includes nonzero v so small that its cube underflows.  v^3 is
+    the product v*v*v, as in rhs_wv_inf.
     """
     w, v = state
     if c0 == 0.0:
         return (kappa * (1.0 - v), w)
-    if v == 0.0:
+    v3 = v * v * v
+    if v3 == 0.0:
         raise SingularInput("centrifugal term undefined at v = 0 with nonzero swirl")
-    return (kappa * (1.0 - v) + c0 * c0 / v**3, w)
+    return (kappa * (1.0 - v) + c0 * c0 / v3, w)
 
 
 def rhs_wv_inf(state, kappa, c0):

@@ -26,7 +26,7 @@ import numpy as np
 from .config import RunConfig, SweepAxis
 from .errors import ConfigError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
-from .lagrange import advance_ensemble, ensemble_drift
+from .lagrange import advance_ensemble, ensemble_drift, ensemble_energies
 from .profiles import ProfilePreset
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
@@ -296,13 +296,7 @@ def _crit_energy(seed: int):
         )
         if result.termination.kind != "horizon_reached":
             return False, math.inf, 1.0, {"termination": result.termination.kind}
-        gam = nodes - np.asarray(profile.dphi0(nodes), dtype=float)
-        factor = result.rho0 * nodes ** (n - 1) * weights
-        energies = []
-        for state in result.char_states:
-            r = state[:, 0]
-            u = state[:, 1]
-            energies.append(0.5 * float(np.sum((u**2 + (r - gam) ** 2) * factor)))
+        energies = ensemble_energies(profile, result, weights)
         e0 = energies[0]
         scale = max(abs(e0), 1e-300)
         for e_t in energies[1:]:

@@ -1,0 +1,109 @@
+"""`emaflow simulate` output files: pinned bytes, memory, atomic CSV."""
+
+import hashlib
+import tracemalloc
+
+import pytest
+
+from emaflow import lagrange
+from emaflow.cli import main
+from emaflow.errors import DomainError
+
+SUBCRITICAL = [
+    "--set", "profile.preset=quadratic",
+    "--set", "profile.a=0.2",
+    "--set", "profile.c=0.3",
+]
+SMALL = ["--set", "simulate.n_chars=64", "--set", "simulate.grid_size=32"]
+
+# sha256 of (snapshots.csv, diagnostics.json) for one config that reaches
+# the horizon, one that blows up part-way and one that starts at a pole.
+GOLDEN = {
+    "horizon": (
+        SUBCRITICAL + SMALL + ["--set", "simulate.n_snapshots=5"],
+        0,
+        "f498e17d29ce13c3c1f87237094ca2894e19c3820cfa67e80320f3871157ce58",
+        "5f84dd4096f74ad7b0f4b6e9503d65bba1c1c3ac9f831ceba50bee32fc8d1ca1",
+    ),
+    "blowup": (
+        [
+            "--set", "profile.preset=quadratic", "--set", "profile.a=0",
+            "--set", "profile.c=-2", "--set", "profile.d=1",
+        ] + SMALL,
+        2,
+        "59e686e6915f6d1d4e80bd8a6b532b72a1115ccfb864b75a57e4ce7b455320c4",
+        "b06e5612a45349f8dc6ca3267deedcfe56b44f0a8b032d14b01b570cb48e77b0",
+    ),
+    "pole_at_t0": (
+        [
+            "--set", "simulate.n_chars=8",
+            "--set", "profile.preset=quadratic", "--set", "profile.c=1e200",
+        ],
+        2,
+        "0c2accf5893dd8d0dc234161bdf53f6ab151a78451d4a592bebdca2efc41621c",
+        "76c6fdb1ad18ab0ddd3082ec5e44a9ce9b003f5d1565ad5e09e2e0fa0cc7fc10",
+    ),
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_outputs_are_bitwise_golden(name, tmp_path, capsys):
+    argv, code, snapshots_sha, diagnostics_sha = GOLDEN[name]
+    assert main(["simulate", "--out", str(tmp_path), *argv]) == code
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json", "snapshots.csv"]
+    assert (_sha(tmp_path / "snapshots.csv"), _sha(tmp_path / "diagnostics.json")) == (
+        snapshots_sha,
+        diagnostics_sha,
+    )
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_snapshots(tmp_path, capsys):
+    # Each output time is written and dropped before the next one, so
+    # 129 snapshots need about as much memory as 9.
+    base = ["simulate", *SUBCRITICAL, "--set", "simulate.n_chars=4096"]
+    peaks = {
+        count: _traced_peak(
+            base + ["--set", f"simulate.n_snapshots={count}", "--out", str(tmp_path / str(count))]
+        )
+        for count in (9, 129)
+    }
+    capsys.readouterr()
+    assert peaks[129] < 1.25 * peaks[9], peaks
+
+
+def test_simulate_error_part_way_keeps_the_old_snapshots(tmp_path, capsys, monkeypatch):
+    old = b"t,r\nfrom,an earlier run\n"
+    (tmp_path / "snapshots.csv").write_bytes(old)
+    snapshot = lagrange._snapshot
+    calls = []
+
+    def failing_snapshot(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DomainError("snapshot fields are not finite; cannot interpolate them")
+        return snapshot(*args)
+
+    monkeypatch.setattr(lagrange, "_snapshot", failing_snapshot)
+    code = main(["simulate", "--out", str(tmp_path), *SUBCRITICAL, *SMALL])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: DomainError: snapshot fields are not finite; cannot interpolate them"
+    ]
+    assert len(calls) == 3
+    # No temporary file is left behind, and the old output is untouched.
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshots.csv"]
+    assert (tmp_path / "snapshots.csv").read_bytes() == old

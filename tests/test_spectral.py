@@ -136,6 +136,12 @@ def test_rhs_wv_singular_at_vanishing_v():
         rhs_wv(np.array([1.0, 0.0]), 1.0, c0=1.0)
 
 
+def test_rhs_wv_singular_where_the_cube_underflows():
+    # v is nonzero but v^3 is 0.0, so the centrifugal term is undefined.
+    with pytest.raises(SingularInput, match="v = 0"):
+        rhs_wv((1.0, 1e-120), 1.0, c0=1.0)
+
+
 def test_rhs_wv_inf_is_total_on_floats_and_rows():
     # v^3 = 0 (v = +-0, or v so small its cube underflows) reads as inf.
     for v in (0.0, -0.0, 1e-120):
@@ -257,6 +263,26 @@ def test_start_with_overflowing_derivative_norm_ends_like_the_batch(magnitude):
     assert traj.termination.kind == batch.kinds[0]
     assert traj.termination.kind == ("blowup_detected" if magnitude < 1e150 else "step_underflow")
     assert traj.final_time == batch.final_time[0] == 0.0
+
+
+STALLING = [
+    ("qnu", (-1.2, 0.0), IntegratorConfig(blowup_magnitude=1e300, min_step=1e-300)),
+    ("swirl_q", (-1e140, 0.0, 1.0), IntegratorConfig(blowup_magnitude=1e300, min_step=1e-170)),
+]
+
+
+@pytest.mark.parametrize("system, state0, cfg", STALLING)
+def test_step_that_does_not_advance_t_is_step_underflow(system, state0, cfg):
+    # min_step is below the resolution of t, so an accepted step can
+    # leave t unchanged; the run ends there in every entry point.
+    full = integrate(system, state0, 1.0, config=cfg)
+    ends = integrate(system, state0, 1.0, config=cfg, record=False)
+    batch = integrate_batch(system, [state0], 1.0, config=cfg)
+    assert full.termination == ends.termination == Termination(kind="step_underflow")
+    assert batch.kinds == ("step_underflow",)
+    assert full.final_time == ends.final_time == batch.final_time[0] > 0.0
+    np.testing.assert_array_equal(full.final_state, ends.final_state)
+    np.testing.assert_array_equal(ends.final_state, batch.final_state[0])
 
 
 def test_integrate_options_are_keyword_only():
