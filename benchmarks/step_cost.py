@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python benchmarks/step_cost.py [--rounds 5]
 
-The scalar figure is one integrate_kernel run of the qnu system from
-(0.99, 0) at rel_tol 1e-9 to horizon 200, divided by its attempts
+The scalar figure is one integrate(record=False) run of the qnu system
+from (0.99, 0) at rel_tol 1e-9 to horizon 200, divided by its attempts
 (accepted plus rejected steps).  The batch figure is one
 batch._Stepper.attempt() over L qnu lanes that all stay bounded, for L
 in 1, 8, 64, 512 and 4096.  The break-even is the lane count at which
@@ -18,17 +18,12 @@ import time
 
 import numpy as np
 
-from emaflow.spectral import IntegratorConfig, _kernels_py, batch
+from emaflow.spectral import IntegratorConfig, batch, integrate, integrator
 from emaflow.spectral.systems import rhs_qnu
 
 CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=200.0)
 LANES = (1, 8, 64, 512, 4096)
 ATTEMPTS = 40
-
-
-def _scalar_args(y0):
-    return (0, y0, 1.0, 1.0, 0.0, CFG.rel_tol, CFG.abs_tol, CFG.max_step,
-            CFG.min_step, CFG.blowup_magnitude, CFG.horizon, False)
 
 
 def scalar_attempts(y0):
@@ -40,12 +35,12 @@ def scalar_attempts(y0):
         calls[0] += 1
         return rhs_qnu(state, kappa)
 
-    saved = _kernels_py.SYSTEM_RHS
-    _kernels_py.SYSTEM_RHS = (counted,) + saved[1:]
+    saved = integrator.SYSTEM_RHS
+    integrator.SYSTEM_RHS = (counted,) + saved[1:]
     try:
-        _kernels_py._stepper.__wrapped__(0, 2)(*_scalar_args(y0)[1:])
+        integrator._stepper.__wrapped__(0, 2)(y0, 1.0, 1.0, 0.0, CFG, False)
     finally:
-        _kernels_py.SYSTEM_RHS = saved
+        integrator.SYSTEM_RHS = saved
     return (calls[0] - 2) // 6
 
 
@@ -53,7 +48,7 @@ def scalar_us(y0, rounds):
     best = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        _kernels_py.integrate_kernel(*_scalar_args(y0))
+        integrate("qnu", y0, 1.0, config=CFG, record=False)
         best = min(best, time.perf_counter() - t0)
     return best / scalar_attempts(y0) * 1e6
 

@@ -3,7 +3,7 @@
 _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
 for every live lane, toward that lane's own stop time, with the tableau,
 PI controller constants and event rules of the scalar stepper
-(``_kernels_py``) applied elementwise.  Each lane owns its time, step
+(``integrator``) applied elementwise.  Each lane owns its time, step
 size, controller memory and pole-fit ring; no value ever crosses from
 one lane to another, so a lane's result does not depend on which other
 lanes share its batch.  A lane ends on step underflow (a step below
@@ -39,13 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels_py as _k
-from .integrator import _TERM_KINDS, IntegratorConfig, _as_state_vector, _check_call
+from .integrator import (
+    _A, _BETA, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _RING, _SAFETY,
+    IntegratorConfig, _as_state_vector, _check_call, _pole_estimate,
+)
 from .systems import SYSTEM_RHS
 
 __all__ = ["BatchResult", "integrate_batch"]
-
-_RING = _k._RING
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _rms(x):
 
 
 def _initial_step(f, y, f0, cfg):
-    # _kernels_py._initial_step, lane by lane.
+    # integrator._initial_step, lane by lane.
     sc = cfg.abs_tol + cfg.rel_tol * np.abs(y)
     d0 = _rms(y / sc)
     d1 = _rms(f0 / sc)
@@ -164,9 +164,7 @@ class _Stepper:
     def attempt(self) -> _Attempt:
         """One DP5(4) attempt on every live lane; see _Attempt."""
         f, cfg, k, y, t = self.f, self.cfg, self.k, self.y, self.t
-        a, e_w = _k._A, _k._E
         min_step = cfg.min_step
-        inv_fac_min, inv_fac_max = _k._INV_FAC_MIN, _k._INV_FAC_MAX
 
         room = self.stop - t
         clipped = self.h >= room
@@ -174,7 +172,7 @@ class _Stepper:
         underflow = (h < min_step) & ~clipped
 
         for i in range(1, 7):
-            ai = a[i]
+            ai = _A[i]
             acc = ai[0] * k[0]
             for j in range(1, i):
                 acc += ai[j] * k[j]
@@ -183,9 +181,9 @@ class _Stepper:
         # y5 is the last stage argument: the 5th-order solution (FSAL).
         bad = ~(np.isfinite(k[1:]).all(axis=(0, 1)) & np.isfinite(y5).all(axis=0))
 
-        err_vec = e_w[0] * k[0]
+        err_vec = _E[0] * k[0]
         for i in range(1, 7):
-            err_vec += e_w[i] * k[i]
+            err_vec += _E[i] * k[i]
         err_vec *= h
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = _rms(err_vec / sc)
@@ -200,7 +198,7 @@ class _Stepper:
         accept = passed & ~underflow
         bad &= ~underflow
         reject = ~(underflow | bad | accept)
-        fac11 = _pow(err, _k._EXPO1)
+        fac11 = _pow(err, _EXPO1)
 
         # Accepted lanes move to the new point.
         t = np.where(accept, t_new, t)
@@ -212,12 +210,12 @@ class _Stepper:
         ring_u = np.where(grow, np.concatenate((self.ring_u[1:], 1.0 / m[None])), self.ring_u)
         count = np.where(grow, np.minimum(self.count + 1, _RING), self.count)
 
-        fac = fac11 / _pow(self.facold, _k._BETA)
-        fac = _pymax(inv_fac_max, _pymin(inv_fac_min, fac / _k._SAFETY))
+        fac = fac11 / _pow(self.facold, _BETA)
+        fac = _pymax(_INV_FAC_MAX, _pymin(_INV_FAC_MIN, fac / _SAFETY))
         h_accept = h / fac
         h_accept = np.where(self.last_rejected, _pymin(h_accept, h), h_accept)
         h_accept = _pymin(h_accept, cfg.max_step)
-        h_reject = h / _pymin(inv_fac_min, fac11 / _k._SAFETY)
+        h_reject = h / _pymin(_INV_FAC_MIN, fac11 / _SAFETY)
         h_bad = h * 0.1
 
         pole = (
@@ -232,7 +230,7 @@ class _Stepper:
             fallback = t[j] if accept[j] else t_tried[j]
             valid = slice(_RING - count[j], None)
             ring = zip(ring_t[valid, j].tolist(), ring_u[valid, j].tolist())
-            t_est[j] = _k._pole_estimate(ring, float(fallback), float(t[j]))
+            t_est[j] = _pole_estimate(ring, float(fallback), float(t[j]))
 
         self.t, self.y = t, y
         self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
@@ -262,7 +260,7 @@ def integrate_batch(
     sys_id, dim, cfg = _check_call(system, kappa, n, c0, config)
     rows = [_as_state_vector(s, dim) for s in states0]
     lanes = len(rows)
-    kinds = np.zeros(lanes, dtype=np.int64)
+    kinds = np.full(lanes, "horizon_reached", dtype=object)
     t_est = np.full(lanes, math.nan)
     t_end = np.zeros(lanes)
     y_end = np.zeros((lanes, dim))
@@ -272,7 +270,7 @@ def integrate_batch(
     y0 = np.array(rows).T.copy()
     stepper = _Stepper(_rhs(sys_id, kappa=float(kappa), n=float(n), c0=float(c0)), y0, cfg)
     at_pole = stepper.at_pole
-    kinds[at_pole] = _k.TERM_BLOWUP
+    kinds[at_pole] = "blowup_detected"
     t_est[at_pole] = 0.0
     y_end[at_pole] = y0.T[at_pole]
 
@@ -283,15 +281,12 @@ def integrate_batch(
             ended = stepper.lane[done]
             t_end[ended], t_est[ended] = stepper.t[done], step.t_est[done]
             y_end[ended] = stepper.y[:, done].T
-            kinds[ended] = np.select(
-                [step.underflow[done], step.pole[done]],
-                [_k.TERM_UNDERFLOW, _k.TERM_BLOWUP],
-                _k.TERM_HORIZON,
-            )
+            kinds[stepper.lane[step.underflow]] = "step_underflow"
+            kinds[stepper.lane[step.pole]] = "blowup_detected"
             stepper.keep(~done)
 
     return BatchResult(
-        kinds=tuple(_TERM_KINDS[code] for code in kinds.tolist()),
+        kinds=tuple(kinds.tolist()),
         t_est=t_est,
         final_time=t_end,
         final_state=y_end,

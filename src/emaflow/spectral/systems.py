@@ -8,7 +8,7 @@ together with position, velocity and the divergence integral they are
 the characteristic ensemble.  These functions are the single source of
 truth for the dynamics: the batched integrator and the ensemble call
 them on NumPy rows, and each stage of the scalar stepper in
-``_kernels_py`` calls them on plain floats.
+``integrator`` calls them on plain floats.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
 centrifugal term is singular where v^3 = 0; both integrators step the wv

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import BisectionError, DomainError, EmaflowError
 from .profiles import RadialProfile
 from .spectral import IntegratorConfig, SwirlState, integrate, integrate_batch
+from .spectral.integrator import _check_kappa
 
 __all__ = [
     "TOL_BOUNDARY",
@@ -72,8 +73,7 @@ class Verdict:
 
 
 def _check_point(lambda0: float, h0: float, kappa: float):
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    _check_kappa(kappa)
     if not (math.isfinite(lambda0) and math.isfinite(h0)):
         raise DomainError(f"point ({lambda0!r}, {h0!r}) must be finite")
 
@@ -218,6 +218,7 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
 
 
 def _sigma_config(kappa, horizon, config) -> IntegratorConfig:
+    _check_kappa(kappa)
     if horizon is None:
         horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
     if not (horizon > 0 and math.isfinite(horizon)):
@@ -297,8 +298,7 @@ def sharpness_bisect(
     (h0 <= -3/2).  The result is within tol of sqrt(kappa(1 - 2 h0))
     for horizons of a few hundred.
     """
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0):
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
+    _check_kappa(kappa)
     if not (math.isfinite(h0) and h0 < 0.5):
         raise DomainError(f"h0 must be < 1/2, got {h0!r}")
     if not (horizon > 0 and math.isfinite(horizon)):

@@ -1,8 +1,8 @@
 """Lane-batched integration against the scalar kernel it batches.
 
-The batch must end every lane where the scalar kernel ``_kernels_py``
-ends it: same termination kind, same pole estimate, same final time and
-state.
+The batch must end every lane where the scalar stepper behind
+``integrate`` ends it: same termination kind, same pole estimate, same
+final time and state.
 """
 
 import math
@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from emaflow.errors import ConfigError, DomainError
-from emaflow.spectral import IntegratorConfig, integrate_batch
-from emaflow.spectral import _kernels_py
-from emaflow.spectral.integrator import _TERM_KINDS
+from emaflow.spectral import IntegratorConfig, integrate, integrate_batch
 from emaflow.spectral.systems import SYSTEM_DIMS
 
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
@@ -57,13 +55,8 @@ def _config(overrides):
 
 
 def _scalar(system, state, n, c0, cfg):
-    sys_id, _ = SYSTEM_DIMS[system]
-    times, states, code, t_est = _kernels_py.integrate_kernel(
-        sys_id, list(state), 1.0, float(n), c0,
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.min_step,
-        cfg.blowup_magnitude, cfg.horizon, False,
-    )
-    return _TERM_KINDS[code], t_est, times[-1], states[-1]
+    traj = integrate(system, state, 1.0, n=n, c0=c0, config=cfg, record=False)
+    return traj.termination.kind, traj.termination.t_est, traj.final_time, traj.final_state
 
 
 def _close(a, b, tol=1e-12):

@@ -474,8 +474,8 @@ def test_commands_run_on_numpy_alone(tmp_path):
 _NO_STEPPER_UNTIL_INTEGRATE = """
 import sys
 import emaflow.cli
-from emaflow.spectral import _kernels_py, integrate
-generated = _kernels_py._stepper.cache_info
+from emaflow.spectral import integrate, integrator
+generated = integrator._stepper.cache_info
 assert generated().currsize == 0, "import"
 assert emaflow.cli.main(sys.argv[1:]) == 0
 assert generated().currsize == 0, "classify"

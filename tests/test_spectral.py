@@ -26,6 +26,14 @@ from emaflow.spectral import (
 )
 from emaflow.spectral.systems import rhs_wv_inf
 from emaflow.spectral.systems import SingularInput
+from emaflow.threshold import (
+    blowup_time_closed_form,
+    classify_point,
+    sharpness_bisect,
+    sigma_membership,
+    sigma_membership_batch,
+    threshold_margin,
+)
 from emaflow.validation import _ep_excursion_bound
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -237,12 +245,32 @@ def test_bad_dimension_is_a_domain_error(n):
         integrate_batch("ep", [(0.1, 0.1)], 1.0, n=n)
 
 
-@pytest.mark.parametrize("kappa", [True, False, float("inf"), float("nan"), 0.0])
+SIGMA_STATE = SwirlState(0.0, 0.1, 0.0, 0.0, 0.0, 0.2)
+
+
+@pytest.mark.parametrize("kappa", [True, False, float("inf"), float("nan"), 0.0, -1.0, "1"])
 def test_bad_kappa_is_a_domain_error(kappa):
-    with pytest.raises(DomainError, match="kappa"):
-        integrate("ep", (0.1, 0.1), kappa)
-    with pytest.raises(DomainError, match="kappa"):
-        integrate_batch("ep", [(0.1, 0.1)], kappa)
+    calls = [
+        lambda: integrate("ep", (0.1, 0.1), kappa),
+        lambda: integrate_batch("ep", [(0.1, 0.1)], kappa),
+        lambda: threshold_margin(0.5, 0.0, kappa),
+        lambda: classify_point(0.5, 0.0, kappa),
+        lambda: blowup_time_closed_form(0.5, 0.0, kappa),
+        lambda: sharpness_bisect(0.0, kappa),
+        lambda: sigma_membership(SIGMA_STATE, kappa),
+        lambda: sigma_membership_batch([SIGMA_STATE], kappa),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="kappa"):
+            call()
+
+
+@pytest.mark.parametrize("c0", [float("inf"), float("nan"), True, "x"])
+def test_bad_c0_is_a_domain_error(c0):
+    with pytest.raises(DomainError, match="c0"):
+        integrate("wv", (1.0, 1.0), 1.0, c0=c0)
+    with pytest.raises(DomainError, match="c0"):
+        integrate_batch("wv", [(1.0, 1.0)], 1.0, c0=c0)
 
 
 def test_integral_dimension_types_are_accepted():
@@ -263,6 +291,48 @@ def test_start_with_overflowing_derivative_norm_ends_like_the_batch(magnitude):
     assert traj.termination.kind == batch.kinds[0]
     assert traj.termination.kind == ("blowup_detected" if magnitude < 1e150 else "step_underflow")
     assert traj.final_time == batch.final_time[0] == 0.0
+
+
+def _qnu_ends(route, states, kappa, cfg):
+    """(termination kinds, t_est) of each state, by integrate or integrate_batch."""
+    if route == "integrate_batch":
+        result = integrate_batch("qnu", states, kappa, config=cfg)
+        return list(result.kinds), result.t_est.tolist()
+    ends = [integrate("qnu", s, kappa, config=cfg, record=False).termination for s in states]
+    return [e.kind for e in ends], [e.t_est for e in ends]
+
+
+@pytest.mark.parametrize("route", ["integrate", "integrate_batch"])
+def test_qnu_is_homogeneous_under_scaling(route):
+    # (q, nu, kappa, t) -> (s q, nu, s^2 kappa, t / s) maps solutions of
+    # the (q, nu) system to solutions.  Powers of two scale exactly, but
+    # the step controller is not scale-free (abs_tol, the initial step,
+    # blowup_magnitude), so the pole estimates agree to the tolerance
+    # of the integration, not bit for bit.
+    rng = np.random.default_rng(3)
+    points = []
+    while len(points) < 29:
+        lam, h0 = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 0.9)
+        if abs(threshold_margin(lam, h0, 1.0)) >= 0.05:
+            points.append((lam, h0))
+    # Past 2 pi every supercritical point at kappa = 1 has blown up.
+    base = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=10.0)
+    kinds, t_est = _qnu_ends(route, points, 1.0, base)
+    assert kinds == [
+        "horizon_reached" if threshold_margin(lam, h0, 1.0) > 0 else "blowup_detected"
+        for lam, h0 in points
+    ]
+    for k in range(-4, 5):
+        s = 2.0**k
+        cfg = base.replace(
+            horizon=base.horizon / s, max_step=base.max_step / s, min_step=base.min_step / s
+        )
+        scaled = [(s * lam, h0) for lam, h0 in points]
+        kinds_s, t_est_s = _qnu_ends(route, scaled, s * s, cfg)
+        assert kinds_s == kinds, s
+        for kind, t, t_s in zip(kinds, t_est, t_est_s):
+            if kind == "blowup_detected":
+                assert s * t_s == pytest.approx(t, rel=1e-9, abs=0.0), s
 
 
 STALLING = [
