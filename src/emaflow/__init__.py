@@ -17,6 +17,7 @@ from .errors import (
     FlowSingular,
     QuadratureError,
     SingularInput,
+    WorkerError,
 )
 from .flow import (
     FlowSample,
@@ -83,6 +84,7 @@ __all__ = [
     "Termination",
     "Trajectory",
     "Verdict",
+    "WorkerError",
     "advance_ensemble",
     "bkm_monitor",
     "blowup_time_closed_form",

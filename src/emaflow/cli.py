@@ -10,9 +10,10 @@ Four subcommands share one config file:
 Exit codes: 0 for a regular finish, 2 when a singularity (or a failed
 validation criterion) is detected, 1 for usage, I/O, and configuration
 errors.  Errors print a single line to stderr.  All file outputs are
-byte-deterministic for a fixed config and seed.  --threads is accepted
-and changes no output: a swirl_sigma sweep runs as one batch and the
-pointwise sweep is closed-form.
+byte-deterministic for a fixed config and seed.  --threads N caps the
+worker processes validate runs its criteria in (default: every CPU the
+process may run on) and changes no output; a swirl_sigma sweep runs as
+one batch and the pointwise sweep is closed-form.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ def cmd_validate(config: RunConfig) -> int:
     from .validation import resolve_suites, run_criteria
 
     names = resolve_suites(config.validate_suites)
-    results = run_criteria(names, seed=config.seed)
+    workers = config.threads or len(os.sched_getaffinity(0))
+    results = run_criteria(names, seed=config.seed, workers=workers)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(
@@ -246,7 +248,11 @@ def build_parser() -> _Parser:
         )
         cmd.add_argument("--out", metavar="DIR", help="output directory")
         cmd.add_argument(
-            "--threads", type=int, metavar="N", help="accepted; changes no output"
+            "--threads",
+            type=int,
+            metavar="N",
+            help="cap on validate's worker processes (default: every usable CPU); "
+            "changes no output",
         )
         cmd.add_argument("--seed", type=int, metavar="N", help="sampling seed")
         cmd.set_defaults(func=func)

@@ -17,6 +17,10 @@ reproducible from the file plus the recorded overrides.  Grammar:
 
 Axes use "name, lo, hi, count", e.g.  axis1 = lambda0, -2, 2, 41.
 Unknown sections or keys are rejected rather than ignored.
+
+run.threads (or --threads) caps the worker processes that `validate`
+runs its criteria in; unset, it is every CPU the process may run on.
+It changes no output.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class RunConfig:
     n: int = 2
     kappa: float = 1.0
     seed: int = 0
-    threads: int = 1
+    threads: int | None = None
     out: str = "out"
     preset: str = "equilibrium"
     profile_params: dict = field(default_factory=dict)
@@ -74,7 +78,7 @@ class RunConfig:
             raise ConfigError(f"run.n must be a positive integer, got {self.n!r}")
         if not self.kappa > 0:
             raise ConfigError(f"run.kappa must be positive, got {self.kappa!r}")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ConfigError(f"run.threads must be >= 1, got {self.threads!r}")
         if self.t_end <= 0:
             raise ConfigError(f"simulate.t_end must be positive, got {self.t_end!r}")

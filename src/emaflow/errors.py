@@ -44,3 +44,8 @@ class CrossingDetected(EmaflowError, RuntimeError):
     blowup.  Raised only in strict mode; by default the ensemble solver
     reports it as a termination kind.
     """
+
+
+class WorkerError(EmaflowError, RuntimeError):
+    """A worker process died before returning its result (killed by a
+    signal, out of memory, or exited from inside a task)."""

@@ -18,11 +18,14 @@ Two drivers run it:
   the cost of a step follows the lanes still running.  This is the
   record=False contract of integrate: per lane, the termination kind,
   the pole estimate, and the final time and state.  An attempt costs
-  about the same from one lane to a few dozen: on qnu at rel_tol 1e-9,
-  124 us at 1 lane and 173 us at 64, against 3.9 us for one attempt of
-  the scalar stepper (``benchmarks/step_cost.py``).  So one lane is about
-  30 times slower than the scalar stepper, and the batch breaks even
-  with a loop of scalar calls at about 42 lanes.
+  about the same from one lane to a few dozen, and at one lane some 30
+  attempts of the scalar stepper, so the batch breaks even with a loop
+  of scalar calls at about 40 lanes (``benchmarks/step_cost.py``, qnu
+  at rel_tol 1e-9).  Its absolute figures move by up to 40% from run to
+  run on a shared 2-core VM: over ten runs, 3.9-7.9 us per scalar
+  attempt and 122-278 us per one-lane attempt.  The break-even, a ratio
+  of two figures from one run, stayed between 40 and 44 lanes in the
+  four runs that reported it.
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.

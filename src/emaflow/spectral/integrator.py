@@ -187,9 +187,10 @@ def _as_state_vector(state0, dim: int) -> list[float]:
 
 
 def _check_kappa(kappa) -> None:
-    """Raise DomainError unless kappa is a positive finite number (a bool is not)."""
+    """Raise DomainError unless kappa is a positive finite real number
+    (a NumPy scalar is; a bool is not)."""
     if isinstance(kappa, bool) or not (
-        isinstance(kappa, (int, float)) and math.isfinite(kappa) and kappa > 0
+        isinstance(kappa, numbers.Real) and math.isfinite(kappa) and kappa > 0
     ):
         raise DomainError(f"kappa must be positive, got {kappa!r}")
 

@@ -15,16 +15,19 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import multiprocessing
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, SweepAxis
-from .errors import ConfigError
+from .errors import ConfigError, WorkerError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
 from .lagrange import advance_ensemble, ensemble_drift, ensemble_energies
 from .profiles import ProfilePreset
@@ -491,10 +494,29 @@ def resolve_suites(selection) -> list[str]:
     return [name for name in names if name in chosen]
 
 
-def run_criteria(names, seed: int = 0) -> list[CriterionResult]:
+# Both read _equivalence_runs(), so they run as one unit and its two
+# ensembles are built once.
+_SHARED_ENSEMBLES = ("flow_lagrange_equivalence", "path_invariants")
+
+
+def _units(names) -> list[tuple[str, ...]]:
+    """Split names into independent units: one criterion each, except
+    that the criteria in _SHARED_ENSEMBLES join the first of them."""
+    shared = tuple(name for name in names if name in _SHARED_ENSEMBLES)
+    units = []
+    for name in names:
+        if name not in _SHARED_ENSEMBLES:
+            units.append((name,))
+        elif name == shared[0]:
+            units.append(shared)
+    return units
+
+
+def _run_unit(unit, seed: int) -> list[CriterionResult]:
+    """Run and time the criteria of one unit, in this process."""
     lookup = {name: (desc, func) for name, desc, func in _REGISTRY}
     results = []
-    for name in names:
+    for name in unit:
         desc, func = lookup[name]
         start = time.perf_counter()
         passed, measured, budget, details = func(seed)
@@ -510,3 +532,48 @@ def run_criteria(names, seed: int = 0) -> list[CriterionResult]:
             )
         )
     return results
+
+
+def _run_pool(units, seed: int, workers: int) -> list[list[CriterionResult]]:
+    # Forked workers inherit the imported package and its caches, where
+    # spawned ones would import everything again (about 0.2 s each).
+    # emaflow starts no threads; the only other one, OpenBLAS's pool,
+    # handles a fork itself.  The initializer gives the workers the
+    # caller's NumPy error state.
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=partial(np.seterr, **np.geterr()),
+    )
+    try:
+        futures = [pool.submit(_run_unit, unit, seed) for unit in units]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a validation worker process died: {exc}") from None
+    finally:
+        # Units not yet started are dropped; running ones finish, so no
+        # worker outlives the call.
+        pool.shutdown(cancel_futures=True)
+
+
+def run_criteria(names, seed: int = 0, workers: int = 1) -> list[CriterionResult]:
+    """Run the named criteria and return their results in names order.
+
+    The criteria are independent (each draws from its own stream), so
+    with workers > 1 they run in a pool of forked worker processes, one
+    unit of work per task and never more workers than units.  With one
+    worker they run one after another in this process and nothing is
+    forked.  The results are the same either way apart from elapsed_s,
+    each criterion's own wall time in the process that ran it: with a
+    pool the values overlap and no longer add up to the caller's time.
+    An error raised by a criterion reaches the caller with its own type
+    and message; a worker that dies raises WorkerError.
+    """
+    units = _units(names)
+    workers = min(workers, len(units))
+    if workers > 1:
+        done = _run_pool(units, seed, workers)
+    else:
+        done = [_run_unit(unit, seed) for unit in units]
+    by_name = {res.name: res for results in done for res in results}
+    return [by_name[name] for name in names]

@@ -68,7 +68,7 @@ def test_defaults():
     rc = load_run_config()
     assert rc.preset == "equilibrium"
     assert rc.n == 2 and rc.kappa == 1.0
-    assert rc.threads == 1 and rc.seed == 0 and rc.out == "out"
+    assert rc.threads is None and rc.seed == 0 and rc.out == "out"
     assert rc.sweep_mode == "pointwise_threshold"
     assert rc.validate_suites == ("all",)
     assert SWEEP_MODES == ("pointwise_threshold", "swirl_sigma")

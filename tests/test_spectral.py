@@ -280,6 +280,29 @@ def test_integral_dimension_types_are_accepted():
         np.testing.assert_array_equal(got, want)
 
 
+def test_numpy_integer_kappa_is_accepted():
+    # A NumPy integer kappa gives the same bits as the Python int; a bool
+    # is still not a number here (test_bad_kappa_is_a_domain_error).
+    for kappa in (1, 4):
+        want = integrate("qnu", (0.5, 0.0), kappa, record=True)
+        got = integrate("qnu", (0.5, 0.0), np.int64(kappa), record=True)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
+        assert got.termination == want.termination
+        batch = integrate_batch("qnu", [(0.5, 0.0), (3.0, 0.0)], np.int64(kappa))
+        ref = integrate_batch("qnu", [(0.5, 0.0), (3.0, 0.0)], kappa)
+        assert batch.kinds == ref.kinds
+        np.testing.assert_array_equal(batch.t_est, ref.t_est)
+        np.testing.assert_array_equal(batch.final_state, ref.final_state)
+        for lam0 in (0.5, 3.0):
+            got_v = classify_point(lam0, 0.0, np.int64(kappa))
+            want_v = classify_point(lam0, 0.0, kappa)
+            assert got_v == want_v and got_v.margins == want_v.margins
+            assert threshold_margin(lam0, 0.0, np.int64(kappa)).hex() == (
+                threshold_margin(lam0, 0.0, kappa).hex()
+            )
+
+
 @pytest.mark.parametrize("magnitude", [1e9, 1e200])
 def test_start_with_overflowing_derivative_norm_ends_like_the_batch(magnitude):
     # The derivative scaled by the tolerance overflows the RMS norm, so
