@@ -8,7 +8,7 @@ reproducible from the file plus the recorded overrides.  Grammar:
     [profile]                  preset + free numeric preset parameters
                                (r_max, a, b, c, d, rc, s, ...)
     [integrator]               rel_tol, abs_tol, max_step, min_step,
-                               blowup_magnitude, horizon
+                               blowup_magnitude
     [simulate]                 t_end, n_chars, grid_size, n_snapshots
     [classify]                 grid_size
     [sweep]                    mode, axis1, axis2, horizon,
@@ -16,7 +16,9 @@ reproducible from the file plus the recorded overrides.  Grammar:
     [validate]                 suites (comma-separated, or 'all')
 
 Axes use "name, lo, hi, count", e.g.  axis1 = lambda0, -2, 2, 41.
-Unknown sections or keys are rejected rather than ignored.
+Unknown sections or keys are rejected rather than ignored.  [integrator]
+sets no horizon: simulate.t_end is the ensemble's, and sweep.horizon
+(default 500/sqrt(kappa)) that of a swirl_sigma sweep.
 
 run.threads (or --threads) caps the worker processes that `validate`
 runs its criteria in; unset, it is every CPU the process may run on.
@@ -26,17 +28,21 @@ It changes no output.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .profiles import ProfilePreset, RadialProfile
-from .spectral import IntegratorConfig
+from .spectral import IntegratorConfig, SwirlState
 
 __all__ = ["SweepAxis", "RunConfig", "load_run_config"]
 
 SWEEP_MODES = ("pointwise_threshold", "swirl_sigma")
-SWIRL_FIELDS = ("p0", "q0", "mu0", "nu0", "theta_r0", "theta_over_r0")
+# Each SwirlState component with a 0 suffix, in SwirlState order.
+SWIRL_FIELDS = tuple(f.name + "0" for f in fields(SwirlState))
 POINTWISE_FIELDS = ("lambda0", "h0")
+# The horizon is set per command (simulate.t_end, sweep.horizon), so it
+# is no [integrator] key.
+INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "horizon")
 
 
 @dataclass(frozen=True)
@@ -74,49 +80,30 @@ class RunConfig:
     validate_suites: tuple = ("all",)
 
     def validate(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ConfigError(f"run.n must be a positive integer, got {self.n!r}")
-        if not self.kappa > 0:
-            raise ConfigError(f"run.kappa must be positive, got {self.kappa!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"run.threads must be >= 1, got {self.threads!r}")
-        if self.t_end <= 0:
-            raise ConfigError(f"simulate.t_end must be positive, got {self.t_end!r}")
-        if self.n_chars < 2:
-            raise ConfigError(f"simulate.n_chars must be >= 2, got {self.n_chars!r}")
-        if self.grid_size < 2:
-            raise ConfigError(f"simulate.grid_size must be >= 2, got {self.grid_size!r}")
-        if self.n_snapshots < 2:
-            raise ConfigError(
-                f"simulate.n_snapshots must be >= 2, got {self.n_snapshots!r}"
-            )
-        if self.classify_grid_size < 1:
-            raise ConfigError(
-                f"classify.grid_size must be >= 1, got {self.classify_grid_size!r}"
-            )
+        for (section, key), (name, _, bound) in KEYS.items():
+            value = getattr(self, name)
+            if bound is not None and value is not None and not value > bound:
+                raise ConfigError(f"{section}.{key} must be > {bound}, got {value!r}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError(
                 f"sweep.mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}"
             )
-        for axis in (self.sweep_axis1, self.sweep_axis2):
+        allowed = POINTWISE_FIELDS if self.sweep_mode == "pointwise_threshold" else SWIRL_FIELDS
+        axes = {"sweep.axis1": self.sweep_axis1, "sweep.axis2": self.sweep_axis2}
+        for key, axis in axes.items():
             if axis.count < 1:
-                raise ConfigError(f"axis {axis.name!r} count must be >= 1")
+                raise ConfigError(f"{key}: axis {axis.name!r} count must be >= 1")
             if axis.count > 1 and not axis.hi > axis.lo:
                 raise ConfigError(
-                    f"axis {axis.name!r} needs hi > lo for count > 1, "
+                    f"{key}: axis {axis.name!r} needs hi > lo for count > 1, "
                     f"got [{axis.lo!r}, {axis.hi!r}]"
                 )
         if self.sweep_axis1.name == self.sweep_axis2.name:
-            raise ConfigError("sweep axes must name two distinct parameters")
-        if self.sweep_horizon is not None and not self.sweep_horizon > 0:
-            raise ConfigError(
-                f"sweep.horizon must be positive, got {self.sweep_horizon!r}"
-            )
-        allowed = POINTWISE_FIELDS if self.sweep_mode == "pointwise_threshold" else SWIRL_FIELDS
-        for axis in (self.sweep_axis1, self.sweep_axis2):
+            raise ConfigError("sweep.axis1 and sweep.axis2 must name two distinct parameters")
+        for key, axis in axes.items():
             if axis.name not in allowed:
                 raise ConfigError(
-                    f"axis {axis.name!r} not valid for mode {self.sweep_mode!r}; "
+                    f"{key}: axis {axis.name!r} not valid for mode {self.sweep_mode!r}; "
                     f"allowed: {allowed}"
                 )
         return self
@@ -140,6 +127,10 @@ def _parse_int(section, key, raw):
         raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
 
 
+def _parse_text(section, key, raw):
+    return raw
+
+
 def _parse_axis(section, key, raw) -> SweepAxis:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 4:
@@ -154,73 +145,48 @@ def _parse_axis(section, key, raw) -> SweepAxis:
     )
 
 
+def _parse_suites(section, key, raw):
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+# Every fixed key: (section, key) -> (RunConfig field, parser, bound).
+# RunConfig.validate requires field > bound unless the bound or the
+# value is None.  The open-ended keys ([profile] parameters,
+# INTEGRATOR_KEYS and SWIRL_FIELDS) are handled in _apply.
+KEYS = {
+    ("run", "n"): ("n", _parse_int, 0),
+    ("run", "kappa"): ("kappa", _parse_float, 0),
+    ("run", "seed"): ("seed", _parse_int, None),
+    ("run", "threads"): ("threads", _parse_int, 0),
+    ("run", "out"): ("out", _parse_text, None),
+    ("profile", "preset"): ("preset", _parse_text, None),
+    ("simulate", "t_end"): ("t_end", _parse_float, 0),
+    ("simulate", "n_chars"): ("n_chars", _parse_int, 1),
+    ("simulate", "grid_size"): ("grid_size", _parse_int, 1),
+    ("simulate", "n_snapshots"): ("n_snapshots", _parse_int, 1),
+    ("classify", "grid_size"): ("classify_grid_size", _parse_int, 0),
+    ("sweep", "mode"): ("sweep_mode", _parse_text, None),
+    ("sweep", "axis1"): ("sweep_axis1", _parse_axis, None),
+    ("sweep", "axis2"): ("sweep_axis2", _parse_axis, None),
+    ("sweep", "horizon"): ("sweep_horizon", _parse_float, 0),
+    ("validate", "suites"): ("validate_suites", _parse_suites, None),
+}
+SECTIONS = {section for section, _ in KEYS} | {"integrator"}
+
+
 def _apply(config: RunConfig, integrator_kw: dict, section: str, key: str, raw: str):
     raw = raw.strip()
-    if section == "run":
-        if key == "n":
-            config.n = _parse_int(section, key, raw)
-        elif key == "kappa":
-            config.kappa = _parse_float(section, key, raw)
-        elif key == "seed":
-            config.seed = _parse_int(section, key, raw)
-        elif key == "threads":
-            config.threads = _parse_int(section, key, raw)
-        elif key == "out":
-            config.out = raw
-        else:
-            raise ConfigError(f"unknown key run.{key}")
+    if (section, key) in KEYS:
+        name, parse, _ = KEYS[section, key]
+        setattr(config, name, parse(section, key, raw))
     elif section == "profile":
-        if key == "preset":
-            config.preset = raw
-        else:
-            config.profile_params[key] = _parse_float(section, key, raw)
-    elif section == "integrator":
-        if key not in (
-            "rel_tol",
-            "abs_tol",
-            "max_step",
-            "min_step",
-            "blowup_magnitude",
-            "horizon",
-        ):
-            raise ConfigError(f"unknown key integrator.{key}")
+        config.profile_params[key] = _parse_float(section, key, raw)
+    elif section == "integrator" and key in INTEGRATOR_KEYS:
         integrator_kw[key] = _parse_float(section, key, raw)
-    elif section == "simulate":
-        if key == "t_end":
-            config.t_end = _parse_float(section, key, raw)
-        elif key == "n_chars":
-            config.n_chars = _parse_int(section, key, raw)
-        elif key == "grid_size":
-            config.grid_size = _parse_int(section, key, raw)
-        elif key == "n_snapshots":
-            config.n_snapshots = _parse_int(section, key, raw)
-        else:
-            raise ConfigError(f"unknown key simulate.{key}")
-    elif section == "classify":
-        if key == "grid_size":
-            config.classify_grid_size = _parse_int(section, key, raw)
-        else:
-            raise ConfigError(f"unknown key classify.{key}")
-    elif section == "sweep":
-        if key == "mode":
-            config.sweep_mode = raw
-        elif key == "axis1":
-            config.sweep_axis1 = _parse_axis(section, key, raw)
-        elif key == "axis2":
-            config.sweep_axis2 = _parse_axis(section, key, raw)
-        elif key == "horizon":
-            config.sweep_horizon = _parse_float(section, key, raw)
-        elif key in SWIRL_FIELDS:
-            config.sweep_fixed[key] = _parse_float(section, key, raw)
-        else:
-            raise ConfigError(f"unknown key sweep.{key}")
-    elif section == "validate":
-        if key == "suites":
-            config.validate_suites = tuple(
-                s.strip() for s in raw.split(",") if s.strip()
-            )
-        else:
-            raise ConfigError(f"unknown key validate.{key}")
+    elif section == "sweep" and key in SWIRL_FIELDS:
+        config.sweep_fixed[key] = _parse_float(section, key, raw)
+    elif section in SECTIONS:
+        raise ConfigError(f"unknown key {section}.{key}")
     else:
         raise ConfigError(f"unknown config section {section!r}")
 
@@ -262,7 +228,11 @@ def load_run_config(
         _apply(config, integrator_kw, section.strip(), key.strip(), raw)
 
     if integrator_kw:
-        config.integrator = replace(config.integrator, **integrator_kw)
+        try:
+            config.integrator = replace(config.integrator, **integrator_kw)
+        except ConfigError as exc:
+            # IntegratorConfig's messages begin with the field name.
+            raise ConfigError(f"integrator.{exc}") from None
     if out is not None:
         config.out = out
     if threads is not None:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks
+that raise them at the library entry points."""
+
+import math
+import numbers
 
 
 class EmaflowError(Exception):
@@ -49,3 +53,27 @@ class CrossingDetected(EmaflowError, RuntimeError):
 class WorkerError(EmaflowError, RuntimeError):
     """A worker process died before returning its result (killed by a
     signal, out of memory, or exited from inside a task)."""
+
+
+def finite_real(value) -> bool:
+    """True for a finite real number: a NumPy scalar is one, a bool or a
+    string is not."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def check_positive(name: str, value, error=DomainError) -> float:
+    """Return value as a float; raise error unless it is a positive
+    finite real number.  kappa, t_end, horizons and tolerances follow it."""
+    if not (finite_real(value) and value > 0):
+        raise error(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def check_dimension(n) -> None:
+    """Raise DomainError unless n is a positive integral real number."""
+    if not (finite_real(n) and n >= 1 and n == int(n)):
+        raise DomainError(f"dimension n must be a positive integer, got {n!r}")

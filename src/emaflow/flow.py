@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FlowSingular
+from .errors import DomainError, FlowSingular, finite_real
 from .profiles import (
     RadialProfile,
     derive_density,
@@ -56,10 +56,9 @@ class FlowSample:
 
 
 def _check_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
+    if not (finite_real(t) and t >= 0.0):
         raise DomainError(f"time must be nonnegative, got {t!r}")
-    return t
+    return float(t)
 
 
 def _trig(kappa: float, t: float) -> tuple[float, float]:

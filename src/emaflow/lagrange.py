@@ -22,12 +22,11 @@ collects them all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CrossingDetected, DomainError
+from .errors import ConfigError, CrossingDetected, DomainError, check_positive
 from .profiles import RadialProfile, derive_density
 from .spectral import IntegratorConfig, Termination
 from .spectral.batch import _Stepper
@@ -229,9 +228,7 @@ class EnsembleRun:
     ):
         if config is None:
             config = IntegratorConfig()
-        if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0):
-            raise ConfigError(f"t_end must be positive, got {t_end!r}")
-        t_end = float(t_end)
+        t_end = check_positive("t_end", t_end, ConfigError)
 
         if seeds is None:
             seeds = default_seeds(profile, n_chars)

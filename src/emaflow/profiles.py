@@ -19,13 +19,12 @@ a scalar or a 1-d array of radii).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_dimension, check_positive
 from .quadrature import integrate_adaptive
 
 __all__ = [
@@ -75,12 +74,9 @@ class RadialProfile:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.dimension < 1 or self.dimension != int(self.dimension):
-            raise DomainError(f"dimension must be a positive integer, got {self.dimension!r}")
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise DomainError(f"kappa must be positive, got {self.kappa!r}")
-        if not (self.r_max > 0 and math.isfinite(self.r_max)):
-            raise DomainError(f"r_max must be positive, got {self.r_max!r}")
+        check_dimension(self.dimension)
+        check_positive("kappa", self.kappa)
+        check_positive("r_max", self.r_max)
         if not self.r_eps > 0:
             raise DomainError(f"r_max {self.r_max!r} is too small: r_eps underflows to 0")
         # Regularity at the origin: a radial field with u0(0) != 0 or

@@ -41,13 +41,12 @@ import dataclasses
 import functools
 import inspect
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
 from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
 
 __all__ = [
@@ -186,15 +185,6 @@ def _as_state_vector(state0, dim: int) -> list[float]:
     return out
 
 
-def _check_kappa(kappa) -> None:
-    """Raise DomainError unless kappa is a positive finite real number
-    (a NumPy scalar is; a bool is not)."""
-    if isinstance(kappa, bool) or not (
-        isinstance(kappa, numbers.Real) and math.isfinite(kappa) and kappa > 0
-    ):
-        raise DomainError(f"kappa must be positive, got {kappa!r}")
-
-
 def _check_call(system: str, kappa, n, c0, config) -> tuple[int, int, IntegratorConfig]:
     """Validate the arguments shared by integrate and integrate_batch.
 
@@ -204,12 +194,9 @@ def _check_call(system: str, kappa, n, c0, config) -> tuple[int, int, Integrator
     if system not in SYSTEM_DIMS:
         raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
     sys_id, dim = SYSTEM_DIMS[system]
-    _check_kappa(kappa)
-    if isinstance(n, bool) or not (
-        isinstance(n, numbers.Real) and math.isfinite(n) and n >= 1 and n == int(n)
-    ):
-        raise DomainError(f"dimension n must be a positive integer, got {n!r}")
-    if isinstance(c0, bool) or not (isinstance(c0, numbers.Real) and math.isfinite(c0)):
+    check_positive("kappa", kappa)
+    check_dimension(n)
+    if not finite_real(c0):
         raise DomainError(f"c0 must be a finite number, got {c0!r}")
     if config is None:
         config = IntegratorConfig()

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BisectionError, DomainError, EmaflowError
+from .errors import BisectionError, DomainError, EmaflowError, check_positive, finite_real
 from .profiles import RadialProfile
 from .spectral import IntegratorConfig, SwirlState, integrate, integrate_batch
-from .spectral.integrator import _check_kappa
 
 __all__ = [
     "TOL_BOUNDARY",
@@ -73,8 +72,8 @@ class Verdict:
 
 
 def _check_point(lambda0: float, h0: float, kappa: float):
-    _check_kappa(kappa)
-    if not (math.isfinite(lambda0) and math.isfinite(h0)):
+    check_positive("kappa", kappa)
+    if not (finite_real(lambda0) and finite_real(h0)):
         raise DomainError(f"point ({lambda0!r}, {h0!r}) must be finite")
 
 
@@ -218,12 +217,10 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
 
 
 def _sigma_config(kappa, horizon, config) -> IntegratorConfig:
-    _check_kappa(kappa)
+    check_positive("kappa", kappa)
     if horizon is None:
         horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise DomainError(f"horizon must be positive, got {horizon!r}")
-    return (config or IntegratorConfig()).replace(horizon=horizon)
+    return (config or IntegratorConfig()).replace(horizon=check_positive("horizon", horizon))
 
 
 def _sigma_verdict(kind: str, t_est, final_time: float, horizon: float) -> Verdict:
@@ -298,13 +295,11 @@ def sharpness_bisect(
     (h0 <= -3/2).  The result is within tol of sqrt(kappa(1 - 2 h0))
     for horizons of a few hundred.
     """
-    _check_kappa(kappa)
-    if not (math.isfinite(h0) and h0 < 0.5):
+    check_positive("kappa", kappa)
+    if not (finite_real(h0) and h0 < 0.5):
         raise DomainError(f"h0 must be < 1/2, got {h0!r}")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise DomainError(f"horizon must be positive, got {horizon!r}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    horizon = check_positive("horizon", horizon)
+    check_positive("tol", tol)
     if config is None:
         config = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
     config = config.replace(horizon=horizon)

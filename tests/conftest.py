@@ -5,10 +5,21 @@ Three named profiles cover the three regimes.  "subcritical" and
 several modules, so their parameters must not change casually.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from emaflow import IntegratorConfig, ProfilePreset
+
+
+def pytest_configure(config):
+    # Tests that run `python -m emaflow` in a subprocess need the source
+    # tree that pyproject's pythonpath setting gives this process.
+    src = str(config.rootpath / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path
+    )
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 """INI run configuration: parsing, precedence, and validation."""
 
+import re
 import textwrap
+from dataclasses import fields
 
 import pytest
 
 from emaflow.config import (
+    INTEGRATOR_KEYS,
+    KEYS,
     POINTWISE_FIELDS,
     SWEEP_MODES,
     SWIRL_FIELDS,
@@ -13,6 +17,7 @@ from emaflow.config import (
     load_run_config,
 )
 from emaflow.errors import ConfigError
+from emaflow.spectral import IntegratorConfig
 
 FULL_INI = textwrap.dedent(
     """\
@@ -33,7 +38,6 @@ FULL_INI = textwrap.dedent(
     rel_tol = 1e-9
     abs_tol = 1e-11
     max_step = 0.5
-    horizon = 40
 
     [simulate]
     t_end = 2.5
@@ -85,7 +89,6 @@ def test_full_file_round_trip(ini_path):
     assert rc.integrator.rel_tol == 1e-9
     assert rc.integrator.abs_tol == 1e-11
     assert rc.integrator.max_step == 0.5
-    assert rc.integrator.horizon == 40.0
     assert (rc.t_end, rc.n_chars, rc.grid_size, rc.n_snapshots) == (2.5, 256, 64, 5)
     assert rc.classify_grid_size == 128
     assert rc.sweep_mode == "swirl_sigma"
@@ -189,3 +192,65 @@ def test_validation_rejects_bad_values(attrs, msg):
         setattr(rc, name, value)
     with pytest.raises(ConfigError, match=msg):
         rc.validate()
+
+
+# One non-default value per table key: as written, and as parsed.
+SAMPLES = {
+    "run.n": ("3", 3),
+    "run.kappa": ("2.5", 2.5),
+    "run.seed": ("7", 7),
+    "run.threads": ("2", 2),
+    "run.out": ("results", "results"),
+    "profile.preset": ("bump", "bump"),
+    "simulate.t_end": ("2.5", 2.5),
+    "simulate.n_chars": ("256", 256),
+    "simulate.grid_size": ("64", 64),
+    "simulate.n_snapshots": ("5", 5),
+    "classify.grid_size": ("128", 128),
+    "sweep.mode": ("swirl_sigma", "swirl_sigma"),
+    "sweep.axis1": ("q0, 0.05, 1.65, 17", SweepAxis("q0", 0.05, 1.65, 17)),
+    "sweep.axis2": ("nu0, -0.6, 0.3, 4", SweepAxis("nu0", -0.6, 0.3, 4)),
+    "sweep.horizon": ("60", 60.0),
+    "validate.suites": ("energy_conservation, path_invariants",
+                        ("energy_conservation", "path_invariants")),
+}
+
+
+def test_each_field_is_set_by_exactly_one_table_key():
+    open_ended = {"profile_params", "integrator", "sweep_fixed"}
+    assert sorted(name for name, _, _ in KEYS.values()) == sorted(
+        f.name for f in fields(RunConfig) if f.name not in open_ended
+    )
+
+
+def test_every_table_key_round_trips_through_set():
+    assert set(SAMPLES) == {f"{section}.{key}" for section, key in KEYS}
+    rc = load_run_config(set_args=[f"{key}={raw}" for key, (raw, _) in SAMPLES.items()])
+    default = RunConfig()
+    for (section, key), (name, _, _) in KEYS.items():
+        value = SAMPLES[f"{section}.{key}"][1]
+        assert getattr(rc, name) == value != getattr(default, name)
+
+
+def test_integrator_keys_are_the_config_fields_but_horizon():
+    assert set(INTEGRATOR_KEYS) == {f.name for f in fields(IntegratorConfig)} - {"horizon"}
+    values = dict(rel_tol=1e-9, abs_tol=1e-11, max_step=0.5, min_step=1e-12, blowup_magnitude=1e8)
+    rc = load_run_config(set_args=[f"integrator.{k}={v!r}" for k, v in values.items()])
+    assert {k: getattr(rc.integrator, k) for k in INTEGRATOR_KEYS} == values
+
+
+def test_integrator_horizon_is_an_unknown_key():
+    # simulate.t_end and sweep.horizon set the horizon of their commands.
+    with pytest.raises(ConfigError, match="unknown key integrator.horizon"):
+        load_run_config(set_args=["integrator.horizon=5"])
+
+
+def test_bad_integrator_value_names_its_key():
+    with pytest.raises(ConfigError, match="integrator.rel_tol"):
+        load_run_config(set_args=["integrator.rel_tol=0"])
+
+
+@pytest.mark.parametrize("key", ["simulate.t_end", "run.kappa", "sweep.horizon"])
+def test_nan_is_rejected(key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_run_config(set_args=[f"{key}=nan"])

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emaflow.errors import ConfigError, DomainError
+from emaflow.flow import flow_radius
+from emaflow.lagrange import advance_ensemble
+from emaflow.profiles import ProfilePreset
 from emaflow.spectral import (
     SYSTEM_DIMS,
     IntegratorConfig,
@@ -263,6 +266,34 @@ def test_bad_kappa_is_a_domain_error(kappa):
     for call in calls:
         with pytest.raises(DomainError, match="kappa"):
             call()
+
+
+QUADRATIC = ProfilePreset("quadratic")
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: QUADRATIC.build(dimension=float("nan")), DomainError, "dimension"),
+        (lambda: QUADRATIC.build(dimension=float("inf")), DomainError, "dimension"),
+        (lambda: QUADRATIC.build(dimension="2"), DomainError, "dimension"),
+        (lambda: QUADRATIC.build(kappa=True), DomainError, "kappa"),
+        (lambda: advance_ensemble(QUADRATIC.build(), t_end=True), ConfigError, "t_end"),
+        (lambda: classify_point("x", 0.0, 1.0), DomainError, "point"),
+        (lambda: sharpness_bisect(0.0, 1.0, tol="x"), DomainError, "tol"),
+        (lambda: sigma_membership(SIGMA_STATE, 1.0, horizon="x"), DomainError, "horizon"),
+        (lambda: flow_radius(QUADRATIC.build(), 1.0, "x"), DomainError, "time"),
+    ],
+    ids=[
+        "dimension-nan", "dimension-inf", "dimension-str", "kappa-bool", "t_end-bool",
+        "lambda0-str", "tol-str", "horizon-str", "time-str",
+    ],
+)
+def test_entry_points_raise_typed_errors(call, error, match):
+    # The kappa and dimension rules in emaflow.errors guard every entry
+    # point, and to them a bool or a string is never a number.
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("c0", [float("inf"), float("nan"), True, "x"])
