@@ -1,27 +1,34 @@
-"""Resident memory of one `emaflow simulate`, layer by layer.
+"""Resident memory of one `emaflow simulate`, layer by layer and process by process.
 
     PYTHONPATH=src python benchmarks/simulate_memory.py [--seed 1] [-- SIMULATE ARGS...]
 
 Runs one simulate in this process, by default the command of the
 perfbench `ensemble_snapshots` workload at --seed (16384
-characteristics, 65 snapshots on a 1024-point grid), and reads VmRSS
-(resident now) and VmHWM (resident peak so far) from /proc/self/status
-at three points:
+characteristics, 65 snapshots on a 1024-point grid).  simulate steps
+the ensemble in this process and formats snapshots.csv in a forked
+writer process.  The script reads VmRSS (resident now) and VmHWM
+(resident peak so far) of this process from /proc/self/status at three
+points:
 
 * import: after `import emaflow.cli`;
-* ensemble: when the last snapshots.csv row has been produced, that is,
-  once the ensemble has run to its end and every row exists;
-* csv: when snapshots.csv is in place.
+* ensemble: when the last snapshot has been handed to the writer, that
+  is, once the ensemble has run to its end;
+* csv: when the writer has exited and snapshots.csv is in place.
 
-The last two points are found by wrapping `cli._write_csv`, so the
-script measures any tree that has it.  Outputs go to a temporary
-directory unless the arguments give --out.  Prints one JSON object with
-the figures in MB (2^20 bytes) and the exit code.  Linux only.
+The last two points are found by wrapping `cli._write_blocks`, so the
+script measures any tree that has it.  writer is the peak resident
+size of the writer process, the ru_maxrss of RUSAGE_CHILDREN once it
+has been reaped (this process starts no other child).  It counts the
+pages the writer shares with this process from the fork.  Outputs go
+to a temporary directory unless the arguments give --out.  Prints one
+JSON object with the figures in MB (2^20 bytes) and the exit code.
+Linux only.
 """
 
 import argparse
 import json
 import os
+import resource
 import sys
 import tempfile
 
@@ -53,17 +60,18 @@ def main():
     import emaflow.cli as cli
 
     points = {"import": _status_mb()}
-    write_csv = cli._write_csv
+    write_blocks = cli._write_blocks
 
-    def measured_write_csv(path, header, rows):
-        def all_rows():
-            yield from rows
+    def measured_write_blocks(path, header, blocks):
+        def all_blocks():
+            yield from blocks
             points["ensemble"] = _status_mb()
 
-        write_csv(path, header, all_rows())
+        write_blocks(path, header, all_blocks())
         points["csv"] = _status_mb()
+        points["writer"] = {"maxrss": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 
-    cli._write_csv = measured_write_csv
+    cli._write_blocks = measured_write_blocks
     with tempfile.TemporaryDirectory() as tmp:
         out = [] if "--out" in args else ["--out", tmp]
         code = cli.main(args + out)

@@ -14,6 +14,11 @@ byte-deterministic for a fixed config and seed.  --threads N caps the
 worker processes validate runs its criteria in (default: every CPU the
 process may run on) and changes no output; a swirl_sigma sweep runs as
 one batch and the pointwise sweep is closed-form.
+
+simulate runs in two processes.  This one steps the ensemble,
+interpolates each output time and folds it into the diagnostics; a
+writer forked before the stepping formats snapshots.csv from the t and
+the float block of each output time, sent as raw bytes over a pipe.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
-from .errors import EmaflowError
+from .errors import EmaflowError, WorkerError
 from .lagrange import EnsembleRun, bkm_integral, gradient_bound_check, state_drift
 from .spectral import BACKEND
 from .threshold import (
@@ -59,6 +64,98 @@ def _write_csv(path: Path, header, rows):
         tmp.unlink(missing_ok=True)
 
 
+def _write_blocks(path: Path, header, blocks):
+    # A CSV of float blocks, formatted in a forked writer process while
+    # this process produces the blocks.  blocks yields (t, block) pairs,
+    # block a float64 array of len(header) - 1 columns; each of its rows
+    # becomes the line `t,x0,x1,...`, every float in repr.  As with
+    # _write_csv, the rows go to a temporary file beside path, which
+    # replaces it only once the writer has written every row and exited
+    # 0: an error in either process leaves path as it was.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        pid, data, err = _start_writer(tmp, header)
+        try:
+            for t, block in blocks:
+                _send(data, np.float64(t).tobytes() + block.tobytes())
+            _send(data, b"")
+        except BrokenPipeError:
+            pass  # the writer has died; its exit status says how
+        finally:
+            os.close(data)
+            _, status = os.waitpid(pid, 0)
+            with open(err, "rb") as pipe:
+                reason = pipe.read().decode(errors="replace")
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise WorkerError(f"the snapshot writer process {how}" + (reason and f": {reason}"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _start_writer(tmp: Path, header):
+    # Forks the writer on a new file tmp.  Returns its pid, the write end
+    # of the pipe that carries the blocks and the read end of the one
+    # that carries its error message.
+    data_r, data_w = os.pipe()
+    err_r, err_w = os.pipe()
+    try:
+        with open(tmp, "wb") as out:
+            pid = os.fork()
+            if pid == 0:
+                _writer(data_r, out.fileno(), err_w, header, (data_w, err_r))
+    except BaseException:
+        os.close(data_w)
+        os.close(err_r)
+        raise
+    finally:
+        os.close(data_r)
+        os.close(err_w)
+    return pid, data_w, err_r
+
+
+# A record on the pipe is its length as 8 bytes, then that many bytes:
+# t and the block's rows, as float64.  Length 0 ends the stream.
+def _send(fd, payload: bytes):
+    record = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while record:
+        record = record[os.write(fd, record):]
+
+
+def _writer(data, out, err, header, parent_ends):
+    # The writer process.  It leaves only through os._exit, so it never
+    # returns into its caller nor runs the caller's exit handlers or
+    # buffered output.  Status 0 means the end record arrived and out is
+    # complete.  After an exception it is status 1, and err carries the
+    # exception, cut short so that it fits the pipe: the parent reads it
+    # only once this process has exited.
+    status = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        with open(data, "rb") as pipe, open(out, "w", encoding="utf-8") as csv:
+            csv.write(",".join(header) + "\n")
+            while True:
+                head = pipe.read(8)
+                if len(head) < 8:
+                    raise EOFError("the stream ended without its end record")
+                size = int.from_bytes(head, "little")
+                if size == 0:
+                    break
+                values = np.frombuffer(pipe.read(size), dtype=float)
+                t = repr(float(values[0]))
+                # tolist() gives Python floats, whose repr is what _fmt writes.
+                rows = values[1:].reshape(-1, len(header) - 1).tolist()
+                csv.writelines(f"{t},{','.join(map(repr, row))}\n" for row in rows)
+        status = 0
+    except BaseException as exc:
+        os.write(err, f"{type(exc).__name__}: {exc}".encode()[:1024])
+    finally:
+        os._exit(status)
+
+
 def _write_json(path: Path, payload) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path.write_text(text, encoding="utf-8")
@@ -83,19 +180,18 @@ def cmd_simulate(config: RunConfig) -> int:
     )
     outdir = _outdir(config)
 
-    # Each output time is written and folded into the diagnostics, then
-    # dropped, so memory does not grow with the number of snapshots.
+    # Each output time is sent to the writer and folded into the
+    # diagnostics, then dropped, so memory does not grow with the number
+    # of snapshots.
     times, integrands = [], []
     path_drift = density_drift = 0.0
     bound_margin = None
 
-    def rows():
+    def blocks():
         nonlocal path_drift, density_drift, bound_margin
         for snap, state in run:
-            t_str = _fmt(snap.t)
-            block = np.column_stack((snap.grid, snap.rho, snap.u, snap.p, snap.q, snap.mu, snap.nu))
-            # tolist() gives Python floats, whose repr is what _fmt writes.
-            yield from ((t_str, ",".join(map(repr, row))) for row in block.tolist())
+            columns = (snap.grid, snap.rho, snap.u, snap.p, snap.q, snap.mu, snap.nu)
+            yield snap.t, np.column_stack(columns)
             times.append(snap.t)
             integrands.append(snap.bkm_integrand)
             path, density = state_drift(profile, run.seeds, run.rho0, state)
@@ -104,7 +200,7 @@ def cmd_simulate(config: RunConfig) -> int:
             _, margin = gradient_bound_check(snap)
             bound_margin = margin if bound_margin is None else min(bound_margin, margin)
 
-    _write_csv(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), rows())
+    _write_blocks(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), blocks())
 
     termination = run.termination
     diag = {

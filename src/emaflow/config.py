@@ -28,6 +28,7 @@ It changes no output.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -82,8 +83,9 @@ class RunConfig:
     def validate(self):
         for (section, key), (name, _, bound) in KEYS.items():
             value = getattr(self, name)
-            if bound is not None and value is not None and not value > bound:
-                raise ConfigError(f"{section}.{key} must be > {bound}, got {value!r}")
+            # The upper comparison rejects inf; both reject nan.
+            if bound is not None and value is not None and not bound < value < math.inf:
+                raise ConfigError(f"{section}.{key} must be finite and > {bound}, got {value!r}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError(
                 f"sweep.mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}"
@@ -150,8 +152,8 @@ def _parse_suites(section, key, raw):
 
 
 # Every fixed key: (section, key) -> (RunConfig field, parser, bound).
-# RunConfig.validate requires field > bound unless the bound or the
-# value is None.  The open-ended keys ([profile] parameters,
+# RunConfig.validate requires a finite field > bound unless the bound or
+# the value is None.  The open-ended keys ([profile] parameters,
 # INTEGRATOR_KEYS and SWIRL_FIELDS) are handled in _apply.
 KEYS = {
     ("run", "n"): ("n", _parse_int, 0),

@@ -17,7 +17,9 @@ monotone cubic (no overshoot near steep gradients): PCHIP, written here
 in NumPy with the arithmetic of scipy.interpolate.PchipInterpolator, so
 the package needs NumPy alone at run time.  EnsembleRun hands out each
 output time as it is reached and keeps none of them; advance_ensemble
-collects them all.
+collects them all.  All of it runs in the caller's process: `emaflow
+simulate` consumes an EnsembleRun there and hands only the gridded
+fields to its writer process.
 """
 
 from __future__ import annotations
@@ -295,9 +297,10 @@ class EnsembleRun:
         if 0.0 in emit_set:
             yield output(0.0, fields)
 
-        def f(y):
-            rows = rhs_characteristics(y.reshape(7, m, y.shape[1]), kappa, n)
-            return np.concatenate(rows)
+        def f(y, out):
+            rows = rhs_characteristics(y.reshape(7, m, -1), kappa, n)
+            for row, value in zip(out.reshape(7, m, -1), rows):
+                row[...] = value
 
         # One lane; the blowup test watches the p, q, mu, nu rows only.
         stepper = _Stepper(f, fields.reshape(-1, 1), self._config, watch=slice(2 * m, 6 * m))

@@ -10,6 +10,7 @@ every profile in the preset family.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
@@ -127,12 +128,26 @@ def integrate_adaptive(
         n_panels += 1
 
 
+@functools.lru_cache(maxsize=16)
+def _reference_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # leggauss solves an eigenvalue problem in LAPACK; read-only arrays
+    # keep the cached rule from being changed through a caller.
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [a, b]."""
+    """Nodes and weights of the m-point Gauss-Legendre rule on [a, b].
+
+    The rule on [-1, 1] is computed once per m and kept, so a call with
+    an m seen before makes no LAPACK call; the returned arrays are new.
+    """
     if m < 1:
         raise DomainError("need at least one quadrature node")
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise DomainError(f"invalid interval [{a!r}, {b!r}]")
-    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = _reference_rule(m)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

@@ -29,6 +29,13 @@ Two drivers run it:
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.
+  Its state has some 10^5 rows, so an attempt costs its passes over
+  them: the derivative rows are written straight into the stage array,
+  the sums are formed in place, and an attempt that every live lane
+  accepts takes the new state and k0 without a masked copy.
+
+Both drivers step in the caller's process; the batch starts no thread
+or process.
 """
 
 from __future__ import annotations
@@ -66,9 +73,14 @@ class BatchResult:
 
 
 def _rhs(sys_id, **values):
-    """f(y) -> tuple of d rows for a (d, lanes) state y."""
+    """f(y, out): the d derivative rows of a (d, lanes) state y, into out."""
     rhs = SYSTEM_RHS[sys_id]
-    return functools.partial(rhs, **{p: values[p] for p in list(signature(rhs).parameters)[1:]})
+    rhs = functools.partial(rhs, **{p: values[p] for p in list(signature(rhs).parameters)[1:]})
+
+    def f(y, out):
+        out[...] = rhs(y)
+
+    return f
 
 
 def _pow(x, e):
@@ -100,7 +112,8 @@ def _initial_step(f, y, f0, cfg):
     d1 = _rms(f0 / sc)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = _pymin(_pymin(h0, cfg.max_step), cfg.horizon)
-    f1 = np.array(f(y + h0 * f0))
+    f1 = np.empty_like(y)
+    f(y + h0 * f0, f1)
     d2 = np.where(np.isfinite(f1).all(axis=0), _rms((f1 - f0) / sc) / h0, 1.0 / h0)
     dm = _pymax(d1, d2)
     h1 = np.where(dm <= 1e-15, _pymax(1e-6, h0 * 1e-3), _pow(0.01 / dm, 0.2))
@@ -125,7 +138,8 @@ class _Attempt(NamedTuple):
 class _Stepper:
     """Resumable DP5(4) state of a (d, lanes) batch, stepped by attempt().
 
-    f maps a (d, lanes) state to its d derivative rows.  watch selects
+    f(y, out) writes the derivative of a (d, lanes) state y into out, an
+    array of y's shape (a stage of the k array).  watch selects
     the rows whose magnitude is tested against config.blowup_magnitude
     and fed to the pole fit.  A lane whose start has a non-finite
     derivative or a watched magnitude beyond the threshold is a pole at
@@ -138,7 +152,7 @@ class _Stepper:
     def __init__(self, f, y0, cfg, watch=slice(None)):
         self.f, self.cfg, self.watch = f, cfg, watch
         k = np.empty((7,) + y0.shape)
-        k[0] = f(y0)
+        f(y0, k[0])
         m0 = np.abs(y0[watch]).max(axis=0)
         self.at_pole = ~np.isfinite(k[0]).all(axis=0) | (m0 > cfg.blowup_magnitude)
         live = ~self.at_pole
@@ -174,22 +188,32 @@ class _Stepper:
         h = np.where(clipped, room, self.h)
         underflow = (h < min_step) & ~clipped
 
+        # Each sum is formed in place, operation for operation as the
+        # scalar stepper forms it: the stage argument y + h * (a_i0 k0 +
+        # ...) and the scaled error h * (e0 k0 + ...) / (abs_tol + rel_tol
+        # * max(|y|, |y5|)).
         for i in range(1, 7):
             ai = _A[i]
-            acc = ai[0] * k[0]
+            yi = ai[0] * k[0]
             for j in range(1, i):
-                acc += ai[j] * k[j]
-            y5 = y + h * acc
-            k[i] = f(y5)
-        # y5 is the last stage argument: the 5th-order solution (FSAL).
+                yi += ai[j] * k[j]
+            yi *= h
+            yi += y
+            f(yi, k[i])
+        # The last stage argument is the 5th-order solution (FSAL).
+        y5 = yi
         bad = ~(np.isfinite(k[1:]).all(axis=(0, 1)) & np.isfinite(y5).all(axis=0))
 
         err_vec = _E[0] * k[0]
         for i in range(1, 7):
             err_vec += _E[i] * k[i]
         err_vec *= h
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = _rms(err_vec / sc)
+        sc = np.abs(y)
+        np.maximum(sc, np.abs(y5), out=sc)
+        sc *= cfg.rel_tol
+        sc += cfg.abs_tol
+        err_vec /= sc
+        err = _rms(err_vec)
 
         # A lane that stops on underflow takes no step, and neither does
         # one whose step passes but would not move t (h below its
@@ -205,8 +229,12 @@ class _Stepper:
 
         # Accepted lanes move to the new point.
         t = np.where(accept, t_new, t)
-        y = np.where(accept, y5, y)
-        k[0] = np.where(accept, k[6], k[0])
+        if accept.all():
+            y = y5
+            k[0] = k[6]
+        else:
+            y = np.where(accept, y5, y)
+            k[0] = np.where(accept, k[6], k[0])
         m = np.abs(y[self.watch]).max(axis=0)
         grow = accept & (m > 0.0)
         ring_t = np.where(grow, np.concatenate((self.ring_t[1:], t[None])), self.ring_t)

@@ -31,6 +31,7 @@ from .errors import ConfigError, WorkerError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
 from .lagrange import advance_ensemble, ensemble_drift, ensemble_energies
 from .profiles import ProfilePreset
+from .quadrature import gauss_legendre_nodes
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
 from .threshold import (
@@ -275,6 +276,10 @@ def _crit_flow_lagrange(seed: int):
     return worst <= 1e-4, worst, 1e-4, details
 
 
+# The size of energy_conservation's Gauss-Legendre rule.
+_ENERGY_NODES = 256
+
+
 def _crit_energy(seed: int):
     worst_closed = 0.0
     worst_ensemble = 0.0
@@ -282,7 +287,7 @@ def _crit_energy(seed: int):
     config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     for name, params, n in _EQUIV_CASES:
         profile = _build(name, params, n)
-        nodes, weights = energy_nodes(profile, 256)
+        nodes, weights = energy_nodes(profile, _ENERGY_NODES)
         e_ref = conserved_energy(profile, nodes, weights, 0.0)
         scale = max(abs(e_ref), 1e-300)
         for t in times:
@@ -520,8 +525,14 @@ def _run_pool(units, seed: int, workers: int) -> list[list[CriterionResult]]:
     # Forked workers inherit the imported package and its caches, where
     # spawned ones would import everything again (about 0.2 s each).
     # emaflow starts no threads; the only other one, OpenBLAS's pool,
-    # handles a fork itself.  The initializer gives the workers the
+    # handles a fork itself.  A worker that called LAPACK would start
+    # that pool anew, and its threads would spin on the CPU the other
+    # workers need; so the one LAPACK call of the criteria, the reference
+    # Gauss-Legendre rule of energy_conservation, is made and cached
+    # here, before the fork.  The initializer gives the workers the
     # caller's NumPy error state.
+    if any("energy_conservation" in unit for unit in units):
+        gauss_legendre_nodes(_ENERGY_NODES, -1.0, 1.0)
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),

@@ -504,9 +504,13 @@ def test_module_entry_point(tmp_path):
          "--set", "simulate.n_chars=32"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 0
-    assert "termination=horizon_reached" in proc.stdout
+    # One line: the snapshot writer process never returns into main.
+    assert proc.stdout.splitlines() == [
+        f"simulate: termination=horizon_reached snapshots=9 out={out}"
+    ]
 
     bad = subprocess.run(
         [sys.executable, "-m", "emaflow", "nope"], capture_output=True, text=True

@@ -254,3 +254,9 @@ def test_bad_integrator_value_names_its_key():
 def test_nan_is_rejected(key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_run_config(set_args=[f"{key}=nan"])
+
+
+@pytest.mark.parametrize("key", ["simulate.t_end", "run.kappa", "sweep.horizon"])
+def test_inf_is_rejected_naming_its_key(key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite and > 0, got inf")):
+        load_run_config(set_args=[f"{key}=inf"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emaflow.errors import DomainError, QuadratureError
+from emaflow import quadrature
 from emaflow.quadrature import gauss_legendre_nodes, integrate_adaptive
 
 
@@ -73,3 +74,30 @@ def test_legendre_invalid_requests():
         gauss_legendre_nodes(4, 1.0, 1.0)
     with pytest.raises(DomainError):
         gauss_legendre_nodes(4, 0.0, math.inf)
+
+
+def test_legendre_rule_is_cached_bitwise_and_read_only(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(m):
+        calls.append(m)
+        return leggauss(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    quadrature._reference_rule.cache_clear()
+    x, w = leggauss(37)
+    for a, b in ((-1.0, 1.0), (0.0, 2.5), (-1.0, 1.0)):
+        nodes, weights = gauss_legendre_nodes(37, a, b)
+        half = 0.5 * (b - a)
+        assert nodes.tobytes() == (a + half * (x + 1.0)).tobytes()
+        assert weights.tobytes() == (half * w).tobytes()
+        # The caller owns what it gets; the cached rule cannot be changed.
+        nodes[:] = 0.0
+        weights[:] = 0.0
+    assert calls == [37]
+    cached_x, cached_w = quadrature._reference_rule(37)
+    with pytest.raises(ValueError, match="read-only"):
+        cached_x[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        cached_w[0] = 0.0

@@ -1,11 +1,13 @@
-"""`emaflow simulate` output files: pinned bytes, memory, atomic CSV."""
+"""`emaflow simulate` output files: pinned bytes, memory, atomic CSV, the writer process."""
 
 import hashlib
+import os
+import signal
 import tracemalloc
 
 import pytest
 
-from emaflow import lagrange
+from emaflow import cli, lagrange
 from emaflow.cli import main
 from emaflow.errors import DomainError
 
@@ -104,6 +106,43 @@ def test_simulate_error_part_way_keeps_the_old_snapshots(tmp_path, capsys, monke
         "error: DomainError: snapshot fields are not finite; cannot interpolate them"
     ]
     assert len(calls) == 3
-    # No temporary file is left behind, and the old output is untouched.
+    _old_snapshots_kept(tmp_path, old)
+
+
+def _old_snapshots_kept(tmp_path, old):
+    # No temporary file is left behind, the old output is untouched and
+    # the writer process has been reaped.
     assert [p.name for p in tmp_path.iterdir()] == ["snapshots.csv"]
     assert (tmp_path / "snapshots.csv").read_bytes() == old
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_writer_that_dies_is_one_worker_error(tmp_path, capsys, monkeypatch):
+    old = b"t,r\nfrom,an earlier run\n"
+    (tmp_path / "snapshots.csv").write_bytes(old)
+    monkeypatch.setattr(cli, "_writer", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    # A block of 2048 rows is more than a pipe holds, so sending it
+    # meets the writer's death as a broken pipe.
+    big = ["--set", "simulate.grid_size=2048"]
+    code = main(["simulate", "--out", str(tmp_path), *SUBCRITICAL, *SMALL, *big])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: WorkerError: the snapshot writer process was killed by signal 9"
+    ]
+    _old_snapshots_kept(tmp_path, old)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_error_in_the_writer_names_its_cause(tmp_path, capsys):
+    old = b"t,r\nfrom,an earlier run\n"
+    (tmp_path / "snapshots.csv").write_bytes(old)
+    # Every write to the temporary file fails as on a full disk.
+    (tmp_path / "snapshots.csv.tmp").symlink_to("/dev/full")
+    code = main(["simulate", "--out", str(tmp_path), *SUBCRITICAL, *SMALL])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: WorkerError: the snapshot writer process exited with status 1: "
+        "OSError: [Errno 28] No space left on device"
+    ]
+    _old_snapshots_kept(tmp_path, old)

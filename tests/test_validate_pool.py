@@ -4,12 +4,14 @@ no process left behind."""
 import dataclasses
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from emaflow import validation
+from emaflow import quadrature, validation
 from emaflow.validation import run_criteria
 
 CHEAP = ["blowup_time_agreement", "dimension_independence", "phase_diagram_golden"]
@@ -34,6 +36,27 @@ def test_one_worker_or_one_unit_forks_nothing(monkeypatch):
     monkeypatch.setattr(validation, "ProcessPoolExecutor", no_pool)
     assert [r.name for r in run_criteria(CHEAP, workers=1)] == CHEAP
     assert [r.name for r in run_criteria(CHEAP[:1], workers=4)] == CHEAP[:1]
+
+
+def test_no_worker_computes_a_legendre_rule(monkeypatch):
+    # energy_conservation's rule is made in the caller before the fork,
+    # so no worker calls LAPACK (and starts OpenBLAS's threads).
+    caller = os.getpid()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def caller_only(m):
+        if os.getpid() != caller:
+            raise AssertionError("a worker computed a Gauss-Legendre rule")
+        calls.append(m)
+        return leggauss(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", caller_only)
+    quadrature._reference_rule.cache_clear()
+    names = ["energy_conservation", "dimension_independence"]
+    pooled = run_criteria(names, seed=3, workers=2)
+    assert [r.name for r in pooled] == names and all(r.passed for r in pooled)
+    assert calls == [validation._ENERGY_NODES]
 
 
 def test_shared_ensembles_run_as_one_unit():
