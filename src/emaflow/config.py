@@ -28,7 +28,7 @@ It changes no output.
 from __future__ import annotations
 
 import configparser
-import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -81,11 +81,14 @@ class RunConfig:
     validate_suites: tuple = ("all",)
 
     def validate(self):
-        for (section, key), (name, _, bound) in KEYS.items():
+        for (section, key), (name, parse, bound) in KEYS.items():
             value = getattr(self, name)
-            # The upper comparison rejects inf; both reject nan.
-            if bound is not None and value is not None and not bound < value < math.inf:
-                raise ConfigError(f"{section}.{key} must be finite and > {bound}, got {value!r}")
+            # Both comparisons reject nan, and the upper one inf.  Above
+            # sys.maxsize an integer sizes no NumPy array and makes no float.
+            top = sys.maxsize if parse is _parse_int else sys.float_info.max
+            if bound is not None and value is not None and not bound < value <= top:
+                limit = "finite" if parse is _parse_float else f"at most {top}"
+                raise ConfigError(f"{section}.{key} must be {limit} and > {bound}, got {value!r}")
         if self.sweep_mode not in SWEEP_MODES:
             raise ConfigError(
                 f"sweep.mode must be one of {SWEEP_MODES}, got {self.sweep_mode!r}"
@@ -93,8 +96,8 @@ class RunConfig:
         allowed = POINTWISE_FIELDS if self.sweep_mode == "pointwise_threshold" else SWIRL_FIELDS
         axes = {"sweep.axis1": self.sweep_axis1, "sweep.axis2": self.sweep_axis2}
         for key, axis in axes.items():
-            if axis.count < 1:
-                raise ConfigError(f"{key}: axis {axis.name!r} count must be >= 1")
+            if not 1 <= axis.count <= sys.maxsize:
+                raise ConfigError(f"{key}: axis {axis.name!r} count must be in [1, {sys.maxsize}]")
             if axis.count > 1 and not axis.hi > axis.lo:
                 raise ConfigError(
                     f"{key}: axis {axis.name!r} needs hi > lo for count > 1, "
@@ -152,13 +155,14 @@ def _parse_suites(section, key, raw):
 
 
 # Every fixed key: (section, key) -> (RunConfig field, parser, bound).
-# RunConfig.validate requires a finite field > bound unless the bound or
-# the value is None.  The open-ended keys ([profile] parameters,
-# INTEGRATOR_KEYS and SWIRL_FIELDS) are handled in _apply.
+# RunConfig.validate requires a field > bound, finite if a float and at
+# most sys.maxsize if an integer, unless the bound or the value is None.
+# The open-ended keys ([profile] parameters, INTEGRATOR_KEYS and
+# SWIRL_FIELDS) are handled in _apply.
 KEYS = {
     ("run", "n"): ("n", _parse_int, 0),
     ("run", "kappa"): ("kappa", _parse_float, 0),
-    ("run", "seed"): ("seed", _parse_int, None),
+    ("run", "seed"): ("seed", _parse_int, -1),
     ("run", "threads"): ("threads", _parse_int, 0),
     ("run", "out"): ("out", _parse_text, None),
     ("profile", "preset"): ("preset", _parse_text, None),

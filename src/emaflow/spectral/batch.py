@@ -1,4 +1,5 @@
-"""Lane-batched Dormand-Prince 5(4) integration: one engine, two drivers.
+"""Lane-batched Dormand-Prince 5(4) integration: one engine, which also
+sets up every run.
 
 _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
 for every live lane, toward that lane's own stop time, with the tableau,
@@ -11,7 +12,11 @@ min_step, or an accepted step too small to move t) or a pole: a watched
 magnitude beyond the threshold, a non-finite stage or a rejection below
 min_step.
 
-Two drivers run it:
+_Stepper.__init__ is the one start of a run: the first derivative, the
+pole at t = 0, the initial step and the pole-ring seed are set there and
+nowhere else.  integrate sets its one lane up there and hands it
+(lane_state) to the generated scalar stepper, which resumes it.  Two
+drivers step the batch itself:
 
 * integrate_batch steps every lane, one trajectory each, to
   config.horizon and drops finished lanes from the working arrays, so
@@ -20,12 +25,10 @@ Two drivers run it:
   the pole estimate, and the final time and state.  An attempt costs
   about the same from one lane to a few dozen, and at one lane some 30
   attempts of the scalar stepper, so the batch breaks even with a loop
-  of scalar calls at about 40 lanes (``benchmarks/step_cost.py``, qnu
-  at rel_tol 1e-9).  Its absolute figures move by up to 40% from run to
-  run on a shared 2-core VM: over ten runs, 3.9-7.9 us per scalar
-  attempt and 122-278 us per one-lane attempt.  The break-even, a ratio
-  of two figures from one run, stayed between 40 and 44 lanes in the
-  four runs that reported it.
+  of scalar calls at about 40 lanes: bounded qnu lanes at rel_tol 1e-9,
+  measured in October 2026 on a shared 2-core VM, where the break-even
+  stayed between 40 and 44 lanes over four runs while the absolute
+  costs moved by up to 40%.
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.
@@ -106,7 +109,10 @@ def _rms(x):
 
 
 def _initial_step(f, y, f0, cfg):
-    # integrator._initial_step, lane by lane.
+    # Hairer's starting-step heuristic, lane by lane.  Where d1
+    # overflows to inf, h0 is 0.0 and so is the result (d2 is 0/0 =
+    # nan, which _pymax drops): no step is small enough, so the lane
+    # ends in step underflow at t = 0.
     sc = cfg.abs_tol + cfg.rel_tol * np.abs(y)
     d0 = _rms(y / sc)
     d1 = _rms(f0 / sc)
@@ -146,6 +152,8 @@ class _Stepper:
     t = 0: it is flagged in at_pole and never stepped.  lane holds the
     input index of each live lane, stop its stop time (config.horizon
     until a driver moves it); keep() drops lanes a driver is done with.
+    lane_state(j) gives live lane j to the generated scalar stepper,
+    which resumes it toward config.horizon.
     """
 
     @np.errstate(all="ignore")
@@ -169,6 +177,19 @@ class _Stepper:
         self.ring_u = np.zeros((_RING, self.lane.size))
         self.count = (m0 > 0.0).astype(np.int64)
         self.ring_u[-1] = np.where(m0 > 0.0, 1.0 / m0, 0.0)
+
+    def _ring(self, j):
+        """The valid (t, 1/max|y|) points of lane j's ring, oldest first."""
+        valid = slice(_RING - self.count[j], None)
+        return list(zip(self.ring_t[valid, j].tolist(), self.ring_u[valid, j].tolist()))
+
+    def lane_state(self, j):
+        """Live lane j as plain floats, in the order the generated scalar
+        stepper takes it: t, y, k0, h, facold, last_rejected, ring."""
+        return (
+            self.t[j].item(), self.y[:, j].tolist(), self.k[0, :, j].tolist(), self.h[j].item(),
+            self.facold[j].item(), bool(self.last_rejected[j]), self._ring(j),
+        )
 
     def keep(self, live):
         """Drop every lane where the mask live is false."""
@@ -254,17 +275,15 @@ class _Stepper:
             | (reject & (h_reject < min_step))
             | (accept & (m > cfg.blowup_magnitude))
         )
+        self.t, self.y = t, y
+        self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
         t_est = np.full(t.size, math.nan)
         for j in np.flatnonzero(pole):
             # Without a usable fit the pole is put at the end of the
             # step that found it.
             fallback = t[j] if accept[j] else t_tried[j]
-            valid = slice(_RING - count[j], None)
-            ring = zip(ring_t[valid, j].tolist(), ring_u[valid, j].tolist())
-            t_est[j] = _pole_estimate(ring, float(fallback), float(t[j]))
+            t_est[j] = _pole_estimate(self._ring(j), float(fallback), float(t[j]))
 
-        self.t, self.y = t, y
-        self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
         self.facold = np.where(accept, _pymax(err, 1e-4), self.facold)
         self.h = np.where(accept, h_accept, np.where(bad, h_bad, h_reject))
         self.last_rejected = ~accept

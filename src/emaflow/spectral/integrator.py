@@ -1,8 +1,9 @@
 """Adaptive integration of the characteristic ODE systems.
 
 integrate validates its inputs, with the checks it shares with
-integrate_batch, and runs the system's stepper, which returns the
-Trajectory.
+integrate_batch, sets its one lane up in batch._Stepper, where every run
+starts, and hands it to the system's stepper, which resumes the lane and
+returns the Trajectory.
 
 The stepper is a Dormand-Prince 5(4) embedded pair with the PI
 controller constants from the classical dopri5 code, plus two event
@@ -24,7 +25,7 @@ A run also ends, as step underflow, when a step falls below min_step
 without a rejection, or when an accepted step would not advance t
 (min_step below the resolution of t).
 
-Each system has its own stepper: an integrate function whose stages are
+Each system has its own stepper: a resume function whose stages are
 written out on scalar locals, one per state component, as Hairer's
 dopri5.f writes them.  Its source is generated from the _A and _E
 tableau literals and compiled with exec on the system's first call, as
@@ -235,34 +236,6 @@ def _pole_estimate(ring, fallback, t):
     return max(est, t)
 
 
-def _rms(values):
-    # Squares as products: float ** 2 goes through libm pow, which is
-    # off by an ulp now and then and raises OverflowError where a
-    # product gives inf.
-    return math.sqrt(sum(v * v for v in values) / len(values))
-
-
-def _initial_step(f, args, y, f0, rel_tol, abs_tol, max_step, horizon):
-    d = len(y)
-    sc = [abs_tol + rel_tol * abs(y[i]) for i in range(d)]
-    d0 = _rms([y[i] / sc[i] for i in range(d)])
-    d1 = _rms([f0[i] / sc[i] for i in range(d)])
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, max_step, horizon)
-    if h0 == 0.0:
-        # d1 overflowed to inf: no step is small enough, so the run ends
-        # in step underflow at t = 0, as the batch's nan arithmetic does.
-        return 0.0
-    f1 = f([y[i] + h0 * f0[i] for i in range(d)], *args)
-    if all(math.isfinite(v) for v in f1):
-        d2 = _rms([(f1[i] - f0[i]) / sc[i] for i in range(d)]) / h0
-    else:
-        d2 = 1.0 / h0
-    dm = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
-    return min(100.0 * h0, h1, max_step, horizon)
-
-
 def _finish(times, states, record, kind, t_est=None):
     if not record:
         # keep only endpoints
@@ -271,32 +244,22 @@ def _finish(times, states, record, kind, t_est=None):
     return Trajectory(np.array(times), np.array(states), Termination(kind, t_est))
 
 
-# One integrate function, for state components y0, y1, ...  The fields
+# One resume function, for state components y0, y1, ...  The fields
 # in braces are the per-dimension pieces _stepper fills in.
 _SOURCE = """\
-def integrate(y, kappa, n, c0, config, record):
+def resume(t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, record):
     rel_tol = config.rel_tol
     abs_tol = config.abs_tol
     max_step = config.max_step
     min_step = config.min_step
     blowup_magnitude = config.blowup_magnitude
     horizon = config.horizon
-    {y}, = map(float, y)
-    t = 0.0
-    times = [0.0]
+    {y}, = y
+    {k0}, = k0
+    times = [t]
     states = [({y},)]
-    {k0}, = f(({y},), {args})
-    if not ({k0_finite}):
-        # Initial state already on the singular set.
-        return _finish(times, states, record, "blowup_detected", 0.0)
-    m = max({abs_y})
-    if m > blowup_magnitude:
-        return _finish(times, states, record, "blowup_detected", 0.0)
-    h = _initial_step(f, ({args},), ({y},), ({k0},), rel_tol, abs_tol, max_step, horizon)
-    facold = 1e-4
-    last_rejected = False
     # the last accepted (t, 1/max|y|) points, for the pole fit
-    ring = deque([(0.0, 1.0 / m)] if m > 0.0 else (), maxlen=_RING)
+    ring = deque(ring, maxlen=_RING)
 
     while True:
         clipped = h >= horizon - t
@@ -362,12 +325,15 @@ def integrate(y, kappa, n, c0, config, record):
 
 @functools.cache
 def _stepper(sys_id, d):
-    """The integrate function of system sys_id in dimension d.
+    """The resume function of system sys_id in dimension d.
 
-    It takes (y, kappa, n, c0, config, record) and returns the
-    Trajectory, keeping just the first and last points when record is
-    false.  Generated and compiled on first use, so importing the
-    package costs nothing for systems that are never integrated.
+    It takes a lane that _Stepper set up, as _Stepper.lane_state gives
+    it (t, y, k0, h, facold, last_rejected and the valid points of the
+    pole ring), then (kappa, n, c0, config, record).  It steps the lane
+    to config.horizon and returns the Trajectory from t on, keeping just
+    the first and last points when record is false.  Generated and
+    compiled on first use, so importing the package costs nothing for
+    systems that are never integrated.
     """
     rhs = SYSTEM_RHS[sys_id]
     comps = range(d)
@@ -398,7 +364,6 @@ def _stepper(sys_id, d):
         args=args,
         d=d,
         abs_y=", ".join(f"abs(y{j})" for j in comps),
-        k0_finite=" and ".join(f"isfinite(k0_{j})" for j in comps),
         stages="\n".join(stages),
         stages_finite=" and ".join(finite + [f"isfinite(z{j})" for j in comps]),
         errors="\n".join(errors),
@@ -406,7 +371,7 @@ def _stepper(sys_id, d):
     )
     namespace = dict(globals(), f=rhs, isfinite=math.isfinite, sqrt=math.sqrt)
     exec(source, namespace)
-    return namespace["integrate"]
+    return namespace["resume"]
 
 
 def integrate(
@@ -428,4 +393,11 @@ def integrate(
     """
     sys_id, dim, config = _check_call(system, kappa, n, c0, config)
     y0 = _as_state_vector(state0, dim)
-    return _stepper(sys_id, dim)(y0, float(kappa), float(n), float(c0), config, record)
+    # batch imports this module, so its engine is imported at the call.
+    from .batch import _rhs, _Stepper
+
+    kappa, n, c0 = float(kappa), float(n), float(c0)
+    lane = _Stepper(_rhs(sys_id, kappa=kappa, n=n, c0=c0), np.array(y0)[:, None], config)
+    if lane.at_pole[0]:
+        return _finish([0.0], [y0], record, "blowup_detected", 0.0)
+    return _stepper(sys_id, dim)(*lane.lane_state(0), kappa, n, c0, config, record)

@@ -288,6 +288,9 @@ NUMBERS = st.one_of(
 )
 
 
+HUGE = 10**20  # beyond sys.maxsize
+
+
 def _set(key, value):
     return ["--set", f"{key}={value}"]
 
@@ -398,6 +401,15 @@ def swirl_sweep_argv(draw):
                "--set", "profile.b=-2.6e284", "--set", "profile.c=-2.6e284"])
 @example(argv=["simulate", "--set", "simulate.n_chars=2", "--set", "profile.preset=quadratic",
                "--set", "profile.a=1e308"])
+# Integers out of range (beyond sys.maxsize, or a negative seed), rejected
+# at load, so none of them runs.
+@example(argv=["classify", "--set", "run.n=1" + "0" * 400])
+@example(argv=["simulate", "--set", f"simulate.n_chars={HUGE}"])
+@example(argv=["simulate", "--set", f"simulate.grid_size={HUGE}"])
+@example(argv=["simulate", "--set", f"simulate.n_snapshots={HUGE}"])
+@example(argv=["classify", "--set", f"classify.grid_size={HUGE}"])
+@example(argv=["sweep", "--set", f"sweep.axis1=lambda0, -2, 2, {HUGE}"])
+@example(argv=["validate", "--seed", "-1", "--set", "validate.suites=blowup_time_agreement"])
 def test_fuzzed_overrides_keep_the_error_contract(tmp_path_factory, argv):
     out = str(tmp_path_factory.mktemp("fuzz"))
     stderr = io.StringIO()

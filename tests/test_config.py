@@ -1,6 +1,7 @@
 """INI run configuration: parsing, precedence, and validation."""
 
 import re
+import sys
 import textwrap
 from dataclasses import fields
 
@@ -184,6 +185,15 @@ def test_malformed_file(tmp_path):
         ),
         (dict(sweep_axis1=SweepAxis("q0", 0, 1, 2)), "not valid for mode"),
         (dict(sweep_horizon=-3.0), "sweep.horizon"),
+        # Integers too large to size an array or make a float, and a
+        # seed np.random.default_rng refuses.
+        (dict(n=sys.maxsize + 1), f"run.n must be at most {sys.maxsize}"),
+        (dict(n_chars=sys.maxsize + 1), "simulate.n_chars must be at most"),
+        (dict(grid_size=sys.maxsize + 1), "simulate.grid_size must be at most"),
+        (dict(n_snapshots=sys.maxsize + 1), "simulate.n_snapshots must be at most"),
+        (dict(classify_grid_size=sys.maxsize + 1), "classify.grid_size must be at most"),
+        (dict(sweep_axis1=SweepAxis("lambda0", -2, 2, sys.maxsize + 1)), "count must be in"),
+        (dict(seed=-1), "run.seed"),
     ],
 )
 def test_validation_rejects_bad_values(attrs, msg):
@@ -260,3 +270,4 @@ def test_nan_is_rejected(key):
 def test_inf_is_rejected_naming_its_key(key):
     with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite and > 0, got inf")):
         load_run_config(set_args=[f"{key}=inf"])
+
