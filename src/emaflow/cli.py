@@ -373,8 +373,8 @@ def main(argv=None) -> int:
         # would break the single-line stderr contract.
         with np.errstate(all="ignore"):
             return args.func(config)
-    except (EmaflowError, OSError) as exc:
-        message = " ".join(str(exc).split())
+    except (EmaflowError, OSError, MemoryError) as exc:
+        message = " ".join(str(exc).split()) or "out of memory"
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 

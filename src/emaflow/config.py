@@ -44,6 +44,10 @@ POINTWISE_FIELDS = ("lambda0", "h0")
 # The horizon is set per command (simulate.t_end, sweep.horizon), so it
 # is no [integrator] key.
 INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorConfig) if f.name != "horizon")
+# The most characteristics, grid points, snapshots or axis points: 8 TiB
+# of float64.  Beyond about 2^60 NumPy fails other than by MemoryError.
+MAX_COUNT = 2**40
+COUNT_FIELDS = ("n_chars", "grid_size", "n_snapshots", "classify_grid_size")
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,7 @@ class RunConfig:
             # Both comparisons reject nan, and the upper one inf.  Above
             # sys.maxsize an integer sizes no NumPy array and makes no float.
             top = sys.maxsize if parse is _parse_int else sys.float_info.max
+            top = MAX_COUNT if name in COUNT_FIELDS else top
             if bound is not None and value is not None and not bound < value <= top:
                 limit = "finite" if parse is _parse_float else f"at most {top}"
                 raise ConfigError(f"{section}.{key} must be {limit} and > {bound}, got {value!r}")
@@ -96,8 +101,8 @@ class RunConfig:
         allowed = POINTWISE_FIELDS if self.sweep_mode == "pointwise_threshold" else SWIRL_FIELDS
         axes = {"sweep.axis1": self.sweep_axis1, "sweep.axis2": self.sweep_axis2}
         for key, axis in axes.items():
-            if not 1 <= axis.count <= sys.maxsize:
-                raise ConfigError(f"{key}: axis {axis.name!r} count must be in [1, {sys.maxsize}]")
+            if not 1 <= axis.count <= MAX_COUNT:
+                raise ConfigError(f"{key}: axis {axis.name!r} count must be in [1, {MAX_COUNT}]")
             if axis.count > 1 and not axis.hi > axis.lo:
                 raise ConfigError(
                     f"{key}: axis {axis.name!r} needs hi > lo for count > 1, "
@@ -156,7 +161,8 @@ def _parse_suites(section, key, raw):
 
 # Every fixed key: (section, key) -> (RunConfig field, parser, bound).
 # RunConfig.validate requires a field > bound, finite if a float and at
-# most sys.maxsize if an integer, unless the bound or the value is None.
+# most sys.maxsize (MAX_COUNT if a count) if an integer, unless the bound
+# or the value is None.
 # The open-ended keys ([profile] parameters, INTEGRATOR_KEYS and
 # SWIRL_FIELDS) are handled in _apply.
 KEYS = {

@@ -1,5 +1,5 @@
-"""Lane-batched Dormand-Prince 5(4) integration: one engine, which also
-sets up every run.
+"""Lane-batched Dormand-Prince 5(4) integration, and the one driver of
+every spectral run.
 
 _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
 for every live lane, toward that lane's own stop time, with the tableau,
@@ -14,21 +14,21 @@ min_step.
 
 _Stepper.__init__ is the one start of a run: the first derivative, the
 pole at t = 0, the initial step and the pole-ring seed are set there and
-nowhere else.  integrate sets its one lane up there and hands it
-(lane_state) to the generated scalar stepper, which resumes it.  Two
-drivers step the batch itself:
+nowhere else.  Two drivers step it:
 
-* integrate_batch steps every lane, one trajectory each, to
-  config.horizon and drops finished lanes from the working arrays, so
-  the cost of a step follows the lanes still running.  This is the
-  record=False contract of integrate: per lane, the termination kind,
-  the pole estimate, and the final time and state.  An attempt costs
-  about the same from one lane to a few dozen, and at one lane some 30
-  attempts of the scalar stepper, so the batch breaks even with a loop
-  of scalar calls at about 40 lanes: bounded qnu lanes at rel_tol 1e-9,
-  measured in October 2026 on a shared 2-core VM, where the break-even
-  stayed between 40 and 44 lanes over four runs while the absolute
-  costs moved by up to 40%.
+* _run drives every spectral run: integrate is _run of one lane and
+  integrate_batch of many.  It steps the lanes to config.horizon as a
+  batch while at least _HANDOFF are live, dropping finished lanes from
+  the working arrays, then hands each lane left (lane_state) to the
+  generated scalar stepper.  An attempt costs about the same from one
+  lane to a few dozen, and at one lane some 30 scalar attempts, so the
+  two break even at about 40 lanes, the hand-off point: bounded qnu
+  lanes at rel_tol 1e-9, measured in October 2026 on a shared 2-core
+  VM, where the break-even stayed between 40 and 44 lanes over four runs
+  while the absolute costs moved by up to 40%.  A lone lane, and a run
+  that records every step (the batch keeps none), is scalar from t = 0.
+  Both steppers do the same operations in the same order, so where a
+  lane is handed over changes no bit of its result.
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
   characteristic, and moves the stop from one output time to the next.
@@ -52,13 +52,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
 from .integrator import (
     _A, _BETA, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _RING, _SAFETY,
-    IntegratorConfig, _as_state_vector, _check_call, _pole_estimate,
+    IntegratorConfig, Trajectory, _finish, _pole_estimate, _stepper,
 )
-from .systems import SYSTEM_RHS
+from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
 
 __all__ = ["BatchResult", "integrate_batch"]
+
+# _run steps a batch while at least this many lanes are live: the break-even above.
+_HANDOFF = 40
 
 
 @dataclass(frozen=True)
@@ -290,6 +294,72 @@ class _Stepper:
         return _Attempt(accept, accept & clipped, underflow, pole, t_est)
 
 
+def _as_state_vector(state0, dim: int) -> list[float]:
+    if isinstance(state0, (SpectralState, SwirlState)):
+        values = state0.as_tuple()
+    else:
+        values = tuple(state0)
+    if len(values) != dim:
+        raise DomainError(f"state of length {len(values)} does not match system dimension {dim}")
+    out = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in out):
+        raise DomainError(f"initial state must be finite, got {out!r}")
+    return out
+
+
+def _head(y0, t, y):
+    # What the scalar stepper keeps of a lane at (t, y) with record=False:
+    # its start and, once it has moved, where it is now.
+    return ([0.0], [y0]) if t == 0.0 else ([0.0, t], [y0, y])
+
+
+def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
+    """Integrate every state of states0 from t = 0 to config.horizon.
+
+    The arguments mean what they mean for integrate.  Returns one
+    Trajectory per state, in order: the one integrate gives for that
+    state alone.
+    """
+    if system not in SYSTEM_DIMS:
+        raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
+    sys_id, dim = SYSTEM_DIMS[system]
+    check_positive("kappa", kappa)
+    check_dimension(n)
+    if not finite_real(c0):
+        raise DomainError(f"c0 must be a finite number, got {c0!r}")
+    cfg = IntegratorConfig() if config is None else config
+    if not isinstance(cfg, IntegratorConfig):
+        raise ConfigError(f"config must be an IntegratorConfig, got {type(cfg).__name__}")
+    rows = [_as_state_vector(s, dim) for s in states0]
+    runs = [None] * len(rows)
+    if not rows:
+        return runs
+    kappa, n, c0 = float(kappa), float(n), float(c0)
+    stepper = _Stepper(_rhs(sys_id, kappa=kappa, n=n, c0=c0), np.array(rows).T.copy(), cfg)
+    for i in np.flatnonzero(stepper.at_pole).tolist():
+        runs[i] = _finish([0.0], [rows[i]], record, "blowup_detected", 0.0)
+
+    while not record and stepper.lane.size >= _HANDOFF:
+        step = stepper.attempt()
+        done = step.landed | step.underflow | step.pole
+        if done.any():
+            for j in np.flatnonzero(done).tolist():
+                i = stepper.lane[j]
+                head = _head(rows[i], stepper.t[j].item(), stepper.y[:, j].tolist())
+                if step.pole[j]:
+                    runs[i] = _finish(*head, False, "blowup_detected", step.t_est[j].item())
+                else:
+                    kind = "step_underflow" if step.underflow[j] else "horizon_reached"
+                    runs[i] = _finish(*head, False, kind)
+            stepper.keep(~done)
+
+    for j, i in enumerate(stepper.lane.tolist()):
+        lane = stepper.lane_state(j)
+        resume = _stepper(sys_id, dim)
+        runs[i] = resume(*_head(rows[i], *lane[:2]), *lane, kappa, n, c0, cfg, record)
+    return runs
+
+
 def integrate_batch(
     system: str,
     states0,
@@ -304,40 +374,15 @@ def integrate_batch(
     states0 is a sequence of states (tuples, arrays, SpectralState or
     SwirlState), one per lane; system, kappa, n, c0 and config are
     shared by all lanes and mean what they mean for integrate.  Each
-    lane does the operations of the scalar kernel in its order, so it
-    ends where integrate(..., record=False) ends.
+    lane ends where integrate(..., record=False) ends it, bit for bit.
     """
-    sys_id, dim, cfg = _check_call(system, kappa, n, c0, config)
-    rows = [_as_state_vector(s, dim) for s in states0]
-    lanes = len(rows)
-    kinds = np.full(lanes, "horizon_reached", dtype=object)
-    t_est = np.full(lanes, math.nan)
-    t_end = np.zeros(lanes)
-    y_end = np.zeros((lanes, dim))
-    if lanes == 0:
-        return BatchResult((), t_est, t_end, y_end)
-
-    y0 = np.array(rows).T.copy()
-    stepper = _Stepper(_rhs(sys_id, kappa=float(kappa), n=float(n), c0=float(c0)), y0, cfg)
-    at_pole = stepper.at_pole
-    kinds[at_pole] = "blowup_detected"
-    t_est[at_pole] = 0.0
-    y_end[at_pole] = y0.T[at_pole]
-
-    while stepper.lane.size:
-        step = stepper.attempt()
-        done = step.landed | step.underflow | step.pole
-        if done.any():
-            ended = stepper.lane[done]
-            t_end[ended], t_est[ended] = stepper.t[done], step.t_est[done]
-            y_end[ended] = stepper.y[:, done].T
-            kinds[stepper.lane[step.underflow]] = "step_underflow"
-            kinds[stepper.lane[step.pole]] = "blowup_detected"
-            stepper.keep(~done)
-
+    runs = _run(system, states0, kappa, n, c0, config, record=False)
+    ends = [run.termination for run in runs]
     return BatchResult(
-        kinds=tuple(kinds.tolist()),
-        t_est=t_est,
-        final_time=t_end,
-        final_state=y_end,
+        kinds=tuple(end.kind for end in ends),
+        t_est=np.array([math.nan if end.t_est is None else end.t_est for end in ends]),
+        final_time=np.array([run.final_time for run in runs]),
+        final_state=np.array([run.final_state for run in runs]).reshape(
+            len(runs), SYSTEM_DIMS[system][1]
+        ),
     )

@@ -1,9 +1,9 @@
 """Adaptive integration of the characteristic ODE systems.
 
-integrate validates its inputs, with the checks it shares with
-integrate_batch, sets its one lane up in batch._Stepper, where every run
-starts, and hands it to the system's stepper, which resumes the lane and
-returns the Trajectory.
+integrate is a one-lane run of batch._run, the driver of every spectral
+run, which sets the lane up in batch._Stepper and hands it at once to
+the system's stepper below; it resumes the lane and returns the
+Trajectory.
 
 The stepper is a Dormand-Prince 5(4) embedded pair with the PI
 controller constants from the classical dopri5 code, plus two event
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
-from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
+from ..errors import ConfigError, DomainError
+from .systems import SYSTEM_RHS
 
 __all__ = [
     "IntegratorConfig",
@@ -173,39 +173,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _as_state_vector(state0, dim: int) -> list[float]:
-    if isinstance(state0, (SpectralState, SwirlState)):
-        values = state0.as_tuple()
-    else:
-        values = tuple(state0)
-    if len(values) != dim:
-        raise DomainError(f"state of length {len(values)} does not match system dimension {dim}")
-    out = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in out):
-        raise DomainError(f"initial state must be finite, got {out!r}")
-    return out
-
-
-def _check_call(system: str, kappa, n, c0, config) -> tuple[int, int, IntegratorConfig]:
-    """Validate the arguments shared by integrate and integrate_batch.
-
-    Returns (system id, dimension, config), with the default config
-    filled in.
-    """
-    if system not in SYSTEM_DIMS:
-        raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
-    sys_id, dim = SYSTEM_DIMS[system]
-    check_positive("kappa", kappa)
-    check_dimension(n)
-    if not finite_real(c0):
-        raise DomainError(f"c0 must be a finite number, got {c0!r}")
-    if config is None:
-        config = IntegratorConfig()
-    elif not isinstance(config, IntegratorConfig):
-        raise ConfigError(f"config must be an IntegratorConfig, got {type(config).__name__}")
-    return sys_id, dim, config
-
-
 def _fit_pole_time(ring):
     """Zero crossing of the least-squares line through the (t, 1/max|y|)
     points of ring.
@@ -247,7 +214,7 @@ def _finish(times, states, record, kind, t_est=None):
 # One resume function, for state components y0, y1, ...  The fields
 # in braces are the per-dimension pieces _stepper fills in.
 _SOURCE = """\
-def resume(t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, record):
+def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, record):
     rel_tol = config.rel_tol
     abs_tol = config.abs_tol
     max_step = config.max_step
@@ -256,8 +223,6 @@ def resume(t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, recor
     horizon = config.horizon
     {y}, = y
     {k0}, = k0
-    times = [t]
-    states = [({y},)]
     # the last accepted (t, 1/max|y|) points, for the pole fit
     ring = deque(ring, maxlen=_RING)
 
@@ -327,11 +292,12 @@ def resume(t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, recor
 def _stepper(sys_id, d):
     """The resume function of system sys_id in dimension d.
 
-    It takes a lane that _Stepper set up, as _Stepper.lane_state gives
-    it (t, y, k0, h, facold, last_rejected and the valid points of the
-    pole ring), then (kappa, n, c0, config, record).  It steps the lane
-    to config.horizon and returns the Trajectory from t on, keeping just
-    the first and last points when record is false.  Generated and
+    It takes the lane's record so far (times and states lists, which it
+    extends), the lane as _Stepper.lane_state gives it (t, y, k0, h,
+    facold, last_rejected and the valid ring points), then (kappa, n,
+    c0, config, record).  It steps the lane to config.horizon and returns
+    the Trajectory, keeping just the first and last points when record
+    is false.  Generated and
     compiled on first use, so importing the package costs nothing for
     systems that are never integrated.
     """
@@ -391,13 +357,7 @@ def integrate(
     record=False the trajectory keeps just the first and last accepted
     states, which is what sweeps and bisection want.
     """
-    sys_id, dim, config = _check_call(system, kappa, n, c0, config)
-    y0 = _as_state_vector(state0, dim)
-    # batch imports this module, so its engine is imported at the call.
-    from .batch import _rhs, _Stepper
+    # batch imports this module, so its driver is imported at the call.
+    from .batch import _run
 
-    kappa, n, c0 = float(kappa), float(n), float(c0)
-    lane = _Stepper(_rhs(sys_id, kappa=kappa, n=n, c0=c0), np.array(y0)[:, None], config)
-    if lane.at_pole[0]:
-        return _finish([0.0], [y0], record, "blowup_detected", 0.0)
-    return _stepper(sys_id, dim)(*lane.lane_state(0), kappa, n, c0, config, record)
+    return _run(system, [state0], kappa, n, c0, config, record)[0]

@@ -216,23 +216,6 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     )
 
 
-def _sigma_config(kappa, horizon, config) -> IntegratorConfig:
-    check_positive("kappa", kappa)
-    if horizon is None:
-        horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
-    return (config or IntegratorConfig()).replace(horizon=check_positive("horizon", horizon))
-
-
-def _sigma_verdict(kind: str, t_est, final_time: float, horizon: float) -> Verdict:
-    if kind == "horizon_reached":
-        return Verdict(regime="subcritical", horizon=horizon)
-    if kind == "blowup_detected":
-        return Verdict(regime="supercritical", t_blowup=float(t_est), horizon=horizon)
-    raise EmaflowError(
-        f"integration stalled ({kind}) at t = {final_time!r}; membership undecided"
-    )
-
-
 def sigma_membership(
     state0: SwirlState,
     kappa: float,
@@ -245,14 +228,10 @@ def sigma_membership(
     500/sqrt(kappa)).  Reaching it bounded gives a subcritical verdict,
     a detected pole gives supercritical with t_blowup = t_est; either
     way the verdict records the horizon, because boundedness beyond it
-    is not decided.
+    is not decided.  A stall (step underflow) raises EmaflowError.
+    This is sigma_membership_batch of the one state.
     """
-    config = _sigma_config(kappa, horizon, config)
-    trajectory = integrate("swirl", state0, kappa, config=config, record=False)
-    termination = trajectory.termination
-    return _sigma_verdict(
-        termination.kind, termination.t_est, trajectory.final_time, config.horizon
-    )
+    return sigma_membership_batch([state0], kappa, horizon, config)[0]
 
 
 def sigma_membership_batch(
@@ -261,20 +240,29 @@ def sigma_membership_batch(
     horizon: float | None = None,
     config: IntegratorConfig | None = None,
 ) -> list[Verdict]:
-    """sigma_membership of every state in states0, integrated as one batch.
+    """sigma_membership of every state in states0, in one integrate_batch.
 
     Returns one verdict per state, in order: the verdict
-    sigma_membership gives for that state alone.  A stalled lane raises
-    the same EmaflowError.
+    sigma_membership gives for that state alone, since a lane ends bit
+    for bit where it would alone.  A stalled lane raises the same
+    EmaflowError.
     """
-    config = _sigma_config(kappa, horizon, config)
+    check_positive("kappa", kappa)
+    if horizon is None:
+        horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
+    config = (config or IntegratorConfig()).replace(horizon=check_positive("horizon", horizon))
     result = integrate_batch("swirl", states0, kappa, config=config)
-    return [
-        _sigma_verdict(kind, t_est, final_time, config.horizon)
-        for kind, t_est, final_time in zip(
-            result.kinds, result.t_est.tolist(), result.final_time.tolist()
-        )
-    ]
+    verdicts = []
+    for kind, t_est, t_end in zip(result.kinds, result.t_est.tolist(), result.final_time.tolist()):
+        if kind == "horizon_reached":
+            verdicts.append(Verdict("subcritical", horizon=config.horizon))
+        elif kind == "blowup_detected":
+            verdicts.append(Verdict("supercritical", t_blowup=t_est, horizon=config.horizon))
+        else:
+            raise EmaflowError(
+                f"integration stalled ({kind}) at t = {t_end!r}; membership undecided"
+            )
+    return verdicts
 
 
 def sharpness_bisect(

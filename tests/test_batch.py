@@ -2,7 +2,9 @@
 
 The batch must end every lane where the scalar stepper behind
 ``integrate`` ends it, bit for bit: same termination kind, pole
-estimate, final time and state.
+estimate, final time and state.  The batch hands its last lanes to that
+stepper, so each test that means to step the batch sets the hand-off
+(batch._HANDOFF) to one lane, and one checks every hand-off point.
 """
 
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from emaflow.errors import ConfigError, DomainError
-from emaflow.spectral import IntegratorConfig, integrate, integrate_batch
+from emaflow.spectral import IntegratorConfig, batch, integrate, integrate_batch
 from emaflow.spectral.systems import SYSTEM_DIMS
 
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
@@ -69,12 +71,14 @@ def _path(kind, t_est, final_state, cfg):
     return "blowup_controller"
 
 
-def test_batch_matches_scalar_kernel():
+def test_batch_matches_scalar_kernel(monkeypatch):
     paths = set()
     systems = set()
     for system, overrides, n, c0, states in GROUPS:
         cfg = _config(overrides)
-        result = integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(batch, "_HANDOFF", 1)
+            result = integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)
         for lane, state in enumerate(states):
             kind, t_est, t_end, y_end = _scalar(system, state, n, c0, cfg)
             label = (system, state)
@@ -114,7 +118,8 @@ def _assert_same_lanes(got, want, lanes):
     np.testing.assert_array_equal(got.final_state[lanes], want.final_state)
 
 
-def test_lanes_are_independent():
+def test_lanes_are_independent(monkeypatch):
+    monkeypatch.setattr(batch, "_HANDOFF", 1)
     states = _lanes()
     cfg = IntegratorConfig(horizon=20.0)
     full = integrate_batch("swirl", states, 1.0, config=cfg)
@@ -125,6 +130,56 @@ def test_lanes_are_independent():
     order = np.random.default_rng(11).permutation(len(states))
     permuted = integrate_batch("swirl", [states[i] for i in order], 1.0, config=cfg)
     _assert_same_lanes(permuted, full, np.argsort(order))
+
+
+def _bits(result):
+    return (
+        result.kinds,
+        result.t_est.tobytes(),
+        result.final_time.tobytes(),
+        result.final_state.tobytes(),
+    )
+
+
+def _records(runs):
+    return [(run.times.tobytes(), run.states.tobytes(), run.termination) for run in runs]
+
+
+def test_handoff_point_changes_no_bit(monkeypatch):
+    # Batched to the end (hand-off at 1 lane), scalar from t = 0 (one
+    # more lane than the batch has) and every hand-off in between.  The
+    # driver's record of each lane (its start and end) is also the one
+    # integrate keeps for that state alone.
+    runs = [(system, states, n, c0, _config(overrides)) for system, overrides, n, c0, states in GROUPS]
+    runs.append(("swirl", _lanes(), 1, 0.0, IntegratorConfig(horizon=20.0)))
+    alone = [
+        _records(integrate(system, s, 1.0, n=n, c0=c0, config=cfg, record=False) for s in states)
+        for system, states, n, c0, cfg in runs
+    ]
+
+    moved, driven = [], []
+    lane_state, run = batch._Stepper.lane_state, batch._run
+
+    def handed(self, j):
+        state = lane_state(self, j)
+        moved.append(state[0] > 0.0)
+        return state
+
+    def kept(*args, **kwargs):
+        driven[:] = run(*args, **kwargs)
+        return driven
+
+    monkeypatch.setattr(batch._Stepper, "lane_state", handed)
+    monkeypatch.setattr(batch, "_run", kept)
+    for (system, states, n, c0, cfg), want in zip(runs, alone):
+        results = []
+        for handoff in range(1, len(states) + 2):
+            monkeypatch.setattr(batch, "_HANDOFF", handoff)
+            results.append(_bits(integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)))
+            assert _records(driven) == want, (system, states, handoff)
+        assert results == [results[0]] * len(results), (system, states)
+    # Some lanes were handed over part-way, not only at t = 0.
+    assert any(moved) and not all(moved)
 
 
 def test_empty_batch():

@@ -1,0 +1,35 @@
+"""The measurement scripts under benchmarks/ still run on the package.
+
+A script that stops matching the code it measures fails only when
+someone next runs it; these tests run each one on a toy input.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_simulate_memory_reports_every_layer():
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "simulate_memory.py"), "--",
+         "simulate", "--set", "simulate.n_chars=64", "--set", "simulate.grid_size=32"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # simulate prints its summary line before the script's JSON.
+    report = json.loads(proc.stdout[proc.stdout.index("\n{") + 1:])
+    assert report["exit_code"] == 0
+    mb = report["mb"]
+    assert set(mb) == {"import", "ensemble", "csv", "writer"}
+    for point in ("import", "ensemble", "csv"):
+        assert 0 < mb[point]["VmRSS"] <= mb[point]["VmHWM"]
+    assert mb["writer"]["maxrss"] > 0

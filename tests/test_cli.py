@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emaflow.cli import main
-from emaflow.config import SWIRL_FIELDS
+from emaflow.config import MAX_COUNT, SWIRL_FIELDS
 from emaflow.spectral import SwirlState
 from emaflow.threshold import sigma_membership
 
@@ -289,6 +289,9 @@ NUMBERS = st.one_of(
 
 
 HUGE = 10**20  # beyond sys.maxsize
+# Beyond config.MAX_COUNT, where NumPy would fail with an IndexError, a
+# ValueError ("array is too big") or an allocation error.
+COUNTS_BEYOND = (sys.maxsize, 2**60 - 1, 10**14)
 
 
 def _set(key, value):
@@ -401,8 +404,8 @@ def swirl_sweep_argv(draw):
                "--set", "profile.b=-2.6e284", "--set", "profile.c=-2.6e284"])
 @example(argv=["simulate", "--set", "simulate.n_chars=2", "--set", "profile.preset=quadratic",
                "--set", "profile.a=1e308"])
-# Integers out of range (beyond sys.maxsize, or a negative seed), rejected
-# at load, so none of them runs.
+# Integers out of range (beyond sys.maxsize, counts beyond MAX_COUNT, or
+# a negative seed), rejected at load, so none of them runs or allocates.
 @example(argv=["classify", "--set", "run.n=1" + "0" * 400])
 @example(argv=["simulate", "--set", f"simulate.n_chars={HUGE}"])
 @example(argv=["simulate", "--set", f"simulate.grid_size={HUGE}"])
@@ -410,6 +413,13 @@ def swirl_sweep_argv(draw):
 @example(argv=["classify", "--set", f"classify.grid_size={HUGE}"])
 @example(argv=["sweep", "--set", f"sweep.axis1=lambda0, -2, 2, {HUGE}"])
 @example(argv=["validate", "--seed", "-1", "--set", "validate.suites=blowup_time_agreement"])
+@example(argv=["simulate", "--set", f"simulate.n_chars={COUNTS_BEYOND[0]}"])
+@example(argv=["simulate", "--set", f"simulate.n_chars={COUNTS_BEYOND[1]}"])
+@example(argv=["simulate", "--set", f"simulate.n_chars={COUNTS_BEYOND[2]}"])
+@example(argv=["simulate", "--set", f"simulate.grid_size={COUNTS_BEYOND[0]}"])
+@example(argv=["simulate", "--set", f"simulate.n_snapshots={COUNTS_BEYOND[0]}"])
+@example(argv=["classify", "--set", f"classify.grid_size={COUNTS_BEYOND[0]}"])
+@example(argv=["sweep", "--set", f"sweep.axis1=lambda0, -2, 2, {COUNTS_BEYOND[0]}"])
 def test_fuzzed_overrides_keep_the_error_contract(tmp_path_factory, argv):
     out = str(tmp_path_factory.mktemp("fuzz"))
     stderr = io.StringIO()
@@ -419,6 +429,42 @@ def test_fuzzed_overrides_keep_the_error_contract(tmp_path_factory, argv):
             code = main(argv + ["--out", out])
     assert code in (0, 1, 2)
     assert len(stderr.getvalue().splitlines()) <= 1
+
+
+def _address_space_limit():
+    # 2 GiB of address space for the child: enough to import NumPy, far
+    # too little for any count near config.MAX_COUNT.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["simulate", "--set", f"simulate.n_chars={MAX_COUNT}"],
+        ["simulate", "--set", f"simulate.grid_size={MAX_COUNT}"],
+        ["simulate", "--set", f"simulate.n_snapshots={MAX_COUNT}"],
+        ["simulate", "--set", "simulate.n_chars=100000000000"],
+        ["classify", "--set", f"classify.grid_size={MAX_COUNT}"],
+        ["sweep", "--set", f"sweep.axis1=lambda0, -2, 2, {MAX_COUNT}",
+         "--set", "sweep.axis2=h0, 0, 0, 1"],
+    ],
+)
+def test_unaffordable_count_prints_one_error_line(tmp_path, sets):
+    # Counts within the bound that no memory holds end in a MemoryError,
+    # reported like any other error.  Only ever run under an
+    # address-space limit: without one the allocation might succeed.
+    proc = subprocess.run(
+        [sys.executable, "-m", "emaflow", *sets, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MemoryError: "), proc.stderr
 
 
 def test_overflowing_profile_prints_one_error_line(tmp_path):

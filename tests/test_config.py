@@ -10,6 +10,7 @@ import pytest
 from emaflow.config import (
     INTEGRATOR_KEYS,
     KEYS,
+    MAX_COUNT,
     POINTWISE_FIELDS,
     SWEEP_MODES,
     SWIRL_FIELDS,
@@ -194,6 +195,9 @@ def test_malformed_file(tmp_path):
         (dict(classify_grid_size=sys.maxsize + 1), "classify.grid_size must be at most"),
         (dict(sweep_axis1=SweepAxis("lambda0", -2, 2, sys.maxsize + 1)), "count must be in"),
         (dict(seed=-1), "run.seed"),
+        # Counts NumPy cannot size without an IndexError or ValueError.
+        (dict(n_chars=MAX_COUNT + 1), f"simulate.n_chars must be at most {MAX_COUNT}"),
+        (dict(sweep_axis1=SweepAxis("lambda0", -2, 2, MAX_COUNT + 1)), "count must be in"),
     ],
 )
 def test_validation_rejects_bad_values(attrs, msg):

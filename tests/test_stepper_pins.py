@@ -38,7 +38,9 @@ def test_ensemble_run_is_bitwise_pinned():
 def test_batch_lanes_accepting_together_then_apart_are_bitwise_pinned(monkeypatch):
     # Nearby bounded qnu lanes accept in step for many attempts, so an
     # attempt where every live lane accepts and one where only some do
-    # both occur; a blowup lane leaves the batch part-way.
+    # both occur; a blowup lane leaves the batch part-way.  Nine lanes
+    # are below the hand-off, so the batch is made to step to the end.
+    monkeypatch.setattr(batch, "_HANDOFF", 1)
     attempt = batch._Stepper.attempt
     every, some = [], []
 
