@@ -21,11 +21,14 @@ size of the writer process, the ru_maxrss of RUSAGE_CHILDREN once it
 has been reaped (this process starts no other child).  It counts the
 pages the writer shares with this process from the fork.  Outputs go
 to a temporary directory unless the arguments give --out.  Prints one
-JSON object with the figures in MB (2^20 bytes) and the exit code.
+JSON object with the figures in MB (2^20 bytes) and the exit code, and
+nothing else: simulate's own summary line is discarded.
 Linux only.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -74,7 +77,8 @@ def main():
     cli._write_blocks = measured_write_blocks
     with tempfile.TemporaryDirectory() as tmp:
         out = [] if "--out" in args else ["--out", tmp]
-        code = cli.main(args + out)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(args + out)
     print(json.dumps({"args": " ".join(args), "exit_code": code, "mb": points}, indent=1))
 
 

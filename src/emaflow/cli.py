@@ -24,6 +24,7 @@ the float block of each output time, sent as raw bytes over a pipe.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,30 +51,34 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows):
-    # Rows are written as they come, to a temporary file beside path
-    # that replaces it only once every row is written: an error while
-    # rows are produced leaves path as it was.
+@contextlib.contextmanager
+def _replacing(path: Path):
+    # Every output is written to the temporary file beside path that
+    # this yields, which replaces path only once the block completes: an
+    # error while the output is produced or written leaves path as it was.
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as out:
-            out.write(",".join(header) + "\n")
-            out.writelines(",".join(row) + "\n" for row in rows)
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_csv(path: Path, header, rows):
+    # Rows are written as they come.
+    with _replacing(path) as tmp, tmp.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_blocks(path: Path, header, blocks):
     # A CSV of float blocks, formatted in a forked writer process while
     # this process produces the blocks.  blocks yields (t, block) pairs,
     # block a float64 array of len(header) - 1 columns; each of its rows
-    # becomes the line `t,x0,x1,...`, every float in repr.  As with
-    # _write_csv, the rows go to a temporary file beside path, which
-    # replaces it only once the writer has written every row and exited
-    # 0: an error in either process leaves path as it was.
-    tmp = path.with_name(path.name + ".tmp")
-    try:
+    # becomes the line `t,x0,x1,...`, every float in repr.  path is
+    # replaced only once the writer has written every row and exited 0:
+    # an error in either process leaves path as it was.
+    with _replacing(path) as tmp:
         pid, data, err = _start_writer(tmp, header)
         try:
             for t, block in blocks:
@@ -90,9 +95,6 @@ def _write_blocks(path: Path, header, blocks):
         if code != 0:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
             raise WorkerError(f"the snapshot writer process {how}" + (reason and f": {reason}"))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _start_writer(tmp: Path, header):
@@ -158,7 +160,8 @@ def _writer(data, out, err, header, parent_ends):
 
 def _write_json(path: Path, payload) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
     return text
 
 

@@ -7,8 +7,9 @@ gradient factor
     lam(t) = (1 - h0) + h0 cos(sqrt(kappa) t) + lambda0 sin(sqrt(kappa) t)/sqrt(kappa)
 
 has no positive root.  Both views are implemented: the predicate
-directly, and the first root in closed form via the phase-shift
-reduction A cos(s - delta) = -(1 - h0).  Floating-point equality at the
+directly, and the first root in closed form.  In tau = tan(sqrt(kappa) t/2),
+lam = 0 is (1/2 - h0) tau^2 + (lambda0/sqrt(kappa)) tau + 1/2 = 0, whose
+discriminant is -threshold_margin/kappa.  Floating-point equality at the
 threshold is surfaced as a distinct 'boundary' verdict rather than
 silently rounded to either side.
 """
@@ -86,11 +87,13 @@ def threshold_margin(lambda0: float, h0: float, kappa: float) -> float:
 def classify_point(lambda0: float, h0: float, kappa: float) -> Verdict:
     """Strict-threshold verdict for one spectral pair.
 
-    boundary is reported when |margin| <= TOL_BOUNDARY * max(1, kappa);
+    boundary is reported when |margin| <= TOL_BOUNDARY * scale, where the
+    scale kappa |1 - 2 h0| + lambda0^2 of the margin's terms is finite;
     supercritical verdicts carry the closed-form blowup time.
     """
     margin = threshold_margin(lambda0, h0, kappa)
-    if abs(margin) <= TOL_BOUNDARY * max(1.0, kappa):
+    scale = kappa * abs(1.0 - 2.0 * h0) + lambda0 * lambda0
+    if math.isfinite(scale) and abs(margin) <= TOL_BOUNDARY * scale:
         return Verdict(regime="boundary")
     if margin > 0.0:
         return Verdict(regime="subcritical")
@@ -103,35 +106,25 @@ def classify_point(lambda0: float, h0: float, kappa: float) -> Verdict:
 def blowup_time_closed_form(lambda0: float, h0: float, kappa: float) -> float | None:
     """Smallest t > 0 with lam(t) = 0, or None when no root exists.
 
-    Writing s = sqrt(kappa) t, the root condition is
-    A cos(s - delta) = -(1 - h0) with A = sqrt(h0^2 + lambda0^2/kappa)
-    and delta = atan2(lambda0/sqrt(kappa), h0).  Candidates are
-    delta +- arccos(-(1-h0)/A) + 2 pi k; the smallest positive one is
-    returned.  Any root lies within one period, so t <= 2 pi/sqrt(kappa).
+    With s = sqrt(kappa) t, tan(s/2) is a root of a tau^2 + b tau + c,
+    a = 1/2 - h0, b = lambda0/sqrt(kappa), c = 1/2: q/a or c/q, where
+    q = -(b + sign(b) sqrt(b^2 - 4ac))/2 does not cancel.  Each root
+    gives one s in (0, 2 pi); the smallest, over sqrt(kappa), is returned.
     """
     _check_point(lambda0, h0, kappa)
     sk = math.sqrt(kappa)
-    amp = math.hypot(h0, lambda0 / sk)
-    if amp == 0.0:
-        return None  # lam is identically 1
-    target = -(1.0 - h0) / amp
-    if target < -1.0:
-        # Strictly subcritical unless the excess is round-off at a tangency.
-        if target < -1.0 - 1e-12:
-            return None
-        target = -1.0
-    elif target > 1.0:
-        target = 1.0
-    delta = math.atan2(lambda0 / sk, h0)
-    alpha = math.acos(target)
-    best = None
-    for base in (delta - alpha, delta + alpha):
-        for k in (-1, 0, 1, 2):
-            s = base + 2.0 * math.pi * k
-            if s > 1e-12 and (best is None or s < best):
-                best = s
-    # lam(0) = 1, so a sign change within one period guarantees best exists.
-    return best / sk
+    a, b = 0.5 - h0, lambda0 / sk
+    # Dividing by a power of two is exact and keeps b^2 - 4ac finite.
+    e = max(math.frexp(a)[1], math.frexp(b)[1], 0)
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(0.5, -e)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    # A root y/x is tan(s/2) for the s/2 in (0, pi) of the point
+    # (|y|, sign(y) x).  Only q/a = 0/0, at (0, 1/2), gives no s > 0.
+    phases = [2.0 * math.atan2(abs(y), x if y >= 0.0 else -x) for y, x in ((q, a), (c, q))]
+    return min(s for s in phases if s > 0.0) / sk
 
 
 def default_classification_grid(profile: RadialProfile, size: int = 512) -> np.ndarray:
@@ -190,12 +183,13 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     _check_point(float(lam_pts[first_bad]), float(h_pts[first_bad]), kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         margin = kappa * (1.0 - 2.0 * h) - lam * lam
-    m_pts = judged(margin)
-    boundary = np.abs(m_pts) <= TOL_BOUNDARY * max(1.0, kappa)
+        scale = judged(kappa * np.abs(1.0 - 2.0 * h) + lam * lam)
+        m_pts = judged(margin)
+        boundary = np.isfinite(scale) & (np.abs(m_pts) <= TOL_BOUNDARY * scale)
     above = m_pts > 0.0
     failing = np.flatnonzero(boundary | ~above)
-    # The scalar closed form, point by point: np.arccos may differ from
-    # math.acos by an ulp.
+    # The scalar closed form, point by point: np.arctan2 may differ from
+    # math.atan2 by an ulp.
     times = [
         classify_point(float(lam_pts[k]), float(h_pts[k]), kappa).t_blowup
         for k in np.flatnonzero(~boundary & ~above)

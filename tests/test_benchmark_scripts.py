@@ -25,8 +25,7 @@ def test_simulate_memory_reports_every_layer():
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    # simulate prints its summary line before the script's JSON.
-    report = json.loads(proc.stdout[proc.stdout.index("\n{") + 1:])
+    report = json.loads(proc.stdout)
     assert report["exit_code"] == 0
     mb = report["mb"]
     assert set(mb) == {"import", "ensemble", "csv", "writer"}

@@ -106,6 +106,46 @@ def test_classify_boundary_tuned(tmp_path, capsys):
     assert verdict["class"] == "boundary"
 
 
+def test_classify_writes_the_first_root_at_a_steep_gradient(tmp_path, capsys):
+    # u0'(0) = -1e13: lam = 1 - 1e13 sin t first vanishes at t = 1e-13.
+    out = str(tmp_path / "cl")
+    code, _, _ = run_cli(
+        [
+            "classify", "--out", out,
+            "--set", "profile.preset=quadratic",
+            "--set", "profile.c=-1e13",
+        ],
+        capsys,
+    )
+    assert code == 0
+    verdict = json.loads((tmp_path / "cl" / "verdict.json").read_text())
+    assert (verdict["class"], verdict["t_blowup"]) == ("supercritical", 1e-13)
+
+
+def _file_size_limit():
+    # Python ignores SIGXFSZ, so a write past the limit fails with EFBIG.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+
+
+def test_json_output_is_replaced_only_when_complete(tmp_path, capsys):
+    out = tmp_path / "cl"
+    assert run_cli(["classify", "--out", str(out)], capsys)[0] == 0
+    before = (out / "verdict.json").read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emaflow", "classify", "--out", str(out), *CANONICAL],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_file_size_limit,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: OSError: [Errno 27] File too large"]
+    assert (out / "verdict.json").read_bytes() == before
+    assert sorted(path.name for path in out.iterdir()) == ["verdict.json"]
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -125,6 +165,21 @@ def test_sweep_single_cell(tmp_path, capsys):
     assert lines[0] == "lambda0,h0,regime,t_blowup"
     assert lines[1] == "0.0,0.0,subcritical,"
     assert len(lines) == 2
+
+
+def test_sweep_writes_the_first_root_at_a_steep_gradient(tmp_path, capsys):
+    out = str(tmp_path / "sw")
+    code, _, _ = run_cli(
+        [
+            "sweep", "--out", out,
+            "--set", "sweep.axis1=lambda0, -1e13, -1e13, 1",
+            "--set", "sweep.axis2=h0, 0, 0, 1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "-10000000000000.0,0.0,supercritical,1e-13"
 
 
 SWEEP_ARGS = [

@@ -63,6 +63,88 @@ def test_closed_form_times():
     )
 
 
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "lambda0,h0,kappa,want",
+    [
+        # the first zero of 1 - 1e13 sin t, not the one near pi
+        (-1e13, 0.0, 1.0, 1e-13),
+        # (1 - 1e200) + 1e200 cos t: 1 - cos t = 1e-200
+        (0.0, 1e200, 1.0, 1.414213562373095e-100),
+        # b^2 - (1 - 2 h0) overflows unless the quadratic is scaled
+        (1e308, -1e308, 1.0, 3.0 * math.pi / 2.0),
+        (1e200, -1e300, 1e10, 6.283185307179586e-05),
+    ],
+)
+def test_closed_form_pins_at_extreme_scales(lambda0, h0, kappa, want):
+    assert blowup_time_closed_form(lambda0, h0, kappa) == want
+
+
+@given(
+    ratio=st.floats(min_value=1.0 + 1e-6, max_value=1e15),
+    kappa=st.floats(min_value=1e-3, max_value=1e3),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_closed_form_matches_the_arcsine_at_zero_height(ratio, kappa, sign):
+    # h0 = 0: lam = 1 + (lambda0/sqrt(kappa)) sin(sqrt(kappa) t).
+    sk = math.sqrt(kappa)
+    lambda0 = sign * ratio * sk
+    x = sk / abs(lambda0)
+    s = math.asin(x) if lambda0 < 0.0 else math.pi + math.asin(x)
+    want = s / sk
+    # Near the parabola the root itself is ill-conditioned: a relative
+    # change e in lambda0 moves s by e x / sqrt(1 - x^2), which rounding
+    # the oracle's own x already does.  Away from it cond is at most 1.
+    cond = x / (s * math.sqrt((1.0 - x) * (1.0 + x)))
+    assert _ulps(blowup_time_closed_form(lambda0, 0.0, kappa), want) <= 4.0 * max(1.0, cond)
+
+
+@given(
+    h0=st.floats(min_value=1.0, max_value=1e12),
+    kappa=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_closed_form_matches_the_arcsine_at_zero_gradient(h0, kappa):
+    # lambda0 = 0: lam = 0 where 1 - cos s = 1/h0, i.e. sin(s/2) = 1/sqrt(2 h0).
+    want = 2.0 * math.asin(1.0 / math.sqrt(2.0 * h0)) / math.sqrt(kappa)
+    assert _ulps(blowup_time_closed_form(0.0, h0, kappa), want) <= 4.0
+
+
+def test_boundary_band_is_relative_to_the_margin_terms():
+    # kappa(1 - 2 h0) and lambda0^2 are both about 2e6 here, so their
+    # difference is round-off at the parabola, on either side of it.
+    lambda0 = 1414.2139159264414
+    assert classify_point(lambda0, -1e6, 1.0).regime == "boundary"
+    assert classify_point(math.nextafter(lambda0, math.inf), -1e6, 1.0).regime == "boundary"
+    # Where those terms overflow there is no band: the sign decides.
+    assert classify_point(1e200, 0.0, 1.0).regime == "supercritical"
+    assert classify_point(0.0, -1e300, 1e300).regime == "subcritical"
+
+
+def test_verdicts_are_invariant_under_the_paper_scaling(rng):
+    # (lambda0, kappa, t) -> (s lambda0, s^2 kappa, t/s) maps solutions of
+    # the spectral dynamics to solutions; with s a power of two every
+    # float in the verdict scales exactly.  Points lie at a relative
+    # distance 1e-14 .. 1e-6 from the parabola, across the boundary band.
+    regimes = set()
+    for _ in range(2000):
+        kappa = 10.0 ** rng.uniform(-2.0, 2.0)
+        h0 = rng.uniform(-2.0, 0.4)
+        eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -6.0)
+        lambda0 = rng.choice((-1.0, 1.0)) * math.sqrt(kappa * (1.0 - 2.0 * h0)) * (1.0 + eps)
+        verdict = classify_point(lambda0, h0, kappa)
+        regimes.add(verdict.regime)
+        for k in range(-8, 9):
+            s = 2.0**k
+            scaled = classify_point(s * lambda0, h0, s * s * kappa)
+            assert scaled.regime == verdict.regime
+            if verdict.t_blowup is not None:
+                assert scaled.t_blowup == verdict.t_blowup / s
+    assert regimes == {"subcritical", "supercritical", "boundary"}
+
+
 @given(lambda0=lambdas, h0=heights, kappa=kappas)
 def test_regime_is_even_in_lambda(lambda0, h0, kappa):
     assert classify_point(lambda0, h0, kappa).regime == (
