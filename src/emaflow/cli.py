@@ -184,8 +184,8 @@ def cmd_simulate(config: RunConfig) -> int:
     outdir = _outdir(config)
 
     # Each output time is sent to the writer and folded into the
-    # diagnostics, then dropped, so memory does not grow with the number
-    # of snapshots.
+    # diagnostics, then dropped before the ensemble steps on, so memory
+    # does not grow with the number of snapshots.
     times, integrands = [], []
     path_drift = density_drift = 0.0
     bound_margin = None
@@ -202,6 +202,7 @@ def cmd_simulate(config: RunConfig) -> int:
             density_drift = max(density_drift, density)
             _, margin = gradient_bound_check(snap)
             bound_margin = margin if bound_margin is None else min(bound_margin, margin)
+            del snap, state, columns
 
     _write_blocks(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), blocks())
 

@@ -11,8 +11,12 @@ The dynamics is systems.rhs_characteristics.
 The ensemble is one lane of the batched Dormand-Prince engine in
 spectral/batch.py: its state is the seven field rows, each contiguous,
 flattened into one column, so a single step size and error norm span
-every characteristic.  Steps land exactly on the requested output
-times, where Eulerian fields are interpolated onto a fixed grid with a
+every characteristic.  It steps straight to t_end; the output times do
+not steer the steps.  The state at an output time inside a step comes
+from the method's fourth-order continuous extension (Hairer, Norsett &
+Wanner, Solving ODEs I, II.6), formed from the stages the step already
+holds, and an output time on a step's end takes that step's state.
+There the Eulerian fields are interpolated onto a fixed grid with a
 monotone cubic (no overshoot near steep gradients): PCHIP, written here
 in NumPy with the arithmetic of scipy.interpolate.PchipInterpolator, so
 the package needs NumPy alone at run time.  EnsembleRun hands out each
@@ -24,6 +28,7 @@ fields to its writer process.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +214,9 @@ class EnsembleRun:
     stepping.  Iterating steps the ensemble from t = 0, yielding
     (snapshot, state) at each output time in order, state being the
     (m, 7) array of characteristic rows (columns r, u, p, q, mu, nu, g).
+    The steps go to t_end whatever the output times are; a state inside
+    a step is its dense output, which must pass the checks of a step's
+    end (the crossing check and the blowup magnitude) to be yielded.
     Nothing is kept between output times, so a consumer that drops each
     pair needs memory for one output time only.  termination is None
     until an iteration ends, then says how it ended.  seeds are the
@@ -248,6 +256,8 @@ class EnsembleRun:
         output_times = np.unique(np.asarray(output_times, dtype=float))
         if output_times.size == 0:
             raise ConfigError("output_times is empty")
+        if not np.isfinite(output_times).all():
+            raise ConfigError("output_times must be finite")
         if output_times[0] < 0 or output_times[-1] > t_end:
             raise ConfigError(f"output_times must lie in [0, {t_end!r}]")
 
@@ -257,8 +267,13 @@ class EnsembleRun:
             grid = np.linspace(0.0, profile.r_max, grid_size)
         else:
             grid = np.asarray(grid, dtype=float)
-            if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-                raise ConfigError("grid must be a nonempty strictly increasing 1-d array")
+            if (
+                grid.ndim != 1
+                or grid.size == 0
+                or not np.isfinite(grid).all()
+                or np.any(np.diff(grid) <= 0)
+            ):
+                raise ConfigError("grid must be a nonempty strictly increasing finite 1-d array")
 
         fields = _initial_fields(profile, seeds)
         rho0 = np.asarray(derive_density(profile, seeds), dtype=float)
@@ -284,50 +299,65 @@ class EnsembleRun:
         kappa = profile.kappa
         n = profile.dimension
         m = self.seeds.size
-        t_end = self._config.horizon
+        blowup_magnitude = self._config.blowup_magnitude
+        pending = deque(float(x) for x in self._output_times)
 
-        def output(t: float, current: np.ndarray):
-            current = current.copy()
-            return _snapshot(profile, t, current, grid), current.T
+        def crossing(t: float, state: np.ndarray):
+            if np.any(np.diff(state[0]) <= 0.0):
+                if self._raise_on_crossing:
+                    raise CrossingDetected(f"characteristics crossed at t = {t!r}")
+                return Termination(kind="crossing_detected", t_est=t)
+            return None
 
-        stops = [float(x) for x in self._output_times if x > 0.0]
-        if not stops or stops[-1] < t_end:
-            stops.append(t_end)
-        emit_set = set(float(x) for x in self._output_times)
-        if 0.0 in emit_set:
-            yield output(0.0, fields)
+        def output(t: float, state: np.ndarray):
+            return _snapshot(profile, t, state, grid), state.T
+
+        if pending[0] == 0.0:
+            yield output(pending.popleft(), fields.copy())
 
         def f(y, out):
             rows = rhs_characteristics(y.reshape(7, m, -1), kappa, n)
             for row, value in zip(out.reshape(7, m, -1), rows):
                 row[...] = value
 
-        # One lane; the blowup test watches the p, q, mu, nu rows only.
+        # One lane, stepped to t_end; the blowup test watches the p, q,
+        # mu, nu rows only.
         stepper = _Stepper(f, fields.reshape(-1, 1), self._config, watch=slice(2 * m, 6 * m))
         if stepper.at_pole[0]:
             return Termination(kind="blowup_detected", t_est=0.0)
-        stepper.stop[0] = stops[0]
         while True:
+            t_old = float(stepper.t[0])
             step = stepper.attempt()
             if step.underflow[0]:
                 return Termination(kind="step_underflow")
+            t, h = float(stepper.t[0]), float(step.h[0])
+            # Output times inside an accepted step come from its dense
+            # output and are checked as a step's end is.  No state is held
+            # past its yield, which would keep it alive through the next
+            # attempt.
+            while step.accepted[0] and pending and pending[0] < t:
+                tau = pending.popleft()
+                state = stepper.dense((tau - t_old) / h, h).reshape(7, m)
+                if np.abs(state[2:6]).max() > blowup_magnitude:
+                    t_est = float(step.t_est[0]) if step.pole[0] else tau
+                    return Termination(kind="blowup_detected", t_est=t_est)
+                end = crossing(tau, state)
+                if end is not None:
+                    return end
+                yield output(tau, state)
+                del state
             if step.pole[0]:
                 return Termination(kind="blowup_detected", t_est=float(step.t_est[0]))
             if not step.accepted[0]:
                 continue
-            t = float(stepper.t[0])
-            current = stepper.y.reshape(7, m)
-            if np.any(np.diff(current[0]) <= 0.0):
-                if self._raise_on_crossing:
-                    raise CrossingDetected(f"characteristics crossed at t = {t!r}")
-                return Termination(kind="crossing_detected", t_est=t)
+            # The step's own end.
+            end = crossing(t, stepper.y.reshape(7, m))
+            if end is not None:
+                return end
+            if pending and pending[0] == t:
+                yield output(pending.popleft(), stepper.y.reshape(7, m).copy())
             if step.landed[0]:
-                stops.pop(0)
-                if t in emit_set:
-                    yield output(t, current)
-                if not stops:
-                    return Termination(kind="horizon_reached")
-                stepper.stop[0] = stops[0]
+                return Termination(kind="horizon_reached")
 
 
 def advance_ensemble(
@@ -345,18 +375,21 @@ def advance_ensemble(
     """Advance the characteristic ensemble to t_end.
 
     Snapshots are emitted at output_times (default: 9 uniform times
-    including 0 and t_end).  Integration ends early with termination
+    including 0 and t_end), which do not change the steps taken: a time
+    inside a step is read off the step's dense output, a time on its end
+    is the step's own state.  Integration ends early with termination
     kind 'blowup_detected' when any spectral component exceeds the
-    blowup magnitude (t_est extrapolated as in the spectral kernels)
-    or 'crossing_detected' when the radial ordering of adjacent
-    characteristics breaks; with raise_on_crossing=True the latter
-    raises CrossingDetected instead.  A start that is already a pole,
-    with a spectral component beyond the blowup magnitude or a
-    non-finite derivative, ends as 'blowup_detected' with t_est = 0
-    after the t = 0 snapshot and without a step.  Initial data or a
-    density that is not finite raises DomainError.  config.horizon is
-    ignored here, t_end plays its role.  This collects every output of
-    one EnsembleRun.
+    blowup magnitude (t_est extrapolated as in the spectral kernels, or
+    the output time where only the dense output exceeds it) or
+    'crossing_detected' when the radial ordering of adjacent
+    characteristics breaks, at a step's end or at an output time; with
+    raise_on_crossing=True the latter raises CrossingDetected instead.
+    A start that is already a pole, with a spectral component beyond
+    the blowup magnitude or a non-finite derivative, ends as
+    'blowup_detected' with t_est = 0 after the t = 0 snapshot and
+    without a step.  Initial data or a density that is not finite
+    raises DomainError.  config.horizon is ignored here, t_end plays
+    its role.  This collects every output of one EnsembleRun.
     """
     run = EnsembleRun(
         profile,

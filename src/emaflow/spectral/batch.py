@@ -2,7 +2,7 @@
 every spectral run.
 
 _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
-for every live lane, toward that lane's own stop time, with the tableau,
+for every live lane, toward config.horizon, with the tableau,
 PI controller constants and event rules of the scalar stepper
 (``integrator``) applied elementwise.  Each lane owns its time, step
 size, controller memory and pole-fit ring; no value ever crosses from
@@ -31,11 +31,14 @@ nowhere else.  Two drivers step it:
   lane is handed over changes no bit of its result.
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
   one lane, so step size and error norm are shared by every
-  characteristic, and moves the stop from one output time to the next.
-  Its state has some 10^5 rows, so an attempt costs its passes over
-  them: the derivative rows are written straight into the stage array,
-  the sums are formed in place, and an attempt that every live lane
-  accepts takes the new state and k0 without a masked copy.
+  characteristic, steps it to config.horizon and reads its output
+  times off dense() after each accepted step.  Its state has some 10^5
+  rows, so an attempt costs its passes over them: the derivative rows
+  are written straight into the stage arrays, the sums are formed in
+  place, an attempt that every live lane accepts takes the new state
+  without a masked copy and swaps the stage buffers for the next k0,
+  and the stages are tested for finiteness one by one only where the
+  error norm is not finite.
 
 Both drivers step in the caller's process; the batch starts no thread
 or process.
@@ -54,7 +57,7 @@ import numpy as np
 
 from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
 from .integrator import (
-    _A, _BETA, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _RING, _SAFETY,
+    _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _RING, _SAFETY,
     IntegratorConfig, Trajectory, _finish, _pole_estimate, _stepper,
 )
 from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
@@ -133,11 +136,12 @@ def _initial_step(f, y, f0, cfg):
 class _Attempt(NamedTuple):
     """Outcome of one _Stepper.attempt, over the lanes live before it.
 
-    landed lanes accepted a step that ends exactly on their stop;
-    underflow and pole lanes have ended, and t_est holds the pole time
-    of each pole lane (nan elsewhere).
+    h is the step each lane tried; landed lanes accepted a step that
+    ends exactly on config.horizon; underflow and pole lanes have ended,
+    and t_est holds the pole time of each pole lane (nan elsewhere).
     """
 
+    h: np.ndarray
     accepted: np.ndarray
     landed: np.ndarray
     underflow: np.ndarray
@@ -145,19 +149,28 @@ class _Attempt(NamedTuple):
     t_est: np.ndarray
 
 
+def _stages_finite(stages):
+    """Lanes where every (d, lanes) array of stages is finite throughout."""
+    finite = np.isfinite(stages[0]).all(axis=0)
+    for stage in stages[1:]:
+        finite &= np.isfinite(stage).all(axis=0)
+    return finite
+
+
 class _Stepper:
     """Resumable DP5(4) state of a (d, lanes) batch, stepped by attempt().
 
     f(y, out) writes the derivative of a (d, lanes) state y into out, an
-    array of y's shape (a stage of the k array).  watch selects
+    array of y's shape (a stage of the k list).  watch selects
     the rows whose magnitude is tested against config.blowup_magnitude
     and fed to the pole fit.  A lane whose start has a non-finite
     derivative or a watched magnitude beyond the threshold is a pole at
-    t = 0: it is flagged in at_pole and never stepped.  lane holds the
-    input index of each live lane, stop its stop time (config.horizon
-    until a driver moves it); keep() drops lanes a driver is done with.
-    lane_state(j) gives live lane j to the generated scalar stepper,
-    which resumes it toward config.horizon.
+    t = 0: it is flagged in at_pole and never stepped.  Every lane steps
+    toward config.horizon.  lane holds the input index of each live
+    lane; keep() drops lanes a driver is done with.  lane_state(j) gives
+    live lane j to the generated scalar stepper, which resumes it toward
+    config.horizon.  dense() gives the state inside the step an attempt
+    took, when every lane accepted it.
     """
 
     @np.errstate(all="ignore")
@@ -169,10 +182,14 @@ class _Stepper:
         self.at_pole = ~np.isfinite(k[0]).all(axis=0) | (m0 > cfg.blowup_magnitude)
         live = ~self.at_pole
         self.lane = np.flatnonzero(live)
-        self.y, self.k, m0 = y0[:, live], k[:, :, live], m0[live]
+        self.y, m0 = y0[:, live], m0[live]
+        # Seven views of one block.  Freeing the start block k also lifts
+        # glibc's dynamic mmap threshold above a state array, so the
+        # attempts' temporaries reuse heap pages: with seven separate
+        # arrays the ensemble took ten times the page faults.
+        self.k = list(k[:, :, live])
         self.h = _initial_step(f, self.y, self.k[0], cfg)
         self.t = np.zeros(self.lane.size)
-        self.stop = np.full(self.lane.size, cfg.horizon)
         self.facold = np.full(self.lane.size, 1e-4)
         self.last_rejected = np.zeros(self.lane.size, dtype=bool)
         # Right-aligned ring of the last accepted (t, 1/max|y|); the
@@ -191,16 +208,37 @@ class _Stepper:
         """Live lane j as plain floats, in the order the generated scalar
         stepper takes it: t, y, k0, h, facold, last_rejected, ring."""
         return (
-            self.t[j].item(), self.y[:, j].tolist(), self.k[0, :, j].tolist(), self.h[j].item(),
+            self.t[j].item(), self.y[:, j].tolist(), self.k[0][:, j].tolist(), self.h[j].item(),
             self.facold[j].item(), bool(self.last_rejected[j]), self._ring(j),
         )
 
     def keep(self, live):
         """Drop every lane where the mask live is false."""
-        for name in ("lane", "t", "h", "stop", "facold", "last_rejected", "count"):
+        for name in ("lane", "t", "h", "facold", "last_rejected", "count"):
             setattr(self, name, getattr(self, name)[live])
-        self.y, self.k = self.y[:, live], self.k[:, :, live]
+        self.y, self.k = self.y[:, live], [stage[:, live] for stage in self.k]
         self.ring_t, self.ring_u = self.ring_t[:, live], self.ring_u[:, live]
+
+    def dense(self, theta, h):
+        """The state at fraction theta of the step h that the last attempt
+        took, when every lane accepted it.
+
+        Formed from the new state and the step's stages as
+        y_new - h sum_i (w_i - b_i(theta)) k_i, w being the fifth-order
+        weights and b_i the continuous-extension weights (_DENSE), so no
+        start state is kept.  The attempt swapped the step's first stage
+        into k[6] and its last into k[0].
+        """
+        k = self.k
+        weights = [
+            w - theta * (b[0] + theta * (b[1] + theta * (b[2] + theta * b[3])))
+            for w, b in zip(_A[6] + (0.0,), _DENSE)
+        ]
+        total = weights[0] * k[6]
+        for weight, stage in zip(weights[1:], (k[1], k[2], k[3], k[4], k[5], k[0])):
+            total += weight * stage
+        total *= h
+        return np.subtract(self.y, total, out=total)
 
     @np.errstate(all="ignore")
     def attempt(self) -> _Attempt:
@@ -208,7 +246,7 @@ class _Stepper:
         f, cfg, k, y, t = self.f, self.cfg, self.k, self.y, self.t
         min_step = cfg.min_step
 
-        room = self.stop - t
+        room = cfg.horizon - t
         clipped = self.h >= room
         h = np.where(clipped, room, self.h)
         underflow = (h < min_step) & ~clipped
@@ -227,7 +265,6 @@ class _Stepper:
             f(yi, k[i])
         # The last stage argument is the 5th-order solution (FSAL).
         y5 = yi
-        bad = ~(np.isfinite(k[1:]).all(axis=(0, 1)) & np.isfinite(y5).all(axis=0))
 
         err_vec = _E[0] * k[0]
         for i in range(1, 7):
@@ -240,11 +277,20 @@ class _Stepper:
         err_vec /= sc
         err = _rms(err_vec)
 
+        # A lane is bad where y5 or a stage is not finite.  Every stage
+        # enters err_vec (E[1] = 0 turns an inf into 0 * inf = nan), and a
+        # non-finite element of err_vec makes err non-finite, so a finite
+        # err proves every stage finite: the stages are read one by one
+        # only when some lane's err is not.
+        bad = ~np.isfinite(y5).all(axis=0)
+        if not np.isfinite(err).all():
+            bad |= ~_stages_finite(k[1:])
+
         # A lane that stops on underflow takes no step, and neither does
         # one whose step passes but would not move t (h below its
         # resolution): that ends the lane as underflow too.
         t_tried = t + h
-        t_new = np.where(clipped, self.stop, t_tried)
+        t_new = np.where(clipped, cfg.horizon, t_tried)
         passed = ~bad & (err <= 1.0)
         underflow |= passed & (t_new == t)
         accept = passed & ~underflow
@@ -252,11 +298,13 @@ class _Stepper:
         reject = ~(underflow | bad | accept)
         fac11 = _pow(err, _EXPO1)
 
-        # Accepted lanes move to the new point.
+        # Accepted lanes move to the new point.  Where every lane accepts,
+        # k[6] becomes the next first stage by a swap, which keeps the
+        # step's own first stage (in k[6]) for dense().
         t = np.where(accept, t_new, t)
         if accept.all():
             y = y5
-            k[0] = k[6]
+            k[0], k[6] = k[6], k[0]
         else:
             y = np.where(accept, y5, y)
             k[0] = np.where(accept, k[6], k[0])
@@ -291,7 +339,7 @@ class _Stepper:
         self.facold = np.where(accept, _pymax(err, 1e-4), self.facold)
         self.h = np.where(accept, h_accept, np.where(bad, h_bad, h_reject))
         self.last_rejected = ~accept
-        return _Attempt(accept, accept & clipped, underflow, pole, t_est)
+        return _Attempt(h, accept, accept & clipped, underflow, pole, t_est)
 
 
 def _as_state_vector(state0, dim: int) -> list[float]:

@@ -73,6 +73,24 @@ _A = (
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
+# Continuous extension (Shampine's, as in scipy.integrate.RK45): stage i
+# has the weight b_i(theta) = sum_j _DENSE[i][j] theta^(j+1) at fraction
+# theta of a step, and b_i(1) is the fifth-order weight _A[6][i] (0 for
+# the seventh stage).
+_DENSE = (
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0, 69997945.0 / 29380423.0),
+)
 # Difference between 5th- and 4th-order weights.
 _E = (
     71.0 / 57600.0,

@@ -89,9 +89,13 @@ def classify_point(lambda0: float, h0: float, kappa: float) -> Verdict:
 
     boundary is reported when |margin| <= TOL_BOUNDARY * scale, where the
     scale kappa |1 - 2 h0| + lambda0^2 of the margin's terms is finite;
-    supercritical verdicts carry the closed-form blowup time.
+    supercritical verdicts carry the closed-form blowup time.  Where
+    both terms overflow, the sign of the closed form's scaled
+    discriminant decides.
     """
     margin = threshold_margin(lambda0, h0, kappa)
+    if math.isnan(margin):
+        margin = _overflowed_margin(lambda0, h0, kappa)
     scale = kappa * abs(1.0 - 2.0 * h0) + lambda0 * lambda0
     if math.isfinite(scale) and abs(margin) <= TOL_BOUNDARY * scale:
         return Verdict(regime="boundary")
@@ -112,19 +116,35 @@ def blowup_time_closed_form(lambda0: float, h0: float, kappa: float) -> float | 
     gives one s in (0, 2 pi); the smallest, over sqrt(kappa), is returned.
     """
     _check_point(lambda0, h0, kappa)
-    sk = math.sqrt(kappa)
-    a, b = 0.5 - h0, lambda0 / sk
-    # Dividing by a power of two is exact and keeps b^2 - 4ac finite.
-    e = max(math.frexp(a)[1], math.frexp(b)[1], 0)
-    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(0.5, -e)
-    disc = b * b - 4.0 * a * c
+    a, b, c, disc = _scaled_quadratic(lambda0, h0, kappa)
     if disc < 0.0:
         return None
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     # A root y/x is tan(s/2) for the s/2 in (0, pi) of the point
     # (|y|, sign(y) x).  Only q/a = 0/0, at (0, 1/2), gives no s > 0.
     phases = [2.0 * math.atan2(abs(y), x if y >= 0.0 else -x) for y, x in ((q, a), (c, q))]
-    return min(s for s in phases if s > 0.0) / sk
+    return min(s for s in phases if s > 0.0) / math.sqrt(kappa)
+
+
+def _scaled_quadratic(lambda0: float, h0: float, kappa: float):
+    """(a, b, c, b^2 - 4ac) of the quadratic in tan(sqrt(kappa) t/2),
+    each coefficient divided by 2^e, e = max(exponent of a, of b, 0).
+
+    Dividing by a power of two is exact and keeps the discriminant
+    finite; it is -threshold_margin/kappa 2^-2e.
+    """
+    a, b = 0.5 - h0, lambda0 / math.sqrt(kappa)
+    e = max(math.frexp(a)[1], math.frexp(b)[1], 0)
+    a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(0.5, -e)
+    return a, b, c, b * b - 4.0 * a * c
+
+
+def _overflowed_margin(lambda0: float, h0: float, kappa: float) -> float:
+    """The margin where both of its terms overflow to inf (inf - inf =
+    nan): +-inf, of the opposite sign to the scaled discriminant, so a
+    supercritical verdict is given exactly where the closed form has a
+    root."""
+    return -math.copysign(math.inf, _scaled_quadratic(lambda0, h0, kappa)[3])
 
 
 def default_classification_grid(profile: RadialProfile, size: int = 512) -> np.ndarray:
@@ -147,8 +167,9 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     equality is found.  Every point is judged as classify_point judges
     it, and the first non-finite one raises the same DomainError.
     margins holds the smallest threshold_margin of each branch,
-    "gradient_branch" and "ratio_branch", over the origin and the grid;
-    a branch that is not finite there raises DomainError.
+    "gradient_branch" and "ratio_branch", over the origin and the grid,
+    taken as +-inf where both of its terms overflow; a branch that is
+    not finite there raises DomainError.
     """
     if r_grid is None:
         r_grid = default_classification_grid(profile)
@@ -183,6 +204,9 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     _check_point(float(lam_pts[first_bad]), float(h_pts[first_bad]), kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         margin = kappa * (1.0 - 2.0 * h) - lam * lam
+        overflowed = np.isnan(margin) & np.isfinite(lam) & np.isfinite(h)
+        for row, col in zip(*np.nonzero(overflowed)):
+            margin[row, col] = _overflowed_margin(float(lam[row, col]), float(h[row, col]), kappa)
         scale = judged(kappa * np.abs(1.0 - 2.0 * h) + lam * lam)
         m_pts = judged(margin)
         boundary = np.isfinite(scale) & (np.abs(m_pts) <= TOL_BOUNDARY * scale)

@@ -101,6 +101,33 @@ def test_batch_matches_scalar_kernel(monkeypatch):
     }
 
 
+def test_stage_finiteness_is_read_lane_by_lane_where_the_error_is_not_finite(monkeypatch):
+    # The middle lane's stages overflow near its pole while the bounded
+    # lanes step on: the stages are read one by one in those attempts,
+    # and every lane still ends where the scalar stepper ends it.
+    monkeypatch.setattr(batch, "_HANDOFF", 1)
+    stages_finite = batch._stages_finite
+    seen = []
+
+    def recorded(stages):
+        finite = stages_finite(stages)
+        seen.append(finite.tolist())
+        return finite
+
+    monkeypatch.setattr(batch, "_stages_finite", recorded)
+    cfg = IntegratorConfig(horizon=100.0, blowup_magnitude=1e300, min_step=1e-170)
+    states = [(0.5, 0.0), (-1e140, 0.0), (0.3, 0.1)]
+    result = integrate_batch("qnu", states, 1.0, config=cfg)
+    assert [True, False, True] in seen
+    assert result.kinds == ("horizon_reached", "blowup_detected", "horizon_reached")
+    for lane, state in enumerate(states):
+        kind, t_est, t_end, y_end = _scalar("qnu", state, 1, 0.0, cfg)
+        assert result.kinds[lane] == kind
+        assert np.array_equal(result.t_est[lane], np.nan if t_est is None else t_est, equal_nan=True)
+        assert result.final_time[lane] == t_end
+        assert np.array_equal(result.final_state[lane], y_end)
+
+
 def _lanes():
     rng = np.random.default_rng(7)
     states = [SWIRL_BLOWUP, SWIRL_BOUNDED]

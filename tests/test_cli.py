@@ -122,6 +122,25 @@ def test_classify_writes_the_first_root_at_a_steep_gradient(tmp_path, capsys):
     assert (verdict["class"], verdict["t_blowup"]) == ("supercritical", 1e-13)
 
 
+def test_classify_where_both_margin_terms_overflow(tmp_path, capsys):
+    # kappa(1 - 2 phi0'') = 2e600 and u0'(0)^2 = 1e400 both overflow.
+    out = str(tmp_path / "cl")
+    code, _, err = run_cli(
+        [
+            "classify", "--out", out,
+            "--set", "profile.preset=quadratic",
+            "--set", "profile.a=-1e300",
+            "--set", "profile.c=1e200",
+            "--set", "run.kappa=1e300",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    verdict = json.loads((tmp_path / "cl" / "verdict.json").read_text())
+    assert (verdict["class"], verdict["t_blowup"]) == ("subcritical", None)
+    assert verdict["margins"] == {"gradient_branch": math.inf, "ratio_branch": math.inf}
+
+
 def _file_size_limit():
     # Python ignores SIGXFSZ, so a write past the limit fails with EFBIG.
     import resource
@@ -180,6 +199,22 @@ def test_sweep_writes_the_first_root_at_a_steep_gradient(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert lines[1] == "-10000000000000.0,0.0,supercritical,1e-13"
+
+
+def test_sweep_where_both_margin_terms_overflow(tmp_path, capsys):
+    out = str(tmp_path / "sw")
+    code, _, err = run_cli(
+        [
+            "sweep", "--out", out,
+            "--set", "sweep.axis1=lambda0, 1e200, 1e200, 1",
+            "--set", "sweep.axis2=h0, -1e300, -1e300, 1",
+            "--set", "run.kappa=1e300",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "1e+200,-1e+300,subcritical,"
 
 
 SWEEP_ARGS = [

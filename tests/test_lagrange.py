@@ -18,7 +18,7 @@ from emaflow.lagrange import (
     gradient_bound_check,
 )
 from emaflow.profiles import ProfilePreset, derive_density
-from emaflow.spectral import IntegratorConfig
+from emaflow.spectral import IntegratorConfig, batch
 
 
 def _density_from_flow(profile, r, t):
@@ -71,7 +71,7 @@ def test_density_matches_flow_pushforward(subcritical_profile, tight_config):
 def test_interpolation_dominates_tolerance_budget(subcritical_profile):
     # the Eulerian resampling error sits well above the ODE error, so
     # tightening integrator tolerances leaves the field comparison flat
-    from emaflow.spectral import IntegratorConfig
+    from emaflow.spectral import IntegratorConfig, batch
 
     diffs = {}
     for rel in (1e-8, 1e-10):
@@ -227,6 +227,107 @@ def test_crossing_raises_when_requested(equilibrium, monkeypatch):
         )
 
 
+# ---------------------------------------------------------------- dense output
+
+
+def _count_attempts(monkeypatch):
+    attempts = []
+    attempt = batch._Stepper.attempt
+
+    def counted(self):
+        attempts.append(None)
+        return attempt(self)
+
+    monkeypatch.setattr(batch._Stepper, "attempt", counted)
+    return attempts
+
+
+def test_output_times_do_not_steer_the_steps(subcritical_profile, tight_config, monkeypatch):
+    attempts = _count_attempts(monkeypatch)
+    t_end = 2.0 * math.pi
+    runs = []
+    for times in (np.linspace(0.0, t_end, 65), [0.0, t_end]):
+        attempts.clear()
+        res = advance_ensemble(
+            subcritical_profile, n_chars=128, t_end=t_end, config=tight_config,
+            output_times=times, grid_size=32,
+        )
+        runs.append((res, len(attempts)))
+    (dense, dense_attempts), (ends, end_attempts) = runs
+    assert len(dense.char_times) == 65 and dense_attempts == end_attempts
+    assert dense.termination == ends.termination
+    assert dense.termination.kind == "horizon_reached"
+    assert dense.char_times[-1] == ends.char_times[-1] == t_end
+    assert dense.char_states[-1].tobytes() == ends.char_states[-1].tobytes()
+
+
+DENSE_PROFILES = {
+    "subcritical": (("quadratic", {"a": 0.2, "c": 0.3, "d": 1.0}), 2.0 * math.pi),
+    "bump": (("bump", {"a": 0.1, "b": 0.2, "c": -0.3}), 3.0),
+    "before_the_pole": (("quadratic", {"a": 0.0, "c": -2.0, "d": 1.0}), 0.5),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("name", sorted(DENSE_PROFILES))
+def test_dense_outputs_agree_with_landed_runs(name, rel_tol):
+    # A run whose t_end is the output time lands its last step on it.
+    (preset, params), t_end = DENSE_PROFILES[name]
+    profile = ProfilePreset(preset, dict(params)).build()
+    config = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol)
+    kwargs = dict(n_chars=64, config=config, grid_size=16)
+    times = np.linspace(0.0, t_end, 9)
+    res = advance_ensemble(profile, t_end=t_end, output_times=times, **kwargs)
+    assert res.termination.kind == "horizon_reached"
+    for tau, state in zip(res.char_times[1:-1], res.char_states[1:-1]):
+        landed = advance_ensemble(profile, t_end=tau, output_times=[tau], **kwargs)
+        want = landed.char_states[0]
+        assert np.max(np.abs(state - want) / np.maximum(1.0, np.abs(want))) <= 10.0 * rel_tol
+
+
+def test_crossing_at_an_interpolated_output_time_ends_the_run(equilibrium, monkeypatch):
+    monkeypatch.setattr(emaflow.lagrange, "rhs_characteristics", _collapsing_outer_half)
+    kwargs = dict(n_chars=8, t_end=2.0, grid_size=16)
+    # Without output times inside the steps the crossing shows at a step's end.
+    step_end = advance_ensemble(equilibrium, output_times=[0.0], **kwargs).termination
+    assert step_end.kind == "crossing_detected"
+    times = np.linspace(0.0, 2.0, 401)
+    res = advance_ensemble(equilibrium, output_times=times, **kwargs)
+    assert res.termination.kind == "crossing_detected"
+    assert res.termination.t_est in times and res.termination.t_est < step_end.t_est
+    assert res.char_times == [t for t in times.tolist() if t < res.termination.t_est]
+    assert all(np.all(np.diff(state[:, 0]) > 0.0) for state in res.char_states)
+    with pytest.raises(CrossingDetected, match=repr(res.termination.t_est)):
+        advance_ensemble(equilibrium, output_times=times, raise_on_crossing=True, **kwargs)
+
+
+def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
+    canonical_supercritical, monkeypatch
+):
+    dense = batch._Stepper.dense
+    peaks = []
+
+    def recorded(self, theta, h):
+        state = dense(self, theta, h)
+        peaks.append(np.abs(state.reshape(7, -1)[2:6]).max())
+        return state
+
+    monkeypatch.setattr(batch._Stepper, "dense", recorded)
+    config = IntegratorConfig(blowup_magnitude=1e4)
+    kwargs = dict(n_chars=64, t_end=1.0, config=config, grid_size=8)
+    ends = advance_ensemble(canonical_supercritical, output_times=[0.0], **kwargs)
+    res = advance_ensemble(
+        canonical_supercritical, output_times=np.linspace(0.0, 1.0, 2001), **kwargs
+    )
+    # The last dense state passed the threshold and was not emitted; the
+    # run ends with the pole of the step that spans it.
+    assert peaks[-1] > 1e4 and all(peak <= 1e4 for peak in peaks[:-1])
+    assert len(res.char_times) == len(peaks)
+    assert all(np.abs(state[:, 2:6]).max() <= 1e4 for state in res.char_states)
+    assert res.termination == ends.termination
+    assert res.termination.kind == "blowup_detected"
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -243,6 +344,8 @@ def test_crossing_raises_when_requested(equilibrium, monkeypatch):
         (dict(seeds=np.array([0.5, 99.0])), "lie in"),
         (dict(grid=np.array([])), "grid"),
         (dict(grid=np.array([1.0, 0.5])), "grid"),
+        (dict(output_times=[0.0, np.nan, 0.5]), "finite"),
+        (dict(grid=np.array([0.0, np.nan, 0.5])), "grid"),
     ],
 )
 def test_ensemble_input_validation(equilibrium, kwargs, msg):

@@ -24,8 +24,8 @@ GOLDEN = {
     "horizon": (
         SUBCRITICAL + SMALL + ["--set", "simulate.n_snapshots=5"],
         0,
-        "f498e17d29ce13c3c1f87237094ca2894e19c3820cfa67e80320f3871157ce58",
-        "5f84dd4096f74ad7b0f4b6e9503d65bba1c1c3ac9f831ceba50bee32fc8d1ca1",
+        "deceab39edf11e1e6085520db8c453502775b548580243ac92aea86651fb8f18",
+        "aa197ebefd96673584a618d85d742d2c96268744c2b523bd9ae1eef956db072e",
     ),
     "blowup": (
         [
@@ -33,8 +33,8 @@ GOLDEN = {
             "--set", "profile.c=-2", "--set", "profile.d=1",
         ] + SMALL,
         2,
-        "59e686e6915f6d1d4e80bd8a6b532b72a1115ccfb864b75a57e4ce7b455320c4",
-        "b06e5612a45349f8dc6ca3267deedcfe56b44f0a8b032d14b01b570cb48e77b0",
+        "409ba08e39d1ffe5327a0e4b5b609da241a00880563f5df81867417c9a3ff08c",
+        "d56788405416c54ddf57784fb8e9b30c7fdc7335bb75cf5ce3c413f608c6e938",
     ),
     "pole_at_t0": (
         [

@@ -32,7 +32,7 @@ def test_ensemble_run_is_bitwise_pinned():
     assert run.termination.kind == "horizon_reached"
     assert len(emitted) == 9 * 9
     digest = _digest(emitted)
-    assert digest == "d00eb60e3935c0b29ea082a7afa87eef5bc4b3474bb694c6d911892e797efa25"
+    assert digest == "3e57a59692512677df5e7652bd48b9fb4a7432fd9b2a7a6ec4cb6de8f074421b"
 
 
 def test_batch_lanes_accepting_together_then_apart_are_bitwise_pinned(monkeypatch):

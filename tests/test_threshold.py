@@ -123,6 +123,31 @@ def test_boundary_band_is_relative_to_the_margin_terms():
     assert classify_point(0.0, -1e300, 1e300).regime == "subcritical"
 
 
+@pytest.mark.parametrize(
+    "lambda0,h0,regime",
+    [
+        # kappa(1 - 2 h0) = 2e600 and lambda0^2 = 1e400 both overflow.
+        (1e200, -1e300, "subcritical"),
+        (-1e200, -1e300, "subcritical"),
+        # lambda0^2 = 1e600 against kappa(1 - 2 h0) = 2e500.
+        (1e300, -1e200, "supercritical"),
+    ],
+)
+def test_verdict_where_both_margin_terms_overflow(lambda0, h0, regime):
+    kappa = 1e300
+    assert math.isnan(threshold_margin(lambda0, h0, kappa))
+    verdict = classify_point(lambda0, h0, kappa)
+    assert verdict.regime == regime
+    closed_form = blowup_time_closed_form(lambda0, h0, kappa)
+    assert verdict.t_blowup == closed_form
+    assert (closed_form is None) == (regime == "subcritical")
+    profile = ProfilePreset("quadratic", {"a": h0, "c": lambda0}).build(kappa=kappa)
+    # The gradient branch at the origin is (u0'(0), phi0'') = (lambda0, h0).
+    verdict = classify_profile(profile, [1e-300])
+    assert verdict.regime == regime
+    assert verdict.margins["gradient_branch"] == (math.inf if regime == "subcritical" else -math.inf)
+
+
 def test_verdicts_are_invariant_under_the_paper_scaling(rng):
     # (lambda0, kappa, t) -> (s lambda0, s^2 kappa, t/s) maps solutions of
     # the spectral dynamics to solutions; with s a power of two every
