@@ -246,6 +246,8 @@ class EnsembleRun:
             seeds = np.asarray(seeds, dtype=float)
             if seeds.ndim != 1 or seeds.size < 2:
                 raise ConfigError("seeds must be a 1-d array of at least 2 radii")
+            if not np.isfinite(seeds).all():
+                raise ConfigError("seeds must be finite")
             if np.any(np.diff(seeds) <= 0):
                 raise ConfigError("seeds must be strictly increasing")
             if seeds[0] < 0 or seeds[-1] > profile.r_max:

@@ -29,15 +29,23 @@ Each system has its own stepper: a resume function whose stages are
 written out on scalar locals, one per state component, as Hairer's
 dopri5.f writes them.  Its source is generated from the _A and _E
 tableau literals and compiled with exec on the system's first call, as
-dataclasses builds __init__.  Each stage calls the system's function in
-``systems`` directly.  Every stage and error sum starts from 0.0 and
-runs over its whole tableau row in index order, zero weights included,
-so the floating-point operations and their order are fixed; the tests
-pin the results bit for bit.
+dataclasses builds __init__.  Each stage evaluates the system's
+derivative in place: where the system's function in ``systems`` only
+unpacks its state and returns a tuple of expressions, those expressions
+are read from its source with ast and written into the stage on the
+stage arguments; any other function (rhs_wv_inf, which branches) is
+called.  Either way the operations are the function's own, in its
+order.  Every stage and error sum starts from 0.0 and runs over its
+whole tableau row in index order, zero weights included, so the
+floating-point operations and their order are fixed; the tests pin the
+results bit for bit.  The stages are tested for finiteness only when
+the error norm or the fifth-order solution is not finite, as
+batch._Stepper.attempt tests them.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import inspect
@@ -255,15 +263,18 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
 
 {stages}
         # The last stage's argument z is the 5th-order solution (FSAL).
-        if not ({stages_finite}):
+{errors}
+        err = sqrt(({err_sum}) / {d})
+
+        # Every stage enters err (E[1] = 0 turns an inf into 0 * inf =
+        # nan), so where z and err are finite so is every stage: the
+        # stages are read only when one of them is not.
+        if not (isfinite(err) and {z_finite}) and not ({stages_finite}):
             if 0.1 * h < min_step:
                 return _finish(times, states, record, "blowup_detected", _pole_estimate(ring, t + h, t))
             h *= 0.1
             last_rejected = True
             continue
-
-{errors}
-        err = sqrt(({err_sum}) / {d})
 
         if err <= 1.0:
             t_new = horizon if clipped else t + h
@@ -306,6 +317,41 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
 """
 
 
+def _inlined(rhs, params):
+    """The source of each component expression that rhs returns, on the
+    stage arguments z0, z1, ..., or None where rhs is not inlined.
+
+    rhs is inlined when its body, read from the source of its module,
+    only unpacks its state into names and returns a tuple of expressions
+    that name nothing but those names and params.
+    """
+    (node,) = [
+        node
+        for node in ast.parse(inspect.getsource(inspect.getmodule(rhs))).body
+        if isinstance(node, ast.FunctionDef) and node.name == rhs.__name__
+    ]
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    match body:
+        case [
+            ast.Assign(targets=[ast.Tuple(elts=unpacked)], value=ast.Name(id=state)),
+            ast.Return(value=ast.Tuple(elts=values)),
+        ]:
+            pass
+        case _:
+            return None
+    if state != node.args.args[0].arg or not all(isinstance(x, ast.Name) for x in unpacked):
+        return None
+    rename = {name.id: f"z{j}" for j, name in enumerate(unpacked)}
+    for value in values:
+        for name in ast.walk(value):
+            if isinstance(name, ast.Name):
+                if name.id in rename:
+                    name.id = rename[name.id]
+                elif name.id not in params:
+                    return None
+    return [ast.unparse(value) for value in values]
+
+
 @functools.cache
 def _stepper(sys_id, d):
     """The resume function of system sys_id in dimension d.
@@ -329,27 +375,33 @@ def _stepper(sys_id, d):
         # sum_i weights[i] * k_i[j], accumulated from 0.0 in index order
         return "(0.0" + "".join(f" + {w!r} * k{i}_{j}" for i, w in enumerate(weights)) + ")"
 
-    args = ", ".join(list(inspect.signature(rhs).parameters)[1:])
+    params = list(inspect.signature(rhs).parameters)[1:]
+    inlined = _inlined(rhs, params)
     stages = []
     for i in range(1, 7):
         stages += [f"        z{j} = y{j} + h * {weighted(_A[i], j)}" for j in comps]
-        stages.append(f"        {names(f'k{i}_')}, = f(({names('z')},), {args})")
+        if inlined is None:
+            stages.append(f"        {names(f'k{i}_')}, = f(({names('z')},), {', '.join(params)})")
+        else:
+            stages += [f"        k{i}_{j} = {value}" for j, value in enumerate(inlined)]
     errors = [
         f"        r{j} = {weighted(_E, j)} * h"
         f" / (abs_tol + rel_tol * max(abs(y{j}), abs(z{j})))"
         for j in comps
     ]
-    finite = [f"isfinite(k{i}_{j})" for i in range(1, 7) for j in comps]
+    z_finite = [f"isfinite(z{j})" for j in comps]
     source = _SOURCE.format(
         y=names("y"),
         z=names("z"),
         k0=names("k0_"),
         k6=names("k6_"),
-        args=args,
         d=d,
         abs_y=", ".join(f"abs(y{j})" for j in comps),
         stages="\n".join(stages),
-        stages_finite=" and ".join(finite + [f"isfinite(z{j})" for j in comps]),
+        z_finite=" and ".join(z_finite),
+        stages_finite=" and ".join(
+            [f"isfinite(k{i}_{j})" for i in range(1, 7) for j in comps] + z_finite
+        ),
         errors="\n".join(errors),
         err_sum="0.0" + "".join(f" + r{j} * r{j}" for j in comps),
     )

@@ -7,8 +7,10 @@ w = q/(1-nu), v = 1/(1-nu) linearizes the no-swirl dynamics; carried
 together with position, velocity and the divergence integral they are
 the characteristic ensemble.  These functions are the single source of
 truth for the dynamics: the batched integrator and the ensemble call
-them on NumPy rows, and each stage of the scalar stepper in
-``integrator`` calls them on plain floats.
+them on NumPy rows, and the scalar stepper in ``integrator`` writes the
+returned expressions of each function that only unpacks its state into
+its stages, read from this file's source, and calls the others on plain
+floats.
 
 All functions are pure and total on finite inputs except rhs_wv, whose
 centrifugal term is singular where v^3 = 0; both integrators step the wv

@@ -13,6 +13,7 @@ passing criteria here and passing acceptance tests are the same event.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -29,7 +30,7 @@ import numpy as np
 from .config import RunConfig, SweepAxis
 from .errors import ConfigError, WorkerError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
-from .lagrange import advance_ensemble, ensemble_drift, ensemble_energies
+from .lagrange import advance_ensemble, default_seeds, ensemble_drift, ensemble_energies
 from .profiles import ProfilePreset
 from .quadrature import gauss_legendre_nodes
 from .spectral import IntegratorConfig, integrate, integrate_batch
@@ -66,12 +67,15 @@ def _build(name: str, params: dict, n: int, kappa: float = 1.0):
     return ProfilePreset(name=name, params=dict(params)).build(dimension=n, kappa=kappa)
 
 
-# Subcritical presets shared by the equivalence and energy criteria.
+# Subcritical presets of the criteria in _SHARED_ENSEMBLES.
 _EQUIV_CASES = (
     ("quadratic", {"a": 0.2, "c": 0.3, "d": 1.0}, 2),
     ("quadratic", {"a": -0.3, "c": 0.4, "d": 0.5}, 3),
 )
-_EQUIV_TIMES = (0.5, 1.0, 2.0 * math.pi)
+# Output times of their ensembles after t = 0: flow_lagrange_equivalence
+# checks those of _FLOW_TIMES, the other two every one.
+_EQUIV_TIMES = (0.5, 1.0, math.pi, 2.0 * math.pi)
+_FLOW_TIMES = (0.5, 1.0, 2.0 * math.pi)
 
 
 def _crit_sharpness(seed: int):
@@ -230,33 +234,46 @@ def _crit_euler_poisson(seed: int):
     return blowups == 0 and accepted == 100, float(blowups), 0.0, details
 
 
+# The size of energy_conservation's Gauss-Legendre rule.
+_ENERGY_NODES = 256
+
+
 @lru_cache(maxsize=1)
 def _equivalence_runs():
+    """One characteristic ensemble per _EQUIV_CASES preset, for the three
+    criteria in _SHARED_ENSEMBLES: (profile, result, nodes, weights).
+
+    Its seeds are the 2048 log-spaced radii of default_seeds together
+    with the Gauss-Legendre nodes of energy_conservation's rule, whose
+    weights come with them; its output times are those of every one of
+    the three.
+    """
     config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     runs = []
     for name, params, n in _EQUIV_CASES:
         profile = _build(name, params, n)
+        nodes, weights = energy_nodes(profile, _ENERGY_NODES)
         result = advance_ensemble(
             profile,
-            n_chars=2048,
             t_end=_EQUIV_TIMES[-1],
             config=config,
             output_times=(0.0,) + _EQUIV_TIMES,
+            seeds=np.union1d(default_seeds(profile, 2048), nodes),
             grid_size=256,
         )
-        runs.append((profile, result))
+        runs.append((profile, result, nodes, weights))
     return tuple(runs)
 
 
 def _crit_flow_lagrange(seed: int):
     worst = 0.0
     details = {}
-    for profile, result in _equivalence_runs():
+    for profile, result, _, _ in _equivalence_runs():
         if result.termination.kind != "horizon_reached":
             return False, math.inf, 1e-4, {"termination": result.termination.kind}
         case_worst = 0.0
         for snap in result.snapshots:
-            if snap.t == 0.0:
+            if snap.t not in _FLOW_TIMES:
                 continue
             r = snap.grid
             # Invert the monotone flow map by bisection on every grid
@@ -276,35 +293,30 @@ def _crit_flow_lagrange(seed: int):
     return worst <= 1e-4, worst, 1e-4, details
 
 
-# The size of energy_conservation's Gauss-Legendre rule.
-_ENERGY_NODES = 256
+def _on_nodes(result, nodes):
+    """The part of an _equivalence_runs() result seeded on the nodes."""
+    rows = np.searchsorted(result.seeds, nodes)
+    return dataclasses.replace(
+        result,
+        seeds=result.seeds[rows],
+        rho0=result.rho0[rows],
+        char_states=[state[rows] for state in result.char_states],
+    )
 
 
 def _crit_energy(seed: int):
     worst_closed = 0.0
     worst_ensemble = 0.0
-    times = (0.5, 1.0, math.pi, 2.0 * math.pi)
-    config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    for name, params, n in _EQUIV_CASES:
-        profile = _build(name, params, n)
-        nodes, weights = energy_nodes(profile, _ENERGY_NODES)
+    for profile, result, nodes, weights in _equivalence_runs():
         e_ref = conserved_energy(profile, nodes, weights, 0.0)
         scale = max(abs(e_ref), 1e-300)
-        for t in times:
+        for t in _EQUIV_TIMES:
             e_t = conserved_energy(profile, nodes, weights, t)
             worst_closed = max(worst_closed, abs(e_t - e_ref) / scale)
 
-        result = advance_ensemble(
-            profile,
-            t_end=times[-1],
-            config=config,
-            output_times=(0.0,) + times,
-            seeds=nodes,
-            grid=np.array([0.0, profile.r_max]),
-        )
         if result.termination.kind != "horizon_reached":
             return False, math.inf, 1.0, {"termination": result.termination.kind}
-        energies = ensemble_energies(profile, result, weights)
+        energies = ensemble_energies(profile, _on_nodes(result, nodes), weights)
         e0 = energies[0]
         scale = max(abs(e0), 1e-300)
         for e_t in energies[1:]:
@@ -322,7 +334,7 @@ def _crit_energy(seed: int):
 def _crit_path_invariants(seed: int):
     worst_path = 0.0
     worst_density = 0.0
-    for profile, result in _equivalence_runs():
+    for profile, result, _, _ in _equivalence_runs():
         path, density = ensemble_drift(profile, result)
         worst_path = max(worst_path, path)
         worst_density = max(worst_density, density)
@@ -481,9 +493,9 @@ def resolve_suites(selection) -> list[str]:
     return [name for name in names if name in chosen]
 
 
-# Both read _equivalence_runs(), so they run as one unit and its two
+# All three read _equivalence_runs(), so they run as one unit and its two
 # ensembles are built once.
-_SHARED_ENSEMBLES = ("flow_lagrange_equivalence", "path_invariants")
+_SHARED_ENSEMBLES = ("flow_lagrange_equivalence", "energy_conservation", "path_invariants")
 
 
 def _units(names) -> list[tuple[str, ...]]:
@@ -528,10 +540,10 @@ def _run_pool(units, seed: int, workers: int) -> list[list[CriterionResult]]:
     # handles a fork itself.  A worker that called LAPACK would start
     # that pool anew, and its threads would spin on the CPU the other
     # workers need; so the one LAPACK call of the criteria, the reference
-    # Gauss-Legendre rule of energy_conservation, is made and cached
-    # here, before the fork.  The initializer gives the workers the
-    # caller's NumPy error state.
-    if any("energy_conservation" in unit for unit in units):
+    # Gauss-Legendre rule that seeds _equivalence_runs() (energy_nodes),
+    # is made and cached here, before the fork.  The initializer gives
+    # the workers the caller's NumPy error state.
+    if any(name in _SHARED_ENSEMBLES for unit in units for name in unit):
         gauss_legendre_nodes(_ENERGY_NODES, -1.0, 1.0)
     pool = ProcessPoolExecutor(
         max_workers=workers,

@@ -346,6 +346,7 @@ def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
         (dict(grid=np.array([1.0, 0.5])), "grid"),
         (dict(output_times=[0.0, np.nan, 0.5]), "finite"),
         (dict(grid=np.array([0.0, np.nan, 0.5])), "grid"),
+        (dict(seeds=np.array([0.0, np.nan, 0.5])), "finite"),
     ],
 )
 def test_ensemble_input_validation(equilibrium, kwargs, msg):

@@ -19,6 +19,7 @@ from emaflow.spectral import (
     Trajectory,
     integrate,
     integrate_batch,
+    integrator,
     monitor_ellipse,
     rhs_ep_qnu,
     rhs_pmu,
@@ -407,6 +408,14 @@ def test_step_that_does_not_advance_t_is_step_underflow(system, state0, cfg):
     assert full.final_time == ends.final_time == batch.final_time[0] > 0.0
     np.testing.assert_array_equal(full.final_state, ends.final_state)
     np.testing.assert_array_equal(ends.final_state, batch.final_state[0])
+
+
+def test_the_scalar_stepper_inlines_each_rhs_but_wv():
+    # The generated stages evaluate each system's expressions in place,
+    # read from systems.py; rhs_wv_inf branches, so wv keeps its call.
+    for system, (sys_id, d) in SYSTEM_DIMS.items():
+        calls_rhs = "f" in integrator._stepper(sys_id, d).__code__.co_names
+        assert calls_rhs == (system == "wv"), system
 
 
 def test_integrate_options_are_keyword_only():

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from emaflow import quadrature, validation
+from emaflow.flow import conserved_energy
+from emaflow.lagrange import ensemble_energies
 from emaflow.validation import run_criteria
 
 CHEAP = ["blowup_time_agreement", "dimension_independence", "phase_diagram_golden"]
@@ -39,8 +41,9 @@ def test_one_worker_or_one_unit_forks_nothing(monkeypatch):
 
 
 def test_no_worker_computes_a_legendre_rule(monkeypatch):
-    # energy_conservation's rule is made in the caller before the fork,
-    # so no worker calls LAPACK (and starts OpenBLAS's threads).
+    # The rule that seeds the shared ensembles is made in the caller
+    # before the fork, so no worker calls LAPACK (and starts OpenBLAS's
+    # threads).
     caller = os.getpid()
     calls = []
     leggauss = np.polynomial.legendre.leggauss
@@ -52,23 +55,49 @@ def test_no_worker_computes_a_legendre_rule(monkeypatch):
         return leggauss(m)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", caller_only)
-    quadrature._reference_rule.cache_clear()
-    names = ["energy_conservation", "dimension_independence"]
-    pooled = run_criteria(names, seed=3, workers=2)
-    assert [r.name for r in pooled] == names and all(r.passed for r in pooled)
-    assert calls == [validation._ENERGY_NODES]
+    for shared in ("energy_conservation", "flow_lagrange_equivalence"):
+        calls.clear()
+        quadrature._reference_rule.cache_clear()
+        validation._equivalence_runs.cache_clear()
+        names = [shared, "dimension_independence"]
+        pooled = run_criteria(names, seed=3, workers=2)
+        assert [r.name for r in pooled] == names and all(r.passed for r in pooled)
+        assert calls == [validation._ENERGY_NODES]
 
 
 def test_shared_ensembles_run_as_one_unit():
     names = ["flow_lagrange_equivalence", "energy_conservation", "path_invariants"]
-    assert validation._units(names) == [
-        ("flow_lagrange_equivalence", "path_invariants"),
-        ("energy_conservation",),
+    assert validation._units(names + ["dimension_independence"]) == [
+        tuple(names),
+        ("dimension_independence",),
     ]
     assert validation._units(["path_invariants", "dimension_independence"]) == [
         ("path_invariants",),
         ("dimension_independence",),
     ]
+
+
+def test_energy_entry_does_not_depend_on_its_partners():
+    # energy_conservation reads the ensembles it shares with flow and
+    # path; alone, after them in one unit, or in a worker, its entry is
+    # the same.
+    partners = ["flow_lagrange_equivalence", "energy_conservation", "path_invariants"]
+    entries = []
+    for names, workers in ((["energy_conservation"], 1), (partners, 1), (partners, 2)):
+        validation._equivalence_runs.cache_clear()
+        results = run_criteria(names + ["dimension_independence"], workers=workers)
+        entries += [_without_elapsed(r) for r in results if r.name == "energy_conservation"]
+    assert entries[0].passed and entries[1:] == entries[:1] * 2
+
+
+def test_energy_reads_the_node_rows_of_the_shared_ensembles():
+    # At t = 0 the rows seeded on the rule's nodes hold the initial data
+    # there, so their energy is the closed form's.
+    for profile, result, nodes, weights in validation._equivalence_runs():
+        on_nodes = validation._on_nodes(result, nodes)
+        assert np.array_equal(on_nodes.seeds, nodes)
+        e0 = ensemble_energies(profile, on_nodes, weights)[0]
+        assert e0 == pytest.approx(conserved_energy(profile, nodes, weights, 0.0), rel=1e-13)
 
 
 def _report(path):
