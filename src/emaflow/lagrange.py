@@ -28,6 +28,7 @@ fields to its writer process.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -115,6 +116,8 @@ class EnsembleResult:
 
 def default_seeds(profile: RadialProfile, n_chars: int) -> np.ndarray:
     """Origin characteristic plus n_chars log-spaced radii up to r_max."""
+    if not isinstance(n_chars, numbers.Integral):
+        raise ConfigError(f"n_chars must be an integer, got {n_chars!r}")
     if n_chars < 2:
         raise ConfigError(f"need at least 2 characteristics, got {n_chars!r}")
     tail = np.geomspace(1e-3 * profile.r_max, profile.r_max, n_chars)
@@ -264,6 +267,8 @@ class EnsembleRun:
             raise ConfigError(f"output_times must lie in [0, {t_end!r}]")
 
         if grid is None:
+            if not isinstance(grid_size, numbers.Integral):
+                raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
             if grid_size < 2:
                 raise ConfigError(f"grid_size must be >= 2, got {grid_size!r}")
             grid = np.linspace(0.0, profile.r_max, grid_size)

@@ -88,7 +88,7 @@ class RadialProfile:
     def r_eps(self) -> float:
         return R_EPS_FACTOR * self.r_max
 
-    def _ratio(self, r, direct, deriv0, deriv1, at_small):
+    def _ratio(self, r, direct, deriv, at_small):
         """Evaluate direct(r)/r, switching to a series below r_eps.
 
         Series: f(r)/r -> f'(0) + f''(0) r / 2.  Without the second
@@ -106,18 +106,18 @@ class RadialProfile:
         if small.any():
             rs = r_arr[small]
             if at_small is not None:
-                out[small] = float(deriv0(0.0)) + 0.5 * float(at_small(0.0)) * rs
+                out[small] = float(deriv(0.0)) + 0.5 * float(at_small(0.0)) * rs
             else:
-                out[small] = np.asarray(deriv1(rs), dtype=float)
+                out[small] = np.asarray(deriv(rs), dtype=float)
         return float(out[0]) if scalar else out
 
     def nu0(self, r):
         """phi0'(r)/r with the origin limit phi0''(0)."""
-        return self._ratio(r, self.dphi0, self.d2phi0, self.d2phi0, self.d3phi0)
+        return self._ratio(r, self.dphi0, self.d2phi0, self.d3phi0)
 
     def q0(self, r):
         """u0(r)/r with the origin limit u0'(0)."""
-        return self._ratio(r, self.u0, self.du0, self.du0, self.d2u0)
+        return self._ratio(r, self.u0, self.du0, self.d2u0)
 
     def check_radius(self, r) -> np.ndarray:
         """Validate r in [0, r_max]; returns the values as float array."""

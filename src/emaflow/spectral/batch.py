@@ -5,16 +5,18 @@ _Stepper holds a (d, lanes) NumPy state and makes one attempt per call
 for every live lane, toward config.horizon, with the tableau,
 PI controller constants and event rules of the scalar stepper
 (``integrator``) applied elementwise.  Each lane owns its time, step
-size, controller memory and pole-fit ring; no value ever crosses from
-one lane to another, so a lane's result does not depend on which other
-lanes share its batch.  A lane ends on step underflow (a step below
+size and controller memory; no value ever crosses from one lane to
+another, so a lane's result does not depend on which other lanes share
+its batch.  A lane ends on step underflow (a step below
 min_step, or an accepted step too small to move t) or a pole: a watched
 magnitude beyond the threshold, a non-finite stage or a rejection below
 min_step.
 
 _Stepper.__init__ is the one start of a run: the first derivative, the
-pole at t = 0, the initial step and the pole-ring seed are set there and
-nowhere else.  Two drivers step it:
+pole at t = 0 and the initial step are set there and nowhere else.  A
+lane carries nothing for its pole time: that is read off its last
+accepted state and derivative (integrator._pole_time).  Two drivers
+step it:
 
 * _run drives every spectral run: integrate is _run of one lane and
   integrate_batch of many.  It steps the lanes to config.horizon as a
@@ -57,8 +59,8 @@ import numpy as np
 
 from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
 from .integrator import (
-    _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _RING, _SAFETY,
-    IntegratorConfig, Trajectory, _finish, _pole_estimate, _stepper,
+    _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _SAFETY,
+    IntegratorConfig, Trajectory, _finish, _pole_time, _stepper,
 )
 from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
 
@@ -161,9 +163,9 @@ class _Stepper:
     """Resumable DP5(4) state of a (d, lanes) batch, stepped by attempt().
 
     f(y, out) writes the derivative of a (d, lanes) state y into out, an
-    array of y's shape (a stage of the k list).  watch selects
-    the rows whose magnitude is tested against config.blowup_magnitude
-    and fed to the pole fit.  A lane whose start has a non-finite
+    array of y's shape (a stage of the k list).  watch selects the rows
+    whose magnitude is tested against config.blowup_magnitude and whose
+    tangent gives the pole time.  A lane whose start has a non-finite
     derivative or a watched magnitude beyond the threshold is a pole at
     t = 0: it is flagged in at_pole and never stepped.  Every lane steps
     toward config.horizon.  lane holds the input index of each live
@@ -182,7 +184,7 @@ class _Stepper:
         self.at_pole = ~np.isfinite(k[0]).all(axis=0) | (m0 > cfg.blowup_magnitude)
         live = ~self.at_pole
         self.lane = np.flatnonzero(live)
-        self.y, m0 = y0[:, live], m0[live]
+        self.y = y0[:, live]
         # Seven views of one block.  Freeing the start block k also lifts
         # glibc's dynamic mmap threshold above a state array, so the
         # attempts' temporaries reuse heap pages: with seven separate
@@ -192,32 +194,20 @@ class _Stepper:
         self.t = np.zeros(self.lane.size)
         self.facold = np.full(self.lane.size, 1e-4)
         self.last_rejected = np.zeros(self.lane.size, dtype=bool)
-        # Right-aligned ring of the last accepted (t, 1/max|y|); the
-        # final `count` columns are valid.
-        self.ring_t = np.zeros((_RING, self.lane.size))
-        self.ring_u = np.zeros((_RING, self.lane.size))
-        self.count = (m0 > 0.0).astype(np.int64)
-        self.ring_u[-1] = np.where(m0 > 0.0, 1.0 / m0, 0.0)
-
-    def _ring(self, j):
-        """The valid (t, 1/max|y|) points of lane j's ring, oldest first."""
-        valid = slice(_RING - self.count[j], None)
-        return list(zip(self.ring_t[valid, j].tolist(), self.ring_u[valid, j].tolist()))
 
     def lane_state(self, j):
         """Live lane j as plain floats, in the order the generated scalar
-        stepper takes it: t, y, k0, h, facold, last_rejected, ring."""
+        stepper takes it: t, y, k0, h, facold, last_rejected."""
         return (
             self.t[j].item(), self.y[:, j].tolist(), self.k[0][:, j].tolist(), self.h[j].item(),
-            self.facold[j].item(), bool(self.last_rejected[j]), self._ring(j),
+            self.facold[j].item(), bool(self.last_rejected[j]),
         )
 
     def keep(self, live):
         """Drop every lane where the mask live is false."""
-        for name in ("lane", "t", "h", "facold", "last_rejected", "count"):
+        for name in ("lane", "t", "h", "facold", "last_rejected"):
             setattr(self, name, getattr(self, name)[live])
         self.y, self.k = self.y[:, live], [stage[:, live] for stage in self.k]
-        self.ring_t, self.ring_u = self.ring_t[:, live], self.ring_u[:, live]
 
     def dense(self, theta, h):
         """The state at fraction theta of the step h that the last attempt
@@ -309,10 +299,6 @@ class _Stepper:
             y = np.where(accept, y5, y)
             k[0] = np.where(accept, k[6], k[0])
         m = np.abs(y[self.watch]).max(axis=0)
-        grow = accept & (m > 0.0)
-        ring_t = np.where(grow, np.concatenate((self.ring_t[1:], t[None])), self.ring_t)
-        ring_u = np.where(grow, np.concatenate((self.ring_u[1:], 1.0 / m[None])), self.ring_u)
-        count = np.where(grow, np.minimum(self.count + 1, _RING), self.count)
 
         fac = fac11 / _pow(self.facold, _BETA)
         fac = _pymax(_INV_FAC_MAX, _pymin(_INV_FAC_MIN, fac / _SAFETY))
@@ -328,13 +314,14 @@ class _Stepper:
             | (accept & (m > cfg.blowup_magnitude))
         )
         self.t, self.y = t, y
-        self.ring_t, self.ring_u, self.count = ring_t, ring_u, count
         t_est = np.full(t.size, math.nan)
         for j in np.flatnonzero(pole):
-            # Without a usable fit the pole is put at the end of the
-            # step that found it.
+            # Where the magnitude does not grow, the pole is put at the
+            # end of the step that found it.
             fallback = t[j] if accept[j] else t_tried[j]
-            t_est[j] = _pole_estimate(self._ring(j), float(fallback), float(t[j]))
+            t_est[j] = _pole_time(
+                t[j].item(), y[self.watch, j].tolist(), k[0][self.watch, j].tolist(), fallback.item()
+            )
 
         self.facold = np.where(accept, _pymax(err, 1e-4), self.facold)
         self.h = np.where(accept, h_accept, np.where(bad, h_bad, h_reject))

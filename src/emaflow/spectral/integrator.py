@@ -16,10 +16,10 @@ mechanisms the plain method lacks:
   min_step, the dynamics is steeper than the tolerance can resolve,
   which for these systems means a pole as well.
 
-In both cases the reported t_est comes from fitting a line to
-1/max|y| over the last three accepted steps: near a simple pole the
-reciprocal magnitude is locally linear in t, so its extrapolated zero
-estimates the blowup time.
+In both cases the reported t_est is the zero of the tangent to
+1/max|y| at the last accepted step (_pole_time): near a simple pole the
+reciprocal magnitude is locally linear in t, and the derivative there
+is the first-same-as-last stage k0, which the step has already formed.
 
 A run also ends, as step underflow, when a step falls below min_step
 without a rejection, or when an accepted step would not advance t
@@ -50,7 +50,6 @@ import dataclasses
 import functools
 import inspect
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +117,6 @@ _FAC_MIN = 0.2   # strongest shrink per step
 _FAC_MAX = 10.0  # strongest growth per step
 _INV_FAC_MIN = 1.0 / _FAC_MIN
 _INV_FAC_MAX = 1.0 / _FAC_MAX
-
-_RING = 3  # accepted points in the pole fit
 
 
 @dataclass(frozen=True)
@@ -199,34 +196,22 @@ class Trajectory:
         return self.states[-1]
 
 
-def _fit_pole_time(ring):
-    """Zero crossing of the least-squares line through the (t, 1/max|y|)
-    points of ring.
+def _pole_time(t, y, dy, fallback):
+    """Pole time from the state y at time t and its derivative dy: the
+    zero of the tangent to 1/|y_j| at t, t + |y_j| / (d|y_j|/dt), where
+    y_j is the first component of largest magnitude.
 
-    Returns None when fewer than two usable points exist or the
-    magnitude is not growing (nonnegative slope).
+    Returns fallback unless |y_j| > 0 and grows.  Where y_j is
+    c/(T - t)^p the zero is t + (T - t)/p: exact at the simple poles of
+    the Riccati systems, short of T where ep's nu (n >= 2) blows up
+    faster (by half the last T - t in the golden cases).
     """
-    pts = [(t, u) for t, u in ring if u > 0.0]
-    if len(pts) < 2:
-        return None
-    tb = sum(t for t, _ in pts) / len(pts)
-    ub = sum(u for _, u in pts) / len(pts)
-    sxx = sum((t - tb) ** 2 for t, _ in pts)
-    sxy = sum((t - tb) * (u - ub) for t, u in pts)
-    if sxx <= 0.0:
-        return None
-    slope = sxy / sxx
-    if slope >= 0.0:
-        return None
-    return tb - ub / slope
-
-
-def _pole_estimate(ring, fallback, t):
-    """Pole time fitted to the ring, never before t; fallback without a fit."""
-    est = _fit_pole_time(ring)
-    if est is None:
-        est = fallback
-    return max(est, t)
+    j = max(range(len(y)), key=lambda i: abs(y[i]))
+    m = abs(y[j])
+    slope = dy[j] if y[j] > 0.0 else -dy[j]
+    if m > 0.0 and slope > 0.0:
+        return t + m / slope
+    return fallback
 
 
 def _finish(times, states, record, kind, t_est=None):
@@ -240,7 +225,7 @@ def _finish(times, states, record, kind, t_est=None):
 # One resume function, for state components y0, y1, ...  The fields
 # in braces are the per-dimension pieces _stepper fills in.
 _SOURCE = """\
-def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0, config, record):
+def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, config, record):
     rel_tol = config.rel_tol
     abs_tol = config.abs_tol
     max_step = config.max_step
@@ -249,8 +234,6 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
     horizon = config.horizon
     {y}, = y
     {k0}, = k0
-    # the last accepted (t, 1/max|y|) points, for the pole fit
-    ring = deque(ring, maxlen=_RING)
 
     while True:
         clipped = h >= horizon - t
@@ -271,7 +254,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
         # stages are read only when one of them is not.
         if not (isfinite(err) and {z_finite}) and not ({stages_finite}):
             if 0.1 * h < min_step:
-                return _finish(times, states, record, "blowup_detected", _pole_estimate(ring, t + h, t))
+                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
             h *= 0.1
             last_rejected = True
             continue
@@ -290,11 +273,8 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
             if not record and len(times) > 2:
                 del times[1]
                 del states[1]
-            m = max({abs_y})
-            if m > 0.0:
-                ring.append((t, 1.0 / m))
-            if m > blowup_magnitude:
-                return _finish(times, states, record, "blowup_detected", _pole_estimate(ring, t, t))
+            if max({abs_y}) > blowup_magnitude:
+                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t))
             if clipped:
                 return _finish(times, states, record, "horizon_reached")
 
@@ -312,7 +292,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, ring, kappa, n, c0
             hnew = h / min(_INV_FAC_MIN, fac11 / _SAFETY)
             last_rejected = True
             if hnew < min_step:
-                return _finish(times, states, record, "blowup_detected", _pole_estimate(ring, t + h, t))
+                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
             h = hnew
 """
 
@@ -321,15 +301,11 @@ def _inlined(rhs, params):
     """The source of each component expression that rhs returns, on the
     stage arguments z0, z1, ..., or None where rhs is not inlined.
 
-    rhs is inlined when its body, read from the source of its module,
-    only unpacks its state into names and returns a tuple of expressions
-    that name nothing but those names and params.
+    rhs is inlined when its body, read from its own source, only unpacks
+    its state into names and returns a tuple of expressions that name
+    nothing but those names and params.
     """
-    (node,) = [
-        node
-        for node in ast.parse(inspect.getsource(inspect.getmodule(rhs))).body
-        if isinstance(node, ast.FunctionDef) and node.name == rhs.__name__
-    ]
+    (node,) = ast.parse(inspect.getsource(rhs)).body
     body = node.body[1:] if ast.get_docstring(node) is not None else node.body
     match body:
         case [
@@ -358,10 +334,9 @@ def _stepper(sys_id, d):
 
     It takes the lane's record so far (times and states lists, which it
     extends), the lane as _Stepper.lane_state gives it (t, y, k0, h,
-    facold, last_rejected and the valid ring points), then (kappa, n,
-    c0, config, record).  It steps the lane to config.horizon and returns
-    the Trajectory, keeping just the first and last points when record
-    is false.  Generated and
+    facold, last_rejected), then (kappa, n, c0, config, record).  It
+    steps the lane to config.horizon and returns the Trajectory, keeping
+    just the first and last points when record is false.  Generated and
     compiled on first use, so importing the package costs nothing for
     systems that are never integrated.
     """

@@ -56,14 +56,14 @@ GOLDEN = [
         "qnu", (-1.2, 0.0), 1.0, 1, 0.0, {}, "blowup_magnitude",
         "d65fe0c3195f14b902fe6ca9d2fb1623870cf47532ce90c230d286e57bbb2b3a",
         "7dc56b9f6e2cdaa0f84b83d5420398d7611607613ca81b99111b311b44215c61",
-        "0x1.f86070d6d1844p-1",
+        "0x1.f86070d6d1848p-1",
     ),
     (
         "qnu", (-0.796351, 0.859264), 1.0, 1, 0.0,
         {"blowup_magnitude": 1e200, "min_step": 0.00457642212202053}, "blowup_controller",
         "3c78e18f8066e73718f726bf25a589e8d294c1de48c4950ace585231ff676379",
         "8b20fca0d1c268dff54b1ddbdc0b363829b54714af85d18f7f896e43fddfa4c6",
-        "0x1.e2fac470a38b2p-1",
+        "0x1.e307dce8a5a1dp-1",
     ),
     (
         "pmu", (0.3, 0.2), 1.0, 1, 0.0, {}, "horizon_reached",
@@ -87,14 +87,14 @@ GOLDEN = [
         "pmu", (-1.3456, -0.0892), 1.0, 1, 0.0, {}, "blowup_magnitude",
         "6b5f5e23ba783116fc5c230ec82bc2dc641b4f14e91e8cc73f21780cc76b8561",
         "51d858c0e3a7a1ba6b800dbbad28448c675b191760603500658d3758b4f0fe0f",
-        "0x1.bf7ec41530bb0p-1",
+        "0x1.bf7ec41530bb5p-1",
     ),
     (
         "pmu", (-0.964607, 0.828638), 1.0, 1, 0.0,
         {"blowup_magnitude": 1e200, "min_step": 0.004318066260095716}, "blowup_controller",
         "831a318ee1f2a5b5335dbd3a7bbc337fed7ac8d11056633f0ae7a5a47cdaa1e3",
         "720d8c9151fee5a0d71d84901e58e6022a6d2702a86e0331ee861185cbe35e0c",
-        "0x1.b04ac3315e904p-1",
+        "0x1.b0593f4f6d897p-1",
     ),
     (
         "swirl", SWIRL_BOUNDED, 1.0, 1, 0.0, {}, "horizon_reached",
@@ -131,7 +131,7 @@ GOLDEN = [
         {"blowup_magnitude": 1e200, "min_step": 0.0008047679940391762}, "blowup_controller",
         "53cdef31fd509819133bdb776bf86ba630f8dbd691505a6103f37c6a5b90d818",
         "8e7f54e258d8fc08e50eabdb45796755c3d0a9d537f71fbbae68213947269838",
-        "0x1.bb9a642ece98dp-2",
+        "0x1.bb9b0d0d4b723p-2",
     ),
     (
         "swirl_q", (1.5668, 0.3407, -0.1148), 1.0, 1, 0.0, {}, "horizon_reached",
@@ -162,7 +162,7 @@ GOLDEN = [
         {"blowup_magnitude": 5e220, "min_step": 0.005565743920242077}, "blowup_controller",
         "e658dccfecb1c9c05a80d48b8cde462f89e7e9cb2f5849cdc0522822e8e7389d",
         "272515e01230db72930e80dc7c711345023326fb78fa81990717e30f47ff5db3",
-        "0x1.e0c8c53b9a171p+0",
+        "0x1.cef9c3ed2ec7cp+1",
     ),
     (
         "ep", (2.0, -0.5), 1.0, 2, 0.0, {}, "horizon_reached",
@@ -186,20 +186,20 @@ GOLDEN = [
         "ep", (1.8586, 0.7072), 1.0, 2, 0.0, {}, "blowup_magnitude",
         "7916bf3d833f66ef10d6c9f5c3b230a1763732911b7aa537be2302b41de2d00c",
         "a235237c45dc70adc6595c1ab63f3bf46308b5b30f88777946050874ea9b3c99",
-        "0x1.dc730c857c9e7p+1",
+        "0x1.dc730d685029dp+1",
     ),
     (
         "ep", (1.0, 0.5), 1.0, 3, 0.0, {}, "blowup_magnitude",
         "288b8a1d7d017b83b79ed62252ca69af6d8e54be39f33b2bc9abef956c6c4f7c",
         "2528c43ed93aa2c8c4a5777874cfb482a3910dd094db959ce0e04ed559e74e5d",
-        "0x1.05431e9e7caebp+2",
+        "0x1.05431ff284116p+2",
     ),
     (
         "ep", (-2.824495, -1.626996), 1.0, 2, 0.0,
         {"blowup_magnitude": 1e300, "min_step": 0.004382685381005256}, "blowup_controller",
         "15ad33d38e8bfe4f4db9f5c8d2e082428c3fae9cfc8e37dce67019ef8c6ee6ef",
         "8ab87f0d2a0734eb58a8b44a138349ac48260ca90e859dd0c018b4b2ac8ce8a9",
-        "0x1.109c9bced8f37p+0",
+        "0x1.b4d0219ce9dccp+1",
     ),
     (
         "wv", (0.5, 1.0), 1.0, 1, 0.0, {}, "horizon_reached",
@@ -250,20 +250,20 @@ GOLDEN = [
         "qnu", (-1e140, 0.0), 1.0, 1, 0.0, STAGE_OVERFLOW, "blowup_controller",
         "70ed3a3db4e5a2359be8775072acf2239ca6164b26199aba84f4693423d77ab0",
         "1804cda68a2bec9cac6666fa62449611de5178cbf828971f9d9791d793120e5a",
-        "0x1.e7c5f12986df6p-466",
+        "0x1.e7c5f12986df2p-466",
     ),
     (
         "ep", (-1e140, 0.5), 1.0, 2, 0.0, STAGE_OVERFLOW, "blowup_controller",
         "b401910bdd9f8b33d422742d2d03960434c9b45064dd8d8adba942ca9bf41441",
         "bde9492d8c777070bd43fb04c9bf149b6d291f11c89ec35c5c1d654b46b83efd",
-        "0x1.e7c5f13125227p-466",
+        "0x1.e7c5f1312522bp-466",
     ),
     (
         "swirl", (0.0, -1e140, 0.0, 0.0, 0.0, 1.0), 1.0, 1, 0.0, STAGE_OVERFLOW,
         "blowup_controller",
         "148c79a171c5e3fd714a7b3c17dddcfb5c7ce5852b76c8c4ffc21ff202d969f6",
         "d51d44474384293e4ed1ecc5cebddc99a42b0df3aac8d04bf7bdef7ef6eb3143",
-        "0x1.e7c5f1274cb91p-466",
+        "0x1.e7c5f1274cb8cp-466",
     ),
 ]
 

@@ -347,6 +347,10 @@ def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
         (dict(output_times=[0.0, np.nan, 0.5]), "finite"),
         (dict(grid=np.array([0.0, np.nan, 0.5])), "grid"),
         (dict(seeds=np.array([0.0, np.nan, 0.5])), "finite"),
+        (dict(n_chars=8.5), "n_chars must be an integer"),
+        (dict(n_chars=8.0), "n_chars must be an integer"),
+        (dict(grid_size=8.5), "grid_size must be an integer"),
+        (dict(grid_size=8.0), "grid_size must be an integer"),
     ],
 )
 def test_ensemble_input_validation(equilibrium, kwargs, msg):

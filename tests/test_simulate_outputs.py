@@ -34,7 +34,7 @@ GOLDEN = {
         ] + SMALL,
         2,
         "409ba08e39d1ffe5327a0e4b5b609da241a00880563f5df81867417c9a3ff08c",
-        "d56788405416c54ddf57784fb8e9b30c7fdc7335bb75cf5ce3c413f608c6e938",
+        "04d7a7c228dc2f14272fef811a089a75debabf25eaf0c7ea4d16edda9a4c5165",
     ),
     "pole_at_t0": (
         [

@@ -55,4 +55,4 @@ def test_batch_lanes_accepting_together_then_apart_are_bitwise_pinned(monkeypatc
     assert res.kinds == ("horizon_reached",) * 8 + ("blowup_detected",)
     assert len(every) >= 50 and sum(some) >= 10, (len(every), sum(some))
     digest = _digest([res.t_est, res.final_time, res.final_state])
-    assert digest == "f06978df1a8510c4d5f71fc2c056073b944c27d080078cee4f8cc5f9e3a87872"
+    assert digest == "3504f39eec12e02281c96cdac8f47d1b88888b0f752665ba87c1f281a3164bde"
