@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -144,6 +145,8 @@ def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.nda
     The rule on [-1, 1] is computed once per m and kept, so a call with
     an m seen before makes no LAPACK call; the returned arrays are new.
     """
+    if not isinstance(m, numbers.Integral):
+        raise DomainError(f"quadrature node count must be an integer, got {m!r}")
     if m < 1:
         raise DomainError("need at least one quadrature node")
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:

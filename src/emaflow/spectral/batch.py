@@ -372,7 +372,7 @@ def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
     kappa, n, c0 = float(kappa), float(n), float(c0)
     stepper = _Stepper(_rhs(sys_id, kappa=kappa, n=n, c0=c0), np.array(rows).T.copy(), cfg)
     for i in np.flatnonzero(stepper.at_pole).tolist():
-        runs[i] = _finish([0.0], [rows[i]], record, "blowup_detected", 0.0)
+        runs[i] = _finish([0.0], [rows[i]], "blowup_detected", 0.0)
 
     while not record and stepper.lane.size >= _HANDOFF:
         step = stepper.attempt()
@@ -382,10 +382,10 @@ def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
                 i = stepper.lane[j]
                 head = _head(rows[i], stepper.t[j].item(), stepper.y[:, j].tolist())
                 if step.pole[j]:
-                    runs[i] = _finish(*head, False, "blowup_detected", step.t_est[j].item())
+                    runs[i] = _finish(*head, "blowup_detected", step.t_est[j].item())
                 else:
                     kind = "step_underflow" if step.underflow[j] else "horizon_reached"
-                    runs[i] = _finish(*head, False, kind)
+                    runs[i] = _finish(*head, kind)
             stepper.keep(~done)
 
     for j, i in enumerate(stepper.lane.tolist()):

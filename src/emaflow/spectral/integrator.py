@@ -14,7 +14,9 @@ mechanisms the plain method lacks:
   the pole);
 * refinement underflow: if the error controller rejects down to
   min_step, the dynamics is steeper than the tolerance can resolve,
-  which for these systems means a pole as well.
+  which for these systems means a pole as well at the default min_step
+  (1e-13).  A larger min_step can end a bounded trajectory this way;
+  ROADMAP item 4 reports the two mechanisms apart.
 
 In both cases the reported t_est is the zero of the tangent to
 1/max|y| at the last accepted step (_pole_time): near a simple pole the
@@ -214,11 +216,7 @@ def _pole_time(t, y, dy, fallback):
     return fallback
 
 
-def _finish(times, states, record, kind, t_est=None):
-    if not record:
-        # keep only endpoints
-        del times[1:-1]
-        del states[1:-1]
+def _finish(times, states, kind, t_est=None):
     return Trajectory(np.array(times), np.array(states), Termination(kind, t_est))
 
 
@@ -242,7 +240,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
         if h < min_step and not clipped:
             # Time granularity exhausted without the controller asking
             # for refinement; distinct from pole-driven underflow below.
-            return _finish(times, states, record, "step_underflow")
+            return _finish(times, states, "step_underflow")
 
 {stages}
         # The last stage's argument z is the 5th-order solution (FSAL).
@@ -254,7 +252,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
         # stages are read only when one of them is not.
         if not (isfinite(err) and {z_finite}) and not ({stages_finite}):
             if 0.1 * h < min_step:
-                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
+                return _finish(times, states, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
             h *= 0.1
             last_rejected = True
             continue
@@ -264,7 +262,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
             if t_new == t:
                 # h is below the resolution of t: the step would not
                 # move the run, so it ends here.
-                return _finish(times, states, record, "step_underflow")
+                return _finish(times, states, "step_underflow")
             t = t_new
             {y}, = {z},
             {k0}, = {k6},
@@ -274,9 +272,9 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
                 del times[1]
                 del states[1]
             if max({abs_y}) > blowup_magnitude:
-                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t))
+                return _finish(times, states, "blowup_detected", _pole_time(t, ({y},), ({k0},), t))
             if clipped:
-                return _finish(times, states, record, "horizon_reached")
+                return _finish(times, states, "horizon_reached")
 
             fac11 = err ** _EXPO1
             fac = fac11 / facold ** _BETA
@@ -292,7 +290,7 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
             hnew = h / min(_INV_FAC_MIN, fac11 / _SAFETY)
             last_rejected = True
             if hnew < min_step:
-                return _finish(times, states, record, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
+                return _finish(times, states, "blowup_detected", _pole_time(t, ({y},), ({k0},), t + h))
             h = hnew
 """
 

@@ -17,6 +17,7 @@ silently rounded to either side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,8 @@ def _overflowed_margin(lambda0: float, h0: float, kappa: float) -> float:
 def default_classification_grid(profile: RadialProfile, size: int = 512) -> np.ndarray:
     """Log-spaced radii in [1e-3 r_max, r_max]; the origin limit point
     is added by classify_profile itself."""
+    if not isinstance(size, numbers.Integral):
+        raise DomainError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise DomainError(f"grid size must be >= 1, got {size!r}")
     return np.geomspace(1e-3 * profile.r_max, profile.r_max, size)
@@ -165,11 +168,13 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     radius, t_blowup = min closed-form time over the supercritical
     points) or boundary when nothing worse than a tolerance-level
     equality is found.  Every point is judged as classify_point judges
-    it, and the first non-finite one raises the same DomainError.
-    margins holds the smallest threshold_margin of each branch,
-    "gradient_branch" and "ratio_branch", over the origin and the grid,
-    taken as +-inf where both of its terms overflow; a branch that is
-    not finite there raises DomainError.
+    it, radius by radius from the origin, the gradient branch first;
+    the origin is judged on both branches, where they share one limit.
+    The first non-finite point raises classify_point's DomainError,
+    "point (lambda0, h0) must be finite".  margins holds the smallest
+    threshold_margin of each branch, "gradient_branch" and
+    "ratio_branch", over the origin and the grid, taken as +-inf where
+    both of its terms overflow.
     """
     if r_grid is None:
         r_grid = default_classification_grid(profile)
@@ -193,44 +198,32 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
         lam[row, 0], lam[row, 1:] = lam_f(0.0), lam_f(r_arr)
         h[row, 0], h[row, 1:] = h_f(0.0), h_f(r_arr)
 
-    def judged(values):
-        # Points in judging order: the origin once, on the gradient
-        # branch (both branches coincide there), then radius by radius.
-        return np.concatenate((values[0, :1], values[:, 1:].T.ravel()))
-
-    lam_pts, h_pts = judged(lam), judged(h)
-    # Checks kappa, then raises for the first non-finite point, if any.
-    first_bad = int(np.argmin(np.isfinite(lam_pts) & np.isfinite(h_pts)))
-    _check_point(float(lam_pts[first_bad]), float(h_pts[first_bad]), kappa)
+    # Checks kappa, then raises for the first non-finite point, if any,
+    # in judging order: column by column, the gradient row first.
+    first_bad = int(np.argmin((np.isfinite(lam) & np.isfinite(h)).T.ravel()))
+    _check_point(float(lam.T.flat[first_bad]), float(h.T.flat[first_bad]), kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         margin = kappa * (1.0 - 2.0 * h) - lam * lam
-        overflowed = np.isnan(margin) & np.isfinite(lam) & np.isfinite(h)
-        for row, col in zip(*np.nonzero(overflowed)):
+        for row, col in zip(*np.nonzero(np.isnan(margin))):
             margin[row, col] = _overflowed_margin(float(lam[row, col]), float(h[row, col]), kappa)
-        scale = judged(kappa * np.abs(1.0 - 2.0 * h) + lam * lam)
-        m_pts = judged(margin)
-        boundary = np.isfinite(scale) & (np.abs(m_pts) <= TOL_BOUNDARY * scale)
-    above = m_pts > 0.0
-    failing = np.flatnonzero(boundary | ~above)
-    # The scalar closed form, point by point: np.arctan2 may differ from
-    # math.atan2 by an ulp.
-    times = [
-        classify_point(float(lam_pts[k]), float(h_pts[k]), kappa).t_blowup
-        for k in np.flatnonzero(~boundary & ~above)
-    ]
-
-    margins = {}
-    for row, (name, _, _) in enumerate(branches):
-        if not (np.isfinite(lam[row]).all() and np.isfinite(h[row]).all()):
-            raise DomainError(f"{name} of the profile is not finite on the grid")
-        margins[name] = float(margin[row].min())
+        scale = kappa * np.abs(1.0 - 2.0 * h) + lam * lam
+        boundary = np.isfinite(scale) & (np.abs(margin) <= TOL_BOUNDARY * scale)
+    supercritical = ~boundary & ~(margin > 0.0)
+    margins = {name: float(margin[row].min()) for row, (name, _, _) in enumerate(branches)}
+    failing = np.flatnonzero((boundary | supercritical).any(axis=0))
     if failing.size == 0:
         return Verdict(regime="subcritical", margins=margins)
-    witness = 0.0 if failing[0] == 0 else float(r_arr[(failing[0] - 1) // 2])
-    if not times:
+    witness = 0.0 if failing[0] == 0 else float(r_arr[failing[0] - 1])
+    if not supercritical.any():
         return Verdict(regime="boundary", witness_r=witness, margins=margins)
+    # The scalar closed form, point by point: np.arctan2 may differ from
+    # math.atan2 by an ulp.
+    t_blowup = min(
+        blowup_time_closed_form(float(lam[row, col]), float(h[row, col]), kappa)
+        for row, col in zip(*np.nonzero(supercritical))
+    )
     return Verdict(
-        regime="supercritical", t_blowup=min(times), witness_r=witness, margins=margins
+        regime="supercritical", t_blowup=t_blowup, witness_r=witness, margins=margins
     )
 
 

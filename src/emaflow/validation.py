@@ -372,11 +372,7 @@ def _crit_dimension_independence(seed: int):
             grid = default_classification_grid(profile, 128)
             verdicts.append(classify_profile(profile, grid))
         v2, v3 = verdicts
-        same = (
-            v2.regime == v3.regime
-            and v2.witness_r == v3.witness_r
-            and v2.t_blowup == v3.t_blowup
-        )
+        same = v2 == v3
         label = name + "(" + ",".join(f"{k}={v:g}" for k, v in params.items()) + ")"
         details[label] = v2.regime if same else f"{v2.regime} != {v3.regime}"
         if not same:

@@ -7,6 +7,7 @@ import pytest
 
 from emaflow.errors import DomainError, QuadratureError
 from emaflow import quadrature
+from emaflow.flow import energy_nodes
 from emaflow.quadrature import gauss_legendre_nodes, integrate_adaptive
 
 
@@ -67,13 +68,18 @@ def test_legendre_degree_exactness():
     assert np.all(np.diff(nodes) > 0)
 
 
-def test_legendre_invalid_requests():
+def test_legendre_invalid_requests(equilibrium):
     with pytest.raises(DomainError):
         gauss_legendre_nodes(0, 0.0, 1.0)
     with pytest.raises(DomainError):
         gauss_legendre_nodes(4, 1.0, 1.0)
     with pytest.raises(DomainError):
         gauss_legendre_nodes(4, 0.0, math.inf)
+    for m in (2.5, 8.0):
+        with pytest.raises(DomainError, match="node count must be an integer"):
+            gauss_legendre_nodes(m, 0.0, 1.0)
+    with pytest.raises(DomainError, match="node count must be an integer"):
+        energy_nodes(equilibrium, 8.0)
 
 
 def test_legendre_rule_is_cached_bitwise_and_read_only(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emaflow import threshold
 from emaflow.errors import BisectionError, DomainError, EmaflowError
-from emaflow.profiles import ProfilePreset
+from emaflow.profiles import ProfilePreset, RadialProfile
 from emaflow.spectral import IntegratorConfig, SwirlState, integrate
 from emaflow.threshold import (
     SIGMA_HORIZON_FACTOR,
@@ -334,6 +335,58 @@ def test_classify_profile_grid_validation(equilibrium):
         classify_profile(equilibrium, r_grid=np.array([0.0, 1.0]))
     with pytest.raises(DomainError, match="radii"):
         classify_profile(equilibrium, r_grid=np.array([0.5, 99.0]))
+    for size in (2.5, 8.0):
+        with pytest.raises(DomainError, match="grid size must be an integer"):
+            default_classification_grid(equilibrium, size)
+
+
+def _zeros(r):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def test_classify_profile_raises_at_a_non_finite_ratio_branch_origin():
+    # q0(0) = u0'(0) + 0.5 u0''(0) * 0 = 0.5 * inf * 0 = nan, while the
+    # gradient branch origin (0, 0) is finite.
+    profile = RadialProfile(
+        dimension=2, kappa=1.0, u0=_zeros, du0=_zeros, dphi0=_zeros, d2phi0=_zeros,
+        r_max=2.0, d2u0=lambda r: np.full_like(np.asarray(r, dtype=float), np.inf),
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(
+        DomainError, match=r"point \(nan, 0.0\) must be finite"
+    ):
+        classify_profile(profile, [1.0, 2.0])
+
+
+def test_classify_profile_does_not_judge_points_again(monkeypatch):
+    profiles = [
+        ProfilePreset("quadratic", params).build()
+        for params in (
+            {"a": 0.1, "c": 0.6, "d": 1.0},
+            {"a": 0.0, "c": 1.2, "d": 1.0},
+            {"a": 0.3, "c": math.sqrt(0.4), "d": 1.0},
+        )
+    ]
+    expected = [classify_profile(p) for p in profiles]
+    assert [v.regime for v in expected] == ["subcritical", "supercritical", "boundary"]
+
+    def judged_again(*args):
+        raise AssertionError("classify_profile called classify_point")
+
+    monkeypatch.setattr(threshold, "classify_point", judged_again)
+    for profile, verdict in zip(profiles, expected):
+        again = classify_profile(profile)
+        assert again == verdict and again.margins == verdict.margins
+
+
+def test_classify_profile_broadcasts_scalar_callables():
+    profile = RadialProfile(
+        dimension=2, kappa=1.0, u0=_zeros, du0=lambda r: -3.0,
+        dphi0=_zeros, d2phi0=lambda r: 0.1, r_max=2.0,
+    )
+    verdict = classify_profile(profile)
+    assert verdict.regime == "supercritical"
+    assert verdict.t_blowup == 0.3378390860053283 == blowup_time_closed_form(-3.0, 0.1, 1.0)
+    assert verdict.witness_r == 0.0
 
 
 def test_default_grid_spans_domain(equilibrium):
