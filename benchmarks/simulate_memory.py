@@ -65,12 +65,12 @@ def main():
     points = {"import": _status_mb()}
     write_blocks = cli._write_blocks
 
-    def measured_write_blocks(path, header, blocks):
+    def measured_write_blocks(path, header, rows, blocks):
         def all_blocks():
             yield from blocks
             points["ensemble"] = _status_mb()
 
-        write_blocks(path, header, all_blocks())
+        write_blocks(path, header, rows, all_blocks())
         points["csv"] = _status_mb()
         points["writer"] = {"maxrss": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 

@@ -18,7 +18,8 @@ one batch and the pointwise sweep is closed-form.
 simulate runs in two processes.  This one steps the ensemble,
 interpolates each output time and folds it into the diagnostics; a
 writer forked before the stepping formats snapshots.csv from the t and
-the float block of each output time, sent as raw bytes over a pipe.
+the float block of each output time, sent as one fixed-size raw record
+over a pipe whose end ends the stream.
 """
 
 from __future__ import annotations
@@ -71,19 +72,22 @@ def _write_csv(path: Path, header, rows):
         out.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _write_blocks(path: Path, header, blocks):
+def _write_blocks(path: Path, header, rows, blocks):
     # A CSV of float blocks, formatted in a forked writer process while
     # this process produces the blocks.  blocks yields (t, block) pairs,
-    # block a float64 array of len(header) - 1 columns; each of its rows
-    # becomes the line `t,x0,x1,...`, every float in repr.  path is
-    # replaced only once the writer has written every row and exited 0:
-    # an error in either process leaves path as it was.
+    # block a float64 array of shape (rows, len(header) - 1); each of its
+    # rows becomes the line `t,x0,x1,...`, every float in repr.  Each pair
+    # goes down the pipe as one raw record, t then the block, and closing
+    # the pipe ends the stream.  path is replaced only once this process
+    # has sent every block and the writer has exited 0: an error in
+    # either process leaves path as it was.
     with _replacing(path) as tmp:
-        pid, data, err = _start_writer(tmp, header)
+        pid, data, err = _start_writer(tmp, header, rows)
         try:
             for t, block in blocks:
-                _send(data, np.float64(t).tobytes() + block.tobytes())
-            _send(data, b"")
+                record = memoryview(np.float64(t).tobytes() + block.tobytes())
+                while record:
+                    record = record[os.write(data, record):]
         except BrokenPipeError:
             pass  # the writer has died; its exit status says how
         finally:
@@ -97,7 +101,7 @@ def _write_blocks(path: Path, header, blocks):
             raise WorkerError(f"the snapshot writer process {how}" + (reason and f": {reason}"))
 
 
-def _start_writer(tmp: Path, header):
+def _start_writer(tmp: Path, header, rows):
     # Forks the writer on a new file tmp.  Returns its pid, the write end
     # of the pipe that carries the blocks and the read end of the one
     # that carries its error message.
@@ -107,7 +111,7 @@ def _start_writer(tmp: Path, header):
         with open(tmp, "wb") as out:
             pid = os.fork()
             if pid == 0:
-                _writer(data_r, out.fileno(), err_w, header, (data_w, err_r))
+                _writer(data_r, out.fileno(), err_w, header, rows, (data_w, err_r))
     except BaseException:
         os.close(data_w)
         os.close(err_r)
@@ -118,39 +122,28 @@ def _start_writer(tmp: Path, header):
     return pid, data_w, err_r
 
 
-# A record on the pipe is its length as 8 bytes, then that many bytes:
-# t and the block's rows, as float64.  Length 0 ends the stream.
-def _send(fd, payload: bytes):
-    record = memoryview(len(payload).to_bytes(8, "little") + payload)
-    while record:
-        record = record[os.write(fd, record):]
-
-
-def _writer(data, out, err, header, parent_ends):
+def _writer(data, out, err, header, rows, parent_ends):
     # The writer process.  It leaves only through os._exit, so it never
     # returns into its caller nor runs the caller's exit handlers or
-    # buffered output.  Status 0 means the end record arrived and out is
-    # complete.  After an exception it is status 1, and err carries the
-    # exception, cut short so that it fits the pipe: the parent reads it
-    # only once this process has exited.
+    # buffered output.  It reads records of 1 + rows * (len(header) - 1)
+    # float64 until the pipe ends; a record cut short fails its reshape.
+    # Status 0 means out holds every record that arrived; only the parent
+    # knows whether that was all of them.  After an exception it is
+    # status 1, and err carries the exception, cut short so that it fits
+    # the pipe: the parent reads it only once this process has exited.
     status = 1
     try:
         for fd in parent_ends:
             os.close(fd)
+        columns = len(header) - 1
         with open(data, "rb") as pipe, open(out, "w", encoding="utf-8") as csv:
             csv.write(",".join(header) + "\n")
-            while True:
-                head = pipe.read(8)
-                if len(head) < 8:
-                    raise EOFError("the stream ended without its end record")
-                size = int.from_bytes(head, "little")
-                if size == 0:
-                    break
-                values = np.frombuffer(pipe.read(size), dtype=float)
+            while record := pipe.read(8 * (1 + rows * columns)):
+                values = np.frombuffer(record, dtype=float)
                 t = repr(float(values[0]))
                 # tolist() gives Python floats, whose repr is what _fmt writes.
-                rows = values[1:].reshape(-1, len(header) - 1).tolist()
-                csv.writelines(f"{t},{','.join(map(repr, row))}\n" for row in rows)
+                lines = values[1:].reshape(rows, columns).tolist()
+                csv.writelines(f"{t},{','.join(map(repr, line))}\n" for line in lines)
         status = 0
     except BaseException as exc:
         os.write(err, f"{type(exc).__name__}: {exc}".encode()[:1024])
@@ -204,7 +197,8 @@ def cmd_simulate(config: RunConfig) -> int:
             bound_margin = margin if bound_margin is None else min(bound_margin, margin)
             del snap, state, columns
 
-    _write_blocks(outdir / "snapshots.csv", ("t", "r", "rho", "u", "p", "q", "mu", "nu"), blocks())
+    header = ("t", "r", "rho", "u", "p", "q", "mu", "nu")
+    _write_blocks(outdir / "snapshots.csv", header, config.grid_size, blocks())
 
     termination = run.termination
     diag = {
@@ -313,6 +307,7 @@ def cmd_validate(config: RunConfig) -> int:
                 "measured": res.measured,
                 "budget": res.budget,
                 "elapsed_s": res.elapsed_s,
+                "details": res.details,
             }
             for res in results
         ],

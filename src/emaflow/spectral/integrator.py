@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, check_positive
 from .systems import SYSTEM_RHS
 
 __all__ = [
@@ -146,11 +146,8 @@ class IntegratorConfig:
             "blowup_magnitude",
             "horizon",
         ):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+            # Frozen: the checked float is stored through object.__setattr__.
+            object.__setattr__(self, name, check_positive(name, getattr(self, name), ConfigError))
         if self.min_step >= self.max_step:
             raise ConfigError(
                 f"min_step {self.min_step!r} must be smaller than max_step {self.max_step!r}"

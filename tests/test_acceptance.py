@@ -4,6 +4,7 @@ Each criterion prints one PASS/FAIL line (run with -s to watch them);
 the suite fails if any measured value lands outside its budget.
 """
 
+from emaflow import cli
 from emaflow.validation import available_criteria, resolve_suites, run_criteria
 
 EXPECTED = (
@@ -38,3 +39,18 @@ def test_all_acceptance_criteria_pass():
         f"{r.name}: measured={r.measured!r} exceeds budget={r.budget!r}"
         for r in failures
     ]
+
+
+def test_phase_diagram_never_reaches_the_cli(tmp_path, monkeypatch):
+    # The criterion classifies the sweep's cells itself: it neither runs
+    # the sweep command nor writes a file.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("phase_diagram_golden went through the CLI")
+
+    monkeypatch.setattr(cli, "cmd_sweep", unreachable)
+    monkeypatch.setattr(cli, "_write_csv", unreachable)
+    monkeypatch.chdir(tmp_path)
+    (result,) = run_criteria(["phase_diagram_golden"])
+    assert result.passed
+    assert result.details == {"nodes": 41 * 41, "node_mismatches": 0}
+    assert list(tmp_path.iterdir()) == []

@@ -294,21 +294,25 @@ def test_validate_selected_suites(tmp_path, capsys):
     code, stdout, _ = run_cli(
         [
             "validate", "--out", out,
-            "--set", "validate.suites=ellipse_invariant, blowup_time_agreement",
+            "--set",
+            "validate.suites=ellipse_invariant, blowup_time_agreement, phase_diagram_golden",
         ],
         capsys,
     )
     assert code == 0
-    assert stdout.count("PASS") == 2
+    assert stdout.count("PASS") == 3
     report = json.loads((tmp_path / "val" / "report.json").read_text())
     assert report["all_passed"] is True
     assert [c["name"] for c in report["criteria"]] == [
         "blowup_time_agreement",
         "ellipse_invariant",
+        "phase_diagram_golden",
     ]
     for c in report["criteria"]:
         assert c["passed"] is True
         assert c["measured"] <= c["budget"]
+        assert c["details"]
+    assert report["criteria"][2]["details"] == {"nodes": 1681, "node_mismatches": 0}
 
 
 def test_validate_euler_poisson_seed_11(tmp_path, capsys):

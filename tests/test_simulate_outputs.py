@@ -5,11 +5,12 @@ import os
 import signal
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from emaflow import cli, lagrange
 from emaflow.cli import main
-from emaflow.errors import DomainError
+from emaflow.errors import DomainError, WorkerError
 
 SUBCRITICAL = [
     "--set", "profile.preset=quadratic",
@@ -145,4 +146,19 @@ def test_a_write_error_in_the_writer_names_its_cause(tmp_path, capsys):
         "error: WorkerError: the snapshot writer process exited with status 1: "
         "OSError: [Errno 28] No space left on device"
     ]
+    _old_snapshots_kept(tmp_path, old)
+
+
+def test_a_record_cut_short_is_one_worker_error(tmp_path):
+    # The writer reads records of 1 + 4 * 2 floats; the second block has
+    # three rows, so the stream ends inside a record.
+    old = b"t,r\nfrom,an earlier run\n"
+    path = tmp_path / "snapshots.csv"
+    path.write_bytes(old)
+    blocks = [(0.0, np.zeros((4, 2))), (1.0, np.ones((3, 2)))]
+    with pytest.raises(WorkerError) as info:
+        cli._write_blocks(path, ("t", "x", "y"), 4, iter(blocks))
+    message = str(info.value)
+    assert "exited with status 1: ValueError" in message
+    assert len(message.splitlines()) == 1
     _old_snapshots_kept(tmp_path, old)

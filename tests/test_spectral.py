@@ -536,6 +536,23 @@ def test_config_validation():
         IntegratorConfig(blowup_magnitude=-1.0)
 
 
+def test_config_stores_numpy_reals_as_floats():
+    # integrate accepts any finite real, so its config does too, and
+    # stores it as a float.  Every value is exact in float32, so the
+    # NumPy config must equal the float one bit for bit.
+    floats = dict(rel_tol=2.0**-30, abs_tol=2.0**-36, max_step=0.5, min_step=2.0**-40,
+                  blowup_magnitude=2.0**30, horizon=5.0)
+    reals = {name: np.float32(value) for name, value in floats.items()}
+    reals.update(blowup_magnitude=np.int64(2**30), horizon=np.int64(5))
+    cfg = IntegratorConfig(**reals)
+    for name, value in floats.items():
+        stored = getattr(cfg, name)
+        assert type(stored) is float and stored.hex() == value.hex()
+    assert cfg == IntegratorConfig(**floats)
+    with pytest.raises(ConfigError, match="horizon"):
+        IntegratorConfig(horizon=True)
+
+
 def test_config_replace():
     cfg = IntegratorConfig().replace(horizon=50.0)
     assert cfg.horizon == 50.0

@@ -125,8 +125,9 @@ def test_validate_report_is_the_same_for_any_thread_count(tmp_path):
 
 # Runs main() with two stand-in criteria put in the registry before any
 # fork: one that divides by zero, so a NumPy warning would be a second
-# stderr line, and one that passes, raises or kills its process, as
-# argv[1] says.  In a fresh interpreter, so nothing of pytest's warning
+# stderr line (in a worker, it guards that the fork hands the workers
+# the caller's error state), and one that passes, raises or kills its
+# process, as argv[1] says.  In a fresh interpreter, so nothing of pytest's warning
 # capture reaches the workers.
 _VALIDATE_STAND_INS = """
 import multiprocessing, os, sys
