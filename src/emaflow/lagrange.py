@@ -425,7 +425,7 @@ def bkm_integral(times, integrands) -> float:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ConfigError("no snapshots to integrate over")
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.diff(times) > 0):
         raise ConfigError("snapshot times must be strictly increasing")
     return float(_trapezoid(np.asarray(integrands, dtype=float), times))
 

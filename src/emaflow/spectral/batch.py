@@ -24,11 +24,11 @@ step it:
   the working arrays, then hands each lane left (lane_state) to the
   generated scalar stepper.  An attempt costs about the same from one
   lane to a few dozen, and at one lane some 30 scalar attempts, so the
-  two break even at about 40 lanes, the hand-off point: bounded qnu
-  lanes at rel_tol 1e-9, measured in October 2026 on a shared 2-core
-  VM, where the break-even stayed between 40 and 44 lanes over four runs
-  while the absolute costs moved by up to 40%.  A lone lane, and a run
-  that records every step (the batch keeps none), is scalar from t = 0.
+  two break even at 36-39 lanes (the hand-off point is 40): nearby
+  bounded qnu lanes at rel_tol 1e-9, measured in October 2026 on a shared
+  2-core VM over four runs; two more, whose scalar attempt read 6.2 us
+  against 3.4-3.7 us, gave 21 and 26.  A lone lane, and a run that
+  records every step (the batch keeps none), is scalar from t = 0.
   Both steppers do the same operations in the same order, so where a
   lane is handed over changes no bit of its result.
 * lagrange.EnsembleRun runs the whole characteristic ensemble as
@@ -36,11 +36,11 @@ step it:
   characteristic, steps it to config.horizon and reads its output
   times off dense() after each accepted step.  Its state has some 10^5
   rows, so an attempt costs its passes over them: the derivative rows
-  are written straight into the stage arrays, the sums are formed in
-  place, an attempt that every live lane accepts takes the new state
-  without a masked copy and swaps the stage buffers for the next k0,
-  and the stages are tested for finiteness one by one only where the
-  error norm is not finite.
+  are written straight into the stage block, every sum is one
+  contraction over it, an attempt that every live lane accepts takes the
+  new state without a masked copy and reverses the block for the next
+  k0, and the block is tested for finiteness only where the error norm
+  is not finite.
 
 Both drivers step in the caller's process; the batch starts no thread
 or process.
@@ -152,19 +152,25 @@ class _Attempt(NamedTuple):
 
 
 def _stages_finite(stages):
-    """Lanes where every (d, lanes) array of stages is finite throughout."""
-    finite = np.isfinite(stages[0]).all(axis=0)
-    for stage in stages[1:]:
-        finite &= np.isfinite(stage).all(axis=0)
-    return finite
+    """Lanes where a (stages, d, lanes) block is finite throughout."""
+    return np.isfinite(stages).all(axis=(0, 1))
+
+
+_A_ROWS, _E_ROW = [np.array(row) for row in _A], np.array(_E)  # for _sum
+
+
+def _sum(weights, stages):
+    # sum_i weights[i] * stages[i] over a (n, d, lanes) block, accumulated
+    # from 0.0 in index order as the scalar stepper accumulates it.
+    return np.einsum("i,i...->...", weights, stages)
 
 
 class _Stepper:
     """Resumable DP5(4) state of a (d, lanes) batch, stepped by attempt().
 
-    f(y, out) writes the derivative of a (d, lanes) state y into out, an
-    array of y's shape (a stage of the k list).  watch selects the rows
-    whose magnitude is tested against config.blowup_magnitude and whose
+    f(y, out) writes the derivative of a (d, lanes) state y into out, a
+    stage of the (7, d, lanes) block k.  watch selects the rows whose
+    magnitude is tested against config.blowup_magnitude and whose
     tangent gives the pole time.  A lane whose start has a non-finite
     derivative or a watched magnitude beyond the threshold is a pole at
     t = 0: it is flagged in at_pole and never stepped.  Every lane steps
@@ -185,11 +191,11 @@ class _Stepper:
         live = ~self.at_pole
         self.lane = np.flatnonzero(live)
         self.y = y0[:, live]
-        # Seven views of one block.  Freeing the start block k also lifts
-        # glibc's dynamic mmap threshold above a state array, so the
+        # One block for the seven stages.  Freeing the start block k also
+        # lifts glibc's dynamic mmap threshold above a state array, so the
         # attempts' temporaries reuse heap pages: with seven separate
         # arrays the ensemble took ten times the page faults.
-        self.k = list(k[:, :, live])
+        self.k = k[:, :, live]
         self.h = _initial_step(f, self.y, self.k[0], cfg)
         self.t = np.zeros(self.lane.size)
         self.facold = np.full(self.lane.size, 1e-4)
@@ -199,7 +205,7 @@ class _Stepper:
         """Live lane j as plain floats, in the order the generated scalar
         stepper takes it: t, y, k0, h, facold, last_rejected."""
         return (
-            self.t[j].item(), self.y[:, j].tolist(), self.k[0][:, j].tolist(), self.h[j].item(),
+            self.t[j].item(), self.y[:, j].tolist(), self.k[0, :, j].tolist(), self.h[j].item(),
             self.facold[j].item(), bool(self.last_rejected[j]),
         )
 
@@ -207,7 +213,7 @@ class _Stepper:
         """Drop every lane where the mask live is false."""
         for name in ("lane", "t", "h", "facold", "last_rejected"):
             setattr(self, name, getattr(self, name)[live])
-        self.y, self.k = self.y[:, live], [stage[:, live] for stage in self.k]
+        self.y, self.k = self.y[:, live], self.k[:, :, live]
 
     def dense(self, theta, h):
         """The state at fraction theta of the step h that the last attempt
@@ -216,17 +222,14 @@ class _Stepper:
         Formed from the new state and the step's stages as
         y_new - h sum_i (w_i - b_i(theta)) k_i, w being the fifth-order
         weights and b_i the continuous-extension weights (_DENSE), so no
-        start state is kept.  The attempt swapped the step's first stage
-        into k[6] and its last into k[0].
+        start state is kept.  The attempt reversed the block, so k[::-1]
+        holds the step's stages in stage order.
         """
-        k = self.k
         weights = [
             w - theta * (b[0] + theta * (b[1] + theta * (b[2] + theta * b[3])))
             for w, b in zip(_A[6] + (0.0,), _DENSE)
         ]
-        total = weights[0] * k[6]
-        for weight, stage in zip(weights[1:], (k[1], k[2], k[3], k[4], k[5], k[0])):
-            total += weight * stage
+        total = _sum(weights, self.k[::-1])
         total *= h
         return np.subtract(self.y, total, out=total)
 
@@ -241,24 +244,19 @@ class _Stepper:
         h = np.where(clipped, room, self.h)
         underflow = (h < min_step) & ~clipped
 
-        # Each sum is formed in place, operation for operation as the
-        # scalar stepper forms it: the stage argument y + h * (a_i0 k0 +
-        # ...) and the scaled error h * (e0 k0 + ...) / (abs_tol + rel_tol
-        # * max(|y|, |y5|)).
+        # Each sum is one contraction over the block, operation for
+        # operation as the scalar stepper forms it: the stage argument y +
+        # h * (a_i0 k0 + ...) and the scaled error h * (e0 k0 + ...) /
+        # (abs_tol + rel_tol * max(|y|, |y5|)).
         for i in range(1, 7):
-            ai = _A[i]
-            yi = ai[0] * k[0]
-            for j in range(1, i):
-                yi += ai[j] * k[j]
+            yi = _sum(_A_ROWS[i], k[:i])
             yi *= h
             yi += y
             f(yi, k[i])
         # The last stage argument is the 5th-order solution (FSAL).
         y5 = yi
 
-        err_vec = _E[0] * k[0]
-        for i in range(1, 7):
-            err_vec += _E[i] * k[i]
+        err_vec = _sum(_E_ROW, k)
         err_vec *= h
         sc = np.abs(y)
         np.maximum(sc, np.abs(y5), out=sc)
@@ -270,8 +268,8 @@ class _Stepper:
         # A lane is bad where y5 or a stage is not finite.  Every stage
         # enters err_vec (E[1] = 0 turns an inf into 0 * inf = nan), and a
         # non-finite element of err_vec makes err non-finite, so a finite
-        # err proves every stage finite: the stages are read one by one
-        # only when some lane's err is not.
+        # err proves every stage finite: the stages are tested only when
+        # some lane's err is not.
         bad = ~np.isfinite(y5).all(axis=0)
         if not np.isfinite(err).all():
             bad |= ~_stages_finite(k[1:])
@@ -288,16 +286,17 @@ class _Stepper:
         reject = ~(underflow | bad | accept)
         fac11 = _pow(err, _EXPO1)
 
-        # Accepted lanes move to the new point.  Where every lane accepts,
-        # k[6] becomes the next first stage by a swap, which keeps the
-        # step's own first stage (in k[6]) for dense().
+        # Accepted lanes move to the new point, and the block is reversed:
+        # k[6] becomes the next first stage without a copy, and dense()
+        # reads the step's stages in stage order.  A lane that does not
+        # accept keeps its first stage, copied into k[6] before.
         t = np.where(accept, t_new, t)
         if accept.all():
             y = y5
-            k[0], k[6] = k[6], k[0]
         else:
             y = np.where(accept, y5, y)
-            k[0] = np.where(accept, k[6], k[0])
+            np.copyto(k[6], k[0], where=~accept)
+        self.k = k = k[::-1]
         m = np.abs(y[self.watch]).max(axis=0)
 
         fac = fac11 / _pow(self.facold, _BETA)
@@ -320,7 +319,7 @@ class _Stepper:
             # end of the step that found it.
             fallback = t[j] if accept[j] else t_tried[j]
             t_est[j] = _pole_time(
-                t[j].item(), y[self.watch, j].tolist(), k[0][self.watch, j].tolist(), fallback.item()
+                t[j].item(), y[self.watch, j].tolist(), k[0, self.watch, j].tolist(), fallback.item()
             )
 
         self.facold = np.where(accept, _pymax(err, 1e-4), self.facold)

@@ -169,8 +169,8 @@ class Termination:
 class Trajectory:
     """Accepted-step record of one integration.
 
-    states has one row per entry of times.  invariant_drift is filled
-    by callers running monitors; the integrator leaves it empty.
+    states has one row per entry of times.  invariant_drift starts
+    empty, and nothing in emaflow fills it.
     """
 
     times: np.ndarray

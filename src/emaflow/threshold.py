@@ -181,7 +181,7 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     r_arr = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if r_arr.size == 0:
         raise DomainError("classification grid is empty")
-    if np.any(r_arr <= 0.0) or np.any(r_arr > profile.r_max):
+    if not np.all((r_arr > 0.0) & (r_arr <= profile.r_max)):
         raise DomainError(f"classification radii must lie in (0, {profile.r_max!r}]")
     r_arr = np.sort(r_arr)
     kappa = profile.kappa

@@ -14,6 +14,7 @@ import pytest
 
 from emaflow.errors import ConfigError, DomainError
 from emaflow.spectral import IntegratorConfig, batch, integrate, integrate_batch
+from emaflow.spectral.integrator import _A, _DENSE
 from emaflow.spectral.systems import SYSTEM_DIMS
 
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
@@ -103,8 +104,8 @@ def test_batch_matches_scalar_kernel(monkeypatch):
 
 def test_stage_finiteness_is_read_lane_by_lane_where_the_error_is_not_finite(monkeypatch):
     # The middle lane's stages overflow near its pole while the bounded
-    # lanes step on: the stages are read one by one in those attempts,
-    # and every lane still ends where the scalar stepper ends it.
+    # lanes step on: the stage block is tested lane by lane in those
+    # attempts, and every lane still ends where the scalar stepper ends it.
     monkeypatch.setattr(batch, "_HANDOFF", 1)
     stages_finite = batch._stages_finite
     seen = []
@@ -226,3 +227,83 @@ def test_batch_validates_like_integrate():
         integrate_batch("qnu", [(0.0, 0.0)], -1.0)
     with pytest.raises(ConfigError, match="IntegratorConfig"):
         integrate_batch("qnu", [(0.0, 0.0)], 1.0, config="fast")
+
+
+def _term_by_term(weights, stages):
+    # sum_i weights[i] * stages[i] formed one term at a time, in index
+    # order from 0.0 as the scalar stepper forms it; each product is the
+    # left operand, which decides only which nan's payload survives.
+    total = np.zeros(stages.shape[1:])
+    for weight, stage in zip(weights, stages):
+        total = weight * stage + total
+    return total
+
+
+def _dense_weights(theta):
+    return [
+        w - theta * (b[0] + theta * (b[1] + theta * (b[2] + theta * b[3])))
+        for w, b in zip(_A[6] + (0.0,), _DENSE)
+    ]
+
+
+@pytest.mark.parametrize("shape", [(7, 2, 1), (7, 6, 144), (7, 114688, 1), (7, 3, 4096)])
+def test_stage_contraction_keeps_the_sum_order(shape):
+    # A reassociated or fused multiply-add sum moves bits here.
+    rng = np.random.default_rng(22)
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2e-310, 1.7e308, -1.7e308]
+    mixed = rng.random(shape) < 0.2
+    block[mixed] = rng.choice(specials, mixed.sum())
+    block[:, 0] = -0.0  # a sum of zeros only: +0.0, since it starts from 0.0
+    weights = batch._A_ROWS[1:] + [batch._E_ROW, _dense_weights(0.3)]
+    with np.errstate(all="ignore"):
+        for stages in (block, block[::-1]):
+            for w in weights:
+                got = batch._sum(w, stages[: len(w)])
+                assert got.tobytes() == _term_by_term(w, stages[: len(w)]).tobytes(), (len(w), stages.strides)
+
+
+def test_first_same_as_last_reverses_the_block(monkeypatch):
+    # Lanes accepting together, then apart, as in the stepper pins.  A
+    # lane that does not accept keeps its first stage, one that does
+    # takes f at its new state, and dense() reads the stages of an
+    # accepted step in stage order.
+    monkeypatch.setattr(batch, "_HANDOFF", 1)
+    calls, rhs, attempt = [], batch._rhs, batch._Stepper.attempt
+
+    def recording_rhs(*args, **kwargs):
+        f = rhs(*args, **kwargs)
+
+        def recorded(y, out):
+            f(y, out)
+            calls.append(out.copy())
+
+        return recorded
+
+    counts = {"some": 0, "every": 0}
+
+    def checked(self):
+        first = self.k[0].copy()
+        del calls[:]
+        step = attempt(self)
+        stages = np.stack([first] + calls)
+        for j in np.flatnonzero(~step.accepted):
+            assert np.array(self.lane_state(j)[2]).tobytes() == first[:, j].tobytes()
+        at_new = np.empty_like(self.y)
+        self.f(self.y, at_new)
+        assert at_new[:, step.accepted].tobytes() == self.k[0][:, step.accepted].tobytes()
+        if step.accepted.all():
+            counts["every"] += 1
+            for theta in (0.3, 0.5):
+                total = _term_by_term(_dense_weights(theta), stages) * step.h
+                assert self.dense(theta, step.h).tobytes() == (self.y - total).tobytes()
+        elif step.accepted.any():
+            counts["some"] += 1
+        return step
+
+    monkeypatch.setattr(batch, "_rhs", recording_rhs)
+    monkeypatch.setattr(batch._Stepper, "attempt", checked)
+    states = [(0.5 + 1e-3 * i, 0.01 * i) for i in range(8)] + [(-1.2, 0.0)]
+    res = integrate_batch("qnu", states, 1.0, config=IntegratorConfig(horizon=30.0))
+    assert res.kinds == ("horizon_reached",) * 8 + ("blowup_detected",)
+    assert counts["every"] >= 50 and counts["some"] >= 10, counts

@@ -13,6 +13,7 @@ from emaflow.lagrange import (
     EulerianSnapshot,
     _pchip,
     advance_ensemble,
+    bkm_integral,
     bkm_monitor,
     default_seeds,
     gradient_bound_check,
@@ -175,6 +176,8 @@ def test_bkm_monitor_input_validation(equilibrium):
     res = advance_ensemble(equilibrium, n_chars=8, t_end=1.0, output_times=[0.0, 0.5])
     with pytest.raises(ConfigError, match="strictly increasing"):
         bkm_monitor(list(reversed(res.snapshots)))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        bkm_integral([0.0, np.nan], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------- gradient bound

@@ -335,6 +335,8 @@ def test_classify_profile_grid_validation(equilibrium):
         classify_profile(equilibrium, r_grid=np.array([0.0, 1.0]))
     with pytest.raises(DomainError, match="radii"):
         classify_profile(equilibrium, r_grid=np.array([0.5, 99.0]))
+    with pytest.raises(DomainError, match="radii"):
+        classify_profile(equilibrium, r_grid=np.array([0.5, np.nan]))
     for size in (2.5, 8.0):
         with pytest.raises(DomainError, match="grid size must be an integer"):
             default_classification_grid(equilibrium, size)
