@@ -102,18 +102,9 @@ def flow_gradient_eigs(profile: RadialProfile, r0, t: float):
     r_arr = profile.check_radius(r0)
     t = _check_time(t)
     ct, st = _trig(profile.kappa, t)
-    lam1 = _eig(
-        np.asarray(profile.d2phi0(r_arr), dtype=float),
-        np.asarray(profile.du0(r_arr), dtype=float),
-        ct,
-        st,
-    )
-    lam2 = _eig(
-        np.asarray(profile.nu0(r_arr), dtype=float),
-        np.asarray(profile.q0(r_arr), dtype=float),
-        ct,
-        st,
-    )
+    p, q, mu, nu = profile.spectral(r_arr)
+    lam1 = _eig(mu, p, ct, st)
+    lam2 = _eig(nu, q, ct, st)
     if np.asarray(r0).ndim == 0:
         return float(lam1[0]), float(lam2[0])
     return lam1, lam2
@@ -198,21 +189,15 @@ def positive_definite_horizon(profile: RadialProfile, r0: float) -> float | None
 
     Reduces to the minimum over both branches of the closed-form root.
     """
-    r_val = float(profile.check_radius(r0)[0])
-    kappa = profile.kappa
-    t1 = blowup_time_closed_form(
-        float(profile.du0(r_val)), float(profile.d2phi0(r_val)), kappa
-    )
-    t2 = blowup_time_closed_form(
-        float(profile.q0(r_val)), float(profile.nu0(r_val)), kappa
-    )
-    candidates = [t for t in (t1, t2) if t is not None]
+    p, q, mu, nu = profile.spectral(profile._scalar_radius(r0))[:, 0].tolist()
+    times = (blowup_time_closed_form(lam, h, profile.kappa) for lam, h in ((p, mu), (q, nu)))
+    candidates = [t for t in times if t is not None]
     return min(candidates) if candidates else None
 
 
 def sample_flow(profile: RadialProfile, r0: float, t: float) -> FlowSample:
     """All flow quantities for one characteristic at one time."""
-    r_val = float(profile.check_radius(r0)[0])
+    r_val = profile._scalar_radius(r0)
     lam1, lam2 = flow_gradient_eigs(profile, r_val, t)
     return FlowSample(
         r0=r_val,

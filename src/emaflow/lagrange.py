@@ -129,10 +129,7 @@ def _initial_fields(profile: RadialProfile, seeds: np.ndarray) -> np.ndarray:
     fields = np.zeros((7, seeds.size))
     fields[0] = seeds
     fields[1] = profile.u0(seeds)
-    fields[2] = profile.du0(seeds)
-    fields[3] = profile.q0(seeds)
-    fields[4] = profile.d2phi0(seeds)
-    fields[5] = profile.nu0(seeds)
+    fields[2:6] = profile.spectral(seeds)
     return fields
 
 

@@ -8,10 +8,12 @@ det(I - D^2 phi0) = rho0 fixes it, which in radial coordinates reads
     rho0(r) = (1 - phi0''(r)) * (1 - phi0'(r)/r)^(n-1).
 
 Everything downstream (threshold classification, the closed-form flow,
-the characteristic ensemble) consumes the same profile object, so the
-derivative callables must be exact: the preset family below is chosen
-precisely so that u0', phi0'' and the third derivative needed for the
-origin series are available in closed form.
+the characteristic ensemble) consumes the same profile object, and
+reads its initial spectral data (u0', u0/r, phi0'', phi0'/r) through
+RadialProfile.spectral, so the origin rule of the ratio forms lives in
+one place.  The derivative callables must be exact: the preset family
+below is chosen precisely so that u0', phi0'' and the third derivative
+needed for the origin series are available in closed form.
 
 All callables are expected to be numpy-vectorized (they receive either
 a scalar or a 1-d array of radii).
@@ -81,8 +83,11 @@ class RadialProfile:
             raise DomainError(f"r_max {self.r_max!r} is too small: r_eps underflows to 0")
         # Regularity at the origin: a radial field with u0(0) != 0 or
         # phi0'(0) != 0 is not the restriction of a smooth vector field.
-        if abs(float(self.u0(0.0))) > 1e-12 or abs(float(self.dphi0(0.0))) > 1e-12:
-            raise DomainError("u0(0) and dphi0(0) must vanish")
+        u_origin, dphi_origin = float(self.u0(0.0)), float(self.dphi0(0.0))
+        if not (abs(u_origin) <= 1e-12 and abs(dphi_origin) <= 1e-12):
+            raise DomainError(
+                f"u0(0) and dphi0(0) must vanish, got {u_origin!r} and {dphi_origin!r}"
+            )
 
     @property
     def r_eps(self) -> float:
@@ -119,6 +124,19 @@ class RadialProfile:
         """u0(r)/r with the origin limit u0'(0)."""
         return self._ratio(r, self.u0, self.du0, self.d2u0)
 
+    def spectral(self, r) -> np.ndarray:
+        """Initial spectral data (p, q, mu, nu) = (u0', u0/r, phi0'', phi0'/r).
+
+        Rows in SpectralState order, shape (4,) + np.atleast_1d(r).shape:
+        the gradient branch is rows (0, 2), the ratio branch rows (1, 3).
+        A callable that returns a scalar is broadcast.  r is not checked.
+        """
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty((4,) + r_arr.shape)
+        for row, f in enumerate((self.du0, self.q0, self.d2phi0, self.nu0)):
+            out[row] = f(r_arr)
+        return out
+
     def check_radius(self, r) -> np.ndarray:
         """Validate r in [0, r_max]; returns the values as float array."""
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -129,29 +147,23 @@ class RadialProfile:
             raise DomainError(f"radius {bad!r} outside [0, {self.r_max!r}]")
         return r_arr
 
+    def _scalar_radius(self, r) -> float:
+        """check_radius of one radius, as a float; DomainError for an array."""
+        if np.ndim(r) != 0:
+            raise DomainError(f"expected one radius, got an array of shape {np.shape(r)}")
+        return float(self.check_radius(r)[0])
+
 
 def derive_density(profile: RadialProfile, r):
-    """Initial density (1 - phi0'')(1 - phi0'/r)^(n-1) at radius r.
+    """Initial density (1 - phi0'')(1 - phi0'/r)^(n-1) at radius r, of
+    the rows mu, nu of profile.spectral.
 
-    Below r_eps both Hessian eigenvalues coincide, giving
-    (1 - phi0''(0))^n.  Accepts scalars or arrays; raises DomainError
-    outside [0, r_max].
+    Accepts scalars or arrays; raises DomainError outside [0, r_max].
     """
     r_arr = profile.check_radius(r)
-    scalar = np.asarray(r, dtype=float).ndim == 0
-    n = profile.dimension
-    out = np.empty_like(r_arr)
-    small = r_arr < profile.r_eps
-    big = ~small
-    if big.any():
-        rb = r_arr[big]
-        mu = np.asarray(profile.d2phi0(rb), dtype=float)
-        nu = np.asarray(profile.dphi0(rb), dtype=float) / rb
-        out[big] = (1.0 - mu) * (1.0 - nu) ** (n - 1)
-    if small.any():
-        # A NumPy scalar, so an overflow gives inf rather than OverflowError.
-        out[small] = np.float64(1.0 - float(profile.d2phi0(0.0))) ** n
-    return float(out[0]) if scalar else out
+    _, _, mu, nu = profile.spectral(r_arr)
+    out = (1.0 - mu) * (1.0 - nu) ** (profile.dimension - 1)
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def transported_primitive(profile: RadialProfile, r) -> float:
@@ -160,7 +172,7 @@ def transported_primitive(profile: RadialProfile, r) -> float:
     Adaptive quadrature at abs 1e-12 / rel 1e-10; monotone
     nondecreasing in r since rho0 >= 0 on valid profiles.
     """
-    r_val = float(profile.check_radius(r)[0])
+    r_val = profile._scalar_radius(r)
     if r_val == 0.0:
         return 0.0
     n = profile.dimension
@@ -287,6 +299,8 @@ def _build_equilibrium(dimension, kappa, r_max, params):
 
 
 def _gaussian_velocity(c, d):
+    if not d >= 0:
+        raise DomainError(f"velocity width parameter d must be >= 0, got {d!r}")
     d_sq = _param_square("d", d)
     u0 = lambda r: c * r * np.exp(-d * np.asarray(r, dtype=float) ** 2)
     du0 = lambda r: c * (1.0 - 2.0 * d * np.asarray(r, dtype=float) ** 2) * np.exp(
@@ -304,8 +318,6 @@ def _build_quadratic(dimension, kappa, r_max, params):
     a = float(params.pop("a", 0.0))
     c = float(params.pop("c", 0.0))
     d = float(params.pop("d", 1.0))
-    if d < 0:
-        raise DomainError(f"velocity width parameter d must be >= 0, got {d!r}")
     u0, du0, d2u0 = _gaussian_velocity(c, d)
     return RadialProfile(
         dimension=dimension, kappa=kappa,
@@ -325,9 +337,9 @@ def _build_bump(dimension, kappa, r_max, params):
     d = float(params.pop("d", 1.0))
     rc = float(params.pop("rc", 2.0))
     s = float(params.pop("s", 1.0))
-    if s <= 0:
+    if not s > 0:
         raise DomainError(f"bump width must be positive, got {s!r}")
-    if rc - s <= 0 or rc + s >= r_max:
+    if not (rc - s > 0 and rc + s < r_max):
         raise DomainError(
             f"bump support ({rc - s!r}, {rc + s!r}) must lie inside (0, {r_max!r})"
         )

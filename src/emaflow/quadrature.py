@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
+__all__ = ["integrate_adaptive", "gauss_legendre_nodes"]
+
 # 15-point Kronrod abscissae on [-1, 1], positive half, descending.
 # The even-index entries (0, 2, 4, 6) form the embedded 7-point Gauss rule.
 _XK = np.array(

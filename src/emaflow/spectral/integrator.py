@@ -52,7 +52,7 @@ import dataclasses
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,14 +169,12 @@ class Termination:
 class Trajectory:
     """Accepted-step record of one integration.
 
-    states has one row per entry of times.  invariant_drift starts
-    empty, and nothing in emaflow fills it.
+    states has one row per entry of times.
     """
 
     times: np.ndarray
     states: np.ndarray
     termination: Termination
-    invariant_drift: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

@@ -48,6 +48,10 @@ SIGMA_HORIZON_FACTOR = 500.0
 
 _REGIMES = ("subcritical", "supercritical", "boundary")
 
+# The eigenvalue branches of a profile-level verdict: (u0', phi0'') and
+# (u0/r, phi0'/r), rows (p, mu) and (q, nu) of RadialProfile.spectral.
+_BRANCHES = ("gradient_branch", "ratio_branch")
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -162,8 +166,9 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     """Profile-level verdict over both eigenvalue branches.
 
     Subcritical requires strict subcriticality of (u0'(r), phi0''(r))
-    and (u0(r)/r, phi0'(r)/r) at the analytic origin limit and at every
-    grid radius (default_classification_grid when r_grid is None).
+    and (u0(r)/r, phi0'(r)/r), read from profile.spectral, at the
+    analytic origin limit and at every grid radius
+    (default_classification_grid when r_grid is None).
     Otherwise the verdict is supercritical (witness_r = first failing
     radius, t_blowup = min closed-form time over the supercritical
     points) or boundary when nothing worse than a tolerance-level
@@ -186,17 +191,11 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     r_arr = np.sort(r_arr)
     kappa = profile.kappa
 
-    # Rows: the gradient branch (u0', phi0'') and the ratio branch
-    # (u0/r, phi0'/r).  Columns: the origin limit point, then the grid.
-    branches = (
-        ("gradient_branch", profile.du0, profile.d2phi0),
-        ("ratio_branch", profile.q0, profile.nu0),
-    )
-    lam = np.empty((2, r_arr.size + 1))
-    h = np.empty_like(lam)
-    for row, (_, lam_f, h_f) in enumerate(branches):
-        lam[row, 0], lam[row, 1:] = lam_f(0.0), lam_f(r_arr)
-        h[row, 0], h[row, 1:] = h_f(0.0), h_f(r_arr)
+    # lam holds the rows (p, q) of the spectral data, h the rows
+    # (mu, nu): row 0 is the gradient branch, row 1 the ratio branch.
+    # Columns: the origin limit point, then the grid.
+    spectral = profile.spectral(np.concatenate(([0.0], r_arr)))
+    lam, h = spectral[:2], spectral[2:]
 
     # Checks kappa, then raises for the first non-finite point, if any,
     # in judging order: column by column, the gradient row first.
@@ -209,7 +208,7 @@ def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
         scale = kappa * np.abs(1.0 - 2.0 * h) + lam * lam
         boundary = np.isfinite(scale) & (np.abs(margin) <= TOL_BOUNDARY * scale)
     supercritical = ~boundary & ~(margin > 0.0)
-    margins = {name: float(margin[row].min()) for row, (name, _, _) in enumerate(branches)}
+    margins = {name: float(margin[row].min()) for row, name in enumerate(_BRANCHES)}
     failing = np.flatnonzero((boundary | supercritical).any(axis=0))
     if failing.size == 0:
         return Verdict(regime="subcritical", margins=margins)

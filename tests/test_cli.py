@@ -572,6 +572,24 @@ def test_overflowing_profile_prints_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: DomainError: point (-inf, 0.0) must be finite"]
 
 
+@pytest.mark.parametrize(
+    "sets,message",
+    [
+        (["profile.s=nan"], "bump width must be positive, got nan"),
+        (["profile.rc=nan"], "bump support (nan, nan) must lie inside (0, 5.0)"),
+        (["profile.d=-1"], "velocity width parameter d must be >= 0, got -1.0"),
+    ],
+)
+def test_invalid_bump_prints_one_error_line(tmp_path, capsys, sets, message):
+    argv = ["classify", "--out", str(tmp_path), "--set", "profile.preset=bump"]
+    for item in sets:
+        argv += ["--set", item]
+    code, _, stderr = run_cli(argv, capsys)
+    assert code == 1
+    assert stderr.splitlines() == [f"error: DomainError: {message}"]
+    assert not (tmp_path / "verdict.json").exists()
+
+
 def test_simulate_from_a_pole_ends_at_t0(tmp_path, capsys):
     argv = ["simulate", "--out", str(tmp_path), "--set", "simulate.n_chars=8",
             "--set", "profile.preset=quadratic", "--set", "profile.c=1e200"]

@@ -18,7 +18,7 @@ from emaflow.flow import (
     pushforward_density,
     sample_flow,
 )
-from emaflow.profiles import ProfilePreset, derive_density
+from emaflow.profiles import ProfilePreset, derive_density, gamma_inverse, transported_primitive
 from emaflow.quadrature import gauss_legendre_nodes
 from emaflow.spectral import IntegratorConfig, integrate
 from emaflow.threshold import blowup_time_closed_form
@@ -213,6 +213,23 @@ def test_sample_flow_is_self_consistent(subcritical_profile):
     assert (s.lam1, s.lam2) == (lam1, lam2)
     assert s.density == pushforward_density(p, 0.8, 1.1)
     assert s.velocity == flow_radius_dt(p, 0.8, 1.1)
+
+
+def test_scalar_radial_functions_reject_an_array(canonical_supercritical):
+    # An array is refused, not answered for its first radius.
+    p = canonical_supercritical
+    calls = (
+        lambda r: positive_definite_horizon(p, r),
+        lambda r: sample_flow(p, r, 0.1),
+        lambda r: transported_primitive(p, r),
+        lambda r: gamma_inverse(p, r),
+    )
+    for call in calls:
+        for r in ([0.5, 3.0], [0.5], np.array([1.0, 2.0])):
+            with pytest.raises(DomainError, match="expected one radius"):
+                call(r)
+        call(np.float64(0.5))
+        call(np.array(0.5))
 
 
 def test_negative_time_rejected(equilibrium):

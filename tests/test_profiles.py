@@ -88,6 +88,29 @@ def test_density_rejects_out_of_domain(subcritical_profile):
         derive_density(subcritical_profile, subcritical_profile.r_max + 1.0)
 
 
+def _cubic_potential_profile():
+    """n=3 profile with phi0' = 0.2 r + 0.3 r^2, so phi0'' = 0.2 + 0.6 r
+    and phi0'/r = 0.2 + 0.3 r: the ratio form's origin series is exact."""
+    return RadialProfile(
+        dimension=3, kappa=1.0,
+        u0=_zeros, du0=_zeros,
+        dphi0=lambda r: 0.2 * np.asarray(r, dtype=float) + 0.3 * np.asarray(r, dtype=float) ** 2,
+        d2phi0=lambda r: 0.2 + 0.6 * np.asarray(r, dtype=float),
+        d3phi0=lambda r: np.full_like(np.asarray(r, dtype=float), 0.6),
+        r_max=5.0,
+    )
+
+
+def test_density_is_the_determinant_of_the_spectral_data():
+    # Below r_eps the density follows nu0's origin series, as every
+    # other route does.
+    prof = _cubic_potential_profile()
+    for r in (0.0, 0.5 * prof.r_eps, prof.r_eps, 1.0):
+        _, _, mu, nu = prof.spectral(r)
+        expected = (1.0 - mu) * (1.0 - nu) ** 2
+        assert np.float64(derive_density(prof, r)).tobytes() == expected.tobytes(), r
+
+
 def test_density_vectorized(subcritical_profile):
     r = np.array([0.0, 0.5, 1.0, 2.0])
     values = derive_density(subcritical_profile, r)
@@ -187,6 +210,36 @@ def test_ratio_forms_have_origin_limits(subcritical_profile):
     assert float(prof.q0(r)) == pytest.approx(float(prof.u0(r)) / r, rel=1e-9)
 
 
+def _spectral_radii(prof):
+    return np.concatenate(
+        ([0.0, 0.5 * prof.r_eps, prof.r_eps], np.geomspace(1e-6 * prof.r_max, prof.r_max, 97))
+    )
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [ProfilePreset(name, params).build(dimension=3) for name, params in PRESET_GRID]
+    + [step_density_profile()],
+    ids=[name for name, _ in PRESET_GRID] + ["step-density"],
+)
+def test_spectral_rows_are_the_derivative_callables(prof):
+    r = _spectral_radii(prof)
+    block = prof.spectral(r)
+    assert block.shape == (4, r.size)
+    for row, f in zip(block, (prof.du0, prof.q0, prof.d2phi0, prof.nu0)):
+        assert row.tobytes() == np.asarray(f(r), dtype=float).tobytes()
+    assert prof.spectral(0.5).shape == (4, 1)
+
+
+def test_spectral_broadcasts_a_scalar_callable():
+    prof = RadialProfile(
+        dimension=2, kappa=1.0, u0=_zeros, du0=_zeros,
+        dphi0=lambda r: 0.25 * np.asarray(r, dtype=float), d2phi0=lambda r: 0.25,
+        r_max=5.0,
+    )
+    assert prof.spectral([0.5, 1.0, 2.0])[2].tolist() == [0.25, 0.25, 0.25]
+
+
 # --- construction errors --------------------------------------------------
 
 def test_unknown_preset_rejected():
@@ -204,6 +257,12 @@ def test_bump_support_must_fit():
         ProfilePreset("bump", {"rc": 0.5, "s": 1.0}).build()
     with pytest.raises(DomainError, match="support"):
         ProfilePreset("bump", {"rc": 4.8, "s": 1.0}).build()
+    # A nan compares false both ways, so each check is the negation of
+    # what must hold.
+    with pytest.raises(DomainError, match="bump width must be positive"):
+        ProfilePreset("bump", {"s": math.nan}).build()
+    with pytest.raises(DomainError, match="support"):
+        ProfilePreset("bump", {"rc": math.nan}).build()
 
 
 def test_nonvanishing_origin_data_rejected():
@@ -212,6 +271,12 @@ def test_nonvanishing_origin_data_rejected():
             dimension=2, kappa=1.0,
             u0=lambda r: np.ones_like(np.asarray(r, dtype=float)),
             du0=_zeros, dphi0=_zeros, d2phi0=_zeros, r_max=5.0,
+        )
+    with pytest.raises(DomainError, match="vanish"):
+        RadialProfile(
+            dimension=2, kappa=1.0,
+            u0=_zeros, du0=_zeros, d2phi0=_zeros, r_max=5.0,
+            dphi0=lambda r: np.full_like(np.asarray(r, dtype=float), math.nan),
         )
 
 
@@ -227,3 +292,7 @@ def test_bad_dimension_and_kappa_rejected():
 def test_negative_velocity_width_rejected():
     with pytest.raises(DomainError):
         ProfilePreset("quadratic", {"d": -1.0}).build()
+    # Both presets share the Gaussian velocity and its check.
+    for name, d in (("quadratic", math.nan), ("bump", -1.0), ("bump", math.nan)):
+        with pytest.raises(DomainError, match="velocity width parameter d must be >= 0"):
+            ProfilePreset(name, {"d": d}).build()
