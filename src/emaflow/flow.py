@@ -138,14 +138,12 @@ def potential_gradient_on_path(
     r_t = flow_radius(profile, r0, t)
     if method == "identity":
         gamma = gamma_inverse_identity(profile, r0)
-    elif method == "quadrature":
-        scalar = np.asarray(r0).ndim == 0
-        if scalar:
-            gamma = gamma_inverse(profile, r0)
-        else:
-            gamma = np.array([gamma_inverse(profile, float(r)) for r in np.asarray(r0)])
-    else:
+    elif method != "quadrature":
         raise DomainError(f"unknown gamma route {method!r}")
+    elif np.asarray(r0).ndim == 0:
+        gamma = gamma_inverse(profile, r0)
+    else:
+        gamma = np.array([gamma_inverse(profile, float(r)) for r in np.asarray(r0)])
     return r_t - gamma
 
 

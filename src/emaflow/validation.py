@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -29,7 +29,6 @@ from .errors import ConfigError, WorkerError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
 from .lagrange import advance_ensemble, default_seeds, ensemble_drift, ensemble_energies
 from .profiles import ProfilePreset
-from .quadrature import gauss_legendre_nodes
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
 from .threshold import (
@@ -231,25 +230,21 @@ def _crit_euler_poisson(seed: int):
     return blowups == 0 and accepted == 100, float(blowups), 0.0, details
 
 
-# The size of energy_conservation's Gauss-Legendre rule.
-_ENERGY_NODES = 256
-
-
-@lru_cache(maxsize=1)
+@cache
 def _equivalence_runs():
     """One characteristic ensemble per _EQUIV_CASES preset, for the three
     criteria in _SHARED_ENSEMBLES: (profile, result, nodes, weights).
 
     Its seeds are the 2048 log-spaced radii of default_seeds together
-    with the Gauss-Legendre nodes of energy_conservation's rule, whose
-    weights come with them; its output times are those of every one of
-    the three.
+    with the nodes of energy_conservation's 256-point Gauss-Legendre
+    rule, whose weights come with them; its output times are those of
+    every one of the three.
     """
     config = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     runs = []
     for name, params, n in _EQUIV_CASES:
         profile = _build(name, params, n)
-        nodes, weights = energy_nodes(profile, _ENERGY_NODES)
+        nodes, weights = energy_nodes(profile, 256)
         result = advance_ensemble(
             profile,
             t_end=_EQUIV_TIMES[-1],
@@ -301,23 +296,22 @@ def _on_nodes(result, nodes):
     )
 
 
+def _drift(energies) -> float:
+    """The largest change of energies from the first, relative to it."""
+    e0 = energies[0]
+    return max(abs(e_t - e0) for e_t in energies) / max(abs(e0), 1e-300)
+
+
 def _crit_energy(seed: int):
     worst_closed = 0.0
     worst_ensemble = 0.0
     for profile, result, nodes, weights in _equivalence_runs():
-        e_ref = conserved_energy(profile, nodes, weights, 0.0)
-        scale = max(abs(e_ref), 1e-300)
-        for t in _EQUIV_TIMES:
-            e_t = conserved_energy(profile, nodes, weights, t)
-            worst_closed = max(worst_closed, abs(e_t - e_ref) / scale)
-
+        closed = [conserved_energy(profile, nodes, weights, t) for t in (0.0,) + _EQUIV_TIMES]
+        worst_closed = max(worst_closed, _drift(closed))
         if result.termination.kind != "horizon_reached":
             return False, math.inf, 1.0, {"termination": result.termination.kind}
         energies = ensemble_energies(profile, _on_nodes(result, nodes), weights)
-        e0 = energies[0]
-        scale = max(abs(e0), 1e-300)
-        for e_t in energies[1:]:
-            worst_ensemble = max(worst_ensemble, abs(e_t - e0) / scale)
+        worst_ensemble = max(worst_ensemble, _drift(energies))
     worst = max(worst_closed / 1e-10, worst_ensemble / 1e-6)
     details = {
         "closed_form_drift": worst_closed,
@@ -332,6 +326,8 @@ def _crit_path_invariants(seed: int):
     worst_path = 0.0
     worst_density = 0.0
     for profile, result, _, _ in _equivalence_runs():
+        if result.termination.kind != "horizon_reached":
+            return False, math.inf, 1.0, {"termination": result.termination.kind}
         path, density = ensemble_drift(profile, result)
         worst_path = max(worst_path, path)
         worst_density = max(worst_density, density)
@@ -519,15 +515,7 @@ def _run_unit(unit, seed: int) -> list[CriterionResult]:
 def _run_pool(units, seed: int, workers: int) -> list[list[CriterionResult]]:
     # Forked workers inherit the imported package and its caches, where
     # spawned ones would import everything again (about 0.2 s each).
-    # emaflow starts no threads; the only other one, OpenBLAS's pool,
-    # handles a fork itself.  A worker that called LAPACK would start
-    # that pool anew, and its threads would spin on the CPU the other
-    # workers need; so the one LAPACK call of the criteria, the reference
-    # Gauss-Legendre rule that seeds _equivalence_runs() (energy_nodes),
-    # is made and cached here, before the fork.  The fork also gives the
-    # workers the caller's NumPy error state.
-    if any(name in _SHARED_ENSEMBLES for unit in units for name in unit):
-        gauss_legendre_nodes(_ENERGY_NODES, -1.0, 1.0)
+    # The fork also gives the workers the caller's NumPy error state.
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),

@@ -82,28 +82,35 @@ def test_legendre_invalid_requests(equilibrium):
         energy_nodes(equilibrium, 8.0)
 
 
-def test_legendre_rule_is_cached_bitwise_and_read_only(monkeypatch):
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
+RULE_SIZES = [1, 2, 3, 5, 37, 256]
 
-    def counted(m):
-        calls.append(m)
-        return leggauss(m)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    quadrature._reference_rule.cache_clear()
-    x, w = leggauss(37)
-    for a, b in ((-1.0, 1.0), (0.0, 2.5), (-1.0, 1.0)):
+@pytest.mark.parametrize("m", RULE_SIZES)
+def test_legendre_rule_matches_an_eigenvalue_solver(m):
+    # leggauss (Golub-Welsch, an eigenvalue problem) is only the reference.
+    x, w = quadrature._legendre_rule(m)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(m)
+    assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.abs(x_ref)))
+    assert np.all(np.abs(w - w_ref) <= 1e-10 * w_ref)
+    for k in range(min(m, 40)):
+        assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", RULE_SIZES)
+def test_legendre_rule_is_exactly_symmetric(m):
+    x, w = quadrature._legendre_rule(m)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if m % 2:
+        middle = x[m // 2]
+        assert middle == 0.0 and not np.signbit(middle)
+        assert gauss_legendre_nodes(m, -1.0, 1.0)[0][m // 2] == 0.0
+
+
+def test_legendre_nodes_are_the_affine_image_of_the_rule():
+    x, w = quadrature._legendre_rule(37)
+    for a, b in ((-1.0, 1.0), (0.0, 2.5), (-3.0, 7.25)):
         nodes, weights = gauss_legendre_nodes(37, a, b)
         half = 0.5 * (b - a)
         assert nodes.tobytes() == (a + half * (x + 1.0)).tobytes()
         assert weights.tobytes() == (half * w).tobytes()
-        # The caller owns what it gets; the cached rule cannot be changed.
-        nodes[:] = 0.0
-        weights[:] = 0.0
-    assert calls == [37]
-    cached_x, cached_w = quadrature._reference_rule(37)
-    with pytest.raises(ValueError, match="read-only"):
-        cached_x[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        cached_w[0] = 0.0

@@ -3,17 +3,18 @@ no process left behind."""
 
 import dataclasses
 import json
+import math
 import multiprocessing
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from emaflow import quadrature, validation
+from emaflow import validation
 from emaflow.flow import conserved_energy
 from emaflow.lagrange import ensemble_energies
+from emaflow.spectral import Termination
 from emaflow.validation import run_criteria
 
 CHEAP = ["blowup_time_agreement", "dimension_independence", "phase_diagram_golden"]
@@ -40,29 +41,46 @@ def test_one_worker_or_one_unit_forks_nothing(monkeypatch):
     assert [r.name for r in run_criteria(CHEAP[:1], workers=4)] == CHEAP[:1]
 
 
-def test_no_worker_computes_a_legendre_rule(monkeypatch):
-    # The rule that seeds the shared ensembles is made in the caller
-    # before the fork, so no worker calls LAPACK (and starts OpenBLAS's
-    # threads).
-    caller = os.getpid()
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
+def test_no_criterion_calls_an_eigenvalue_solver(monkeypatch):
+    # energy_conservation's Gauss-Legendre rule comes from Newton's
+    # method, so no criterion calls LAPACK, in this process or in a
+    # worker, and the pool needs no step before the fork.
+    def refused(*args, **kwargs):
+        raise AssertionError("an eigenvalue solver was called")
 
-    def caller_only(m):
-        if os.getpid() != caller:
-            raise AssertionError("a worker computed a Gauss-Legendre rule")
-        calls.append(m)
-        return leggauss(m)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", caller_only)
-    for shared in ("energy_conservation", "flow_lagrange_equivalence"):
-        calls.clear()
-        quadrature._reference_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    names = [*validation._SHARED_ENSEMBLES, "dimension_independence"]
+    for workers in (1, 2):
         validation._equivalence_runs.cache_clear()
-        names = [shared, "dimension_independence"]
-        pooled = run_criteria(names, seed=3, workers=2)
-        assert [r.name for r in pooled] == names and all(r.passed for r in pooled)
-        assert calls == [validation._ENERGY_NODES]
+        results = run_criteria(names, seed=3, workers=workers)
+        assert [r.name for r in results] == names and all(r.passed for r in results)
+        assert multiprocessing.active_children() == []
+
+
+def test_shared_criteria_fail_on_ensembles_that_stopped_early(monkeypatch):
+    # Each ensemble cut after t = 0.5 as if its characteristics crossed
+    # there: all three criteria that read them fail, and say why.
+    def stopped(result):
+        return dataclasses.replace(
+            result,
+            termination=Termination(kind="crossing_detected", t_est=0.5),
+            snapshots=result.snapshots[:2],
+            char_times=result.char_times[:2],
+            char_states=result.char_states[:2],
+        )
+
+    cut = tuple(
+        (profile, stopped(result), nodes, weights)
+        for profile, result, nodes, weights in validation._equivalence_runs()
+    )
+    monkeypatch.setattr(validation, "_equivalence_runs", lambda: cut)
+    results = run_criteria(list(validation._SHARED_ENSEMBLES))
+    assert [r.name for r in results] == list(validation._SHARED_ENSEMBLES)
+    for r in results:
+        assert (r.passed, r.measured) == (False, math.inf)
+        assert r.details == {"termination": "crossing_detected"}
 
 
 def test_shared_ensembles_run_as_one_unit():
