@@ -6,7 +6,13 @@ The package keeps three independent representations of the same
 dynamics (spectral ODEs along characteristics, a closed-form flow map,
 and a Lagrangian particle ensemble) and cross-checks them against each
 other; `emaflow validate` runs the full consistency suite.
+
+The error types are imported with the package; every other public name
+is imported from its module on first use (PEP 562), so that importing
+the package, or running a `classify`, does not import NumPy.
 """
+
+import importlib
 
 from .errors import (
     BisectionError,
@@ -19,92 +25,93 @@ from .errors import (
     SingularInput,
     WorkerError,
 )
-from .flow import (
-    FlowSample,
-    conserved_energy,
-    energy_nodes,
-    flow_gradient_eigs,
-    flow_radius,
-    flow_radius_dt,
-    positive_definite_horizon,
-    pushforward_density,
-    sample_flow,
-)
-from .lagrange import (
-    CharacteristicState,
-    EnsembleResult,
-    EulerianSnapshot,
-    advance_ensemble,
-    bkm_monitor,
-    default_seeds,
-    gradient_bound_check,
-)
-from .profiles import PRESETS, ProfilePreset, RadialProfile, derive_density, gamma_inverse
-from .spectral import (
-    BACKEND,
-    IntegratorConfig,
-    SpectralState,
-    SwirlState,
-    Termination,
-    Trajectory,
-    integrate,
-)
-from .threshold import (
-    Verdict,
-    blowup_time_closed_form,
-    classify_point,
-    classify_profile,
-    sharpness_bisect,
-    sigma_membership,
-    threshold_margin,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "BisectionError",
-    "CharacteristicState",
-    "ConfigError",
-    "CrossingDetected",
-    "DomainError",
-    "EmaflowError",
-    "EnsembleResult",
-    "EulerianSnapshot",
-    "FlowSample",
-    "FlowSingular",
-    "IntegratorConfig",
-    "PRESETS",
-    "ProfilePreset",
-    "QuadratureError",
-    "RadialProfile",
-    "SingularInput",
-    "SpectralState",
-    "SwirlState",
-    "Termination",
-    "Trajectory",
-    "Verdict",
-    "WorkerError",
-    "advance_ensemble",
-    "bkm_monitor",
-    "blowup_time_closed_form",
-    "classify_point",
-    "classify_profile",
-    "conserved_energy",
-    "default_seeds",
-    "derive_density",
-    "energy_nodes",
-    "flow_gradient_eigs",
-    "flow_radius",
-    "flow_radius_dt",
-    "gamma_inverse",
-    "gradient_bound_check",
-    "integrate",
-    "positive_definite_horizon",
-    "pushforward_density",
-    "sample_flow",
-    "sharpness_bisect",
-    "sigma_membership",
-    "threshold_margin",
-    "__version__",
-]
+# Public name -> the module, relative to the package, that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "FlowSample",
+            "conserved_energy",
+            "energy_nodes",
+            "flow_gradient_eigs",
+            "flow_radius",
+            "flow_radius_dt",
+            "positive_definite_horizon",
+            "pushforward_density",
+            "sample_flow",
+        ),
+        ".flow",
+    ),
+    **dict.fromkeys(
+        (
+            "CharacteristicState",
+            "EnsembleResult",
+            "EulerianSnapshot",
+            "advance_ensemble",
+            "bkm_monitor",
+            "default_seeds",
+            "gradient_bound_check",
+        ),
+        ".lagrange",
+    ),
+    **dict.fromkeys(
+        ("PRESETS", "ProfilePreset", "RadialProfile", "derive_density", "gamma_inverse"),
+        ".profiles",
+    ),
+    **dict.fromkeys(
+        (
+            "BACKEND",
+            "IntegratorConfig",
+            "SpectralState",
+            "SwirlState",
+            "Termination",
+            "Trajectory",
+            "integrate",
+        ),
+        ".spectral",
+    ),
+    **dict.fromkeys(
+        (
+            "Verdict",
+            "blowup_time_closed_form",
+            "classify_point",
+            "classify_profile",
+            "sharpness_bisect",
+            "sigma_membership",
+            "threshold_margin",
+        ),
+        ".threshold",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = sorted(
+    [
+        "BisectionError",
+        "ConfigError",
+        "CrossingDetected",
+        "DomainError",
+        "EmaflowError",
+        "FlowSingular",
+        "QuadratureError",
+        "SingularInput",
+        "WorkerError",
+        *_EXPORTS,
+        "__version__",
+    ]
+)

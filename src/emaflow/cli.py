@@ -15,6 +15,12 @@ worker processes validate runs its criteria in (default: every CPU the
 process may run on) and changes no output; a swirl_sigma sweep runs as
 one batch and the pointwise sweep is closed-form.
 
+NumPy is imported only by the commands that build arrays: simulate,
+validate and a swirl_sigma sweep, each with NumPy's floating-point
+warnings off.  classify and a pointwise sweep judge the closed-form
+threshold on plain floats and never import it, which is most of the
+cold start they save.
+
 simulate runs in two processes.  This one steps the ensemble,
 interpolates each output time and folds it into the diagnostics; a
 writer forked before the stepping formats snapshots.csv from the t and
@@ -26,18 +32,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
 from .errors import EmaflowError, WorkerError
-from .lagrange import EnsembleRun, bkm_integral, gradient_bound_check, state_drift
 from .spectral import BACKEND
 from .threshold import (
+    _linspace,
     classify_point,
     classify_profile,
     default_classification_grid,
@@ -45,6 +50,24 @@ from .threshold import (
 )
 
 __all__ = ["main"]
+
+
+def _numpy_quiet(func):
+    """func, run with NumPy imported and its floating-point warnings off.
+
+    Overflow and invalid operations on outside data are reported by the
+    finiteness checks as typed errors; a NumPy warning on top would
+    break the single-line stderr contract.
+    """
+
+    @functools.wraps(func)
+    def quiet(*args, **kwargs):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return func(*args, **kwargs)
+
+    return quiet
 
 
 def _fmt(x) -> str:
@@ -81,6 +104,8 @@ def _write_blocks(path: Path, header, rows, blocks):
     # the pipe ends the stream.  path is replaced only once this process
     # has sent every block and the writer has exited 0: an error in
     # either process leaves path as it was.
+    import numpy as np
+
     with _replacing(path) as tmp:
         pid, data, err = _start_writer(tmp, header, rows)
         try:
@@ -133,6 +158,8 @@ def _writer(data, out, err, header, rows, parent_ends):
     # the pipe: the parent reads it only once this process has exited.
     status = 1
     try:
+        import numpy as np
+
         for fd in parent_ends:
             os.close(fd)
         columns = len(header) - 1
@@ -164,7 +191,12 @@ def _outdir(config: RunConfig) -> Path:
     return path
 
 
+@_numpy_quiet
 def cmd_simulate(config: RunConfig) -> int:
+    import numpy as np
+
+    from .lagrange import EnsembleRun, bkm_integral, gradient_bound_check, state_drift
+
     profile = config.build_profile()
     run = EnsembleRun(
         profile,
@@ -237,7 +269,7 @@ def cmd_classify(config: RunConfig) -> int:
         "preset": config.preset,
         "n": profile.dimension,
         "kappa": profile.kappa,
-        "grid_size": int(grid.size),
+        "grid_size": len(grid),
     }
     text = _write_json(_outdir(config) / "verdict.json", payload)
     sys.stdout.write(text)
@@ -246,9 +278,9 @@ def cmd_classify(config: RunConfig) -> int:
 
 def _sweep_rows(config: RunConfig):
     ax1, ax2 = config.sweep_axis1, config.sweep_axis2
-    vals1 = np.linspace(ax1.lo, ax1.hi, ax1.count)
-    vals2 = np.linspace(ax2.lo, ax2.hi, ax2.count)
-    tasks = [(float(v1), float(v2)) for v1 in vals1 for v2 in vals2]
+    vals1 = _linspace(ax1.lo, ax1.hi, ax1.count)
+    vals2 = _linspace(ax2.lo, ax2.hi, ax2.count)
+    tasks = [(v1, v2) for v1 in vals1 for v2 in vals2]
 
     cells = [{ax1.name: v1, ax2.name: v2} for v1, v2 in tasks]
     if config.sweep_mode == "pointwise_threshold":
@@ -261,7 +293,7 @@ def _sweep_rows(config: RunConfig):
         # SWIRL_FIELDS runs in SwirlState order; every cell is one lane
         # of a single batched integration.
         states = [tuple({**base, **cell}[name] for name in SWIRL_FIELDS) for cell in cells]
-        verdicts = sigma_membership_batch(
+        verdicts = _numpy_quiet(sigma_membership_batch)(
             states,
             config.kappa,
             horizon=config.sweep_horizon,
@@ -283,6 +315,7 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
+@_numpy_quiet
 def cmd_validate(config: RunConfig) -> int:
     from .validation import resolve_suites, run_criteria
 
@@ -367,11 +400,7 @@ def main(argv=None) -> int:
             threads=args.threads,
             seed=args.seed,
         )
-        # Overflow and invalid operations on outside data are reported by
-        # the finiteness checks as typed errors; a NumPy warning on top
-        # would break the single-line stderr contract.
-        with np.errstate(all="ignore"):
-            return args.func(config)
+        return args.func(config)
     except (EmaflowError, OSError, MemoryError) as exc:
         message = " ".join(str(exc).split()) or "out of memory"
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -10,24 +10,30 @@ det(I - D^2 phi0) = rho0 fixes it, which in radial coordinates reads
 Everything downstream (threshold classification, the closed-form flow,
 the characteristic ensemble) consumes the same profile object, and
 reads its initial spectral data (u0', u0/r, phi0'', phi0'/r) through
-RadialProfile.spectral, so the origin rule of the ratio forms lives in
-one place.  The derivative callables must be exact: the preset family
+RadialProfile.spectral, or one float radius at a time through
+RadialProfile._spectral_at, so the origin rule of the ratio forms lives
+in one place.  The derivative callables must be exact: the preset family
 below is chosen precisely so that u0', phi0'' and the third derivative
 needed for the origin series are available in closed form.
 
-All callables are expected to be numpy-vectorized (they receive either
-a scalar or a 1-d array of radii).
+Every callable takes one radius or an array of radii.  The presets'
+callables and RadialProfile.q0 and nu0 give a float, computed with
+math, for a float radius (a Python float, not a NumPy scalar), and
+NumPy's result for anything else; each formula is written once, for
+both.  This module imports NumPy only where it builds an array, so a
+profile judged radius by radius (the classify command) needs no NumPy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, check_dimension, check_positive
-from .quadrature import integrate_adaptive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RadialProfile",
@@ -97,8 +103,17 @@ class RadialProfile:
         """Evaluate direct(r)/r, switching to a series below r_eps.
 
         Series: f(r)/r -> f'(0) + f''(0) r / 2.  Without the second
-        derivative, falls back to evaluating f' at r itself.
+        derivative, falls back to evaluating f' at r itself.  A float r
+        gives a float.
         """
+        if type(r) is float:
+            if not r < self.r_eps:
+                return float(direct(r)) / r
+            if at_small is not None:
+                return float(deriv(0.0)) + 0.5 * float(at_small(0.0)) * r
+            return float(deriv(r))
+        import numpy as np
+
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0
         r_arr = np.atleast_1d(r_arr)
@@ -131,14 +146,23 @@ class RadialProfile:
         the gradient branch is rows (0, 2), the ratio branch rows (1, 3).
         A callable that returns a scalar is broadcast.  r is not checked.
         """
+        import numpy as np
+
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty((4,) + r_arr.shape)
         for row, f in enumerate((self.du0, self.q0, self.d2phi0, self.nu0)):
             out[row] = f(r_arr)
         return out
 
+    def _spectral_at(self, r: float) -> tuple[float, float, float, float]:
+        """The column of spectral at one float radius r, as four floats
+        from the callables' float path: computed with math, not NumPy."""
+        return (float(self.du0(r)), float(self.q0(r)), float(self.d2phi0(r)), float(self.nu0(r)))
+
     def check_radius(self, r) -> np.ndarray:
         """Validate r in [0, r_max]; returns the values as float array."""
+        import numpy as np
+
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all(np.isfinite(r_arr)):
             raise DomainError("radius must be finite")
@@ -149,6 +173,8 @@ class RadialProfile:
 
     def _scalar_radius(self, r) -> float:
         """check_radius of one radius, as a float; DomainError for an array."""
+        import numpy as np
+
         if np.ndim(r) != 0:
             raise DomainError(f"expected one radius, got an array of shape {np.shape(r)}")
         return float(self.check_radius(r)[0])
@@ -160,6 +186,8 @@ def derive_density(profile: RadialProfile, r):
 
     Accepts scalars or arrays; raises DomainError outside [0, r_max].
     """
+    import numpy as np
+
     r_arr = profile.check_radius(r)
     _, _, mu, nu = profile.spectral(r_arr)
     out = (1.0 - mu) * (1.0 - nu) ** (profile.dimension - 1)
@@ -172,6 +200,8 @@ def transported_primitive(profile: RadialProfile, r) -> float:
     Adaptive quadrature at abs 1e-12 / rel 1e-10; monotone
     nondecreasing in r since rho0 >= 0 on valid profiles.
     """
+    from .quadrature import integrate_adaptive
+
     r_val = profile._scalar_radius(r)
     if r_val == 0.0:
         return 0.0
@@ -202,6 +232,8 @@ def gamma_inverse(profile: RadialProfile, r) -> float:
 
 def gamma_inverse_identity(profile: RadialProfile, r):
     """Rearrangement map via the closed-form identity r - phi0'(r)."""
+    import numpy as np
+
     r_arr = profile.check_radius(r)
     scalar = np.asarray(r, dtype=float).ndim == 0
     out = r_arr - np.asarray(profile.dphi0(r_arr), dtype=float)
@@ -220,31 +252,92 @@ def _param_square(name: str, value: float) -> float:
         raise DomainError(f"preset parameter {name} = {value!r} is too large to square") from None
 
 
+def _as_radius(r):
+    """r itself if it is a float, else r as a float array."""
+    if type(r) is float:
+        return r
+    import numpy as np
+
+    return np.asarray(r, dtype=float)
+
+
+def _exp(x):
+    """math.exp of a float, NumPy's exp of anything else."""
+    if type(x) is float:
+        return math.exp(x)
+    import numpy as np
+
+    return np.exp(x)
+
+
+def _cube(x):
+    """x**3: C's pow of a float, +-inf where it overflows instead of an
+    OverflowError, and NumPy's power of anything else."""
+    if type(x) is not float:
+        return x**3
+    try:
+        return x**3
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _constant(value: float):
+    """The callable r -> value: value itself for a float r, else an
+    array of value in the shape of r."""
+
+    def constant(r):
+        if type(r) is float:
+            return value
+        import numpy as np
+
+        return np.full_like(np.asarray(r, dtype=float), value)
+
+    return constant
+
+
+def _mollifier(x):
+    """(eta, eta * g', eta * (g'^2 + g'')) at x for the mollifier
+    eta = exp(g), g(x) = -1/(1 - x^2), on |x| < 1: eta and its first two
+    derivatives, the last two before the chain rule's 1/s and 1/s^2."""
+    om = 1.0 - x * x
+    om_sq = om * om
+    dg = -2.0 * x / om_sq
+    d2g = -2.0 / om_sq - 8.0 * x * x / _cube(om)
+    eta = _exp(-1.0 / om)
+    return eta, eta * dg, eta * (dg * dg + d2g)
+
+
 def _bump_parts(rc: float, s: float):
     """The mollifier eta(x) = exp(-1/(1-x^2)) on |x|<1 and its
     derivatives, precomposed with x = (r - rc)/s.
 
-    Returns vectorized (eta, eta', eta'') as functions of r, each
-    identically 0 outside the support (rc - s, rc + s).
+    Returns (eta, eta', eta'') as a function of r, each identically 0
+    outside the support (rc - s, rc + s): floats for a float r, else
+    arrays in the shape of r.
     """
     s_sq = _param_square("s", s)
 
     def parts(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        if type(r) is float:
+            x = (r - rc) / s
+            if not abs(x) < 1.0:
+                return 0.0, 0.0, 0.0
+            eta, d1, d2 = _mollifier(x)
+            # d2 / 0.0 as IEEE division (and NumPy) takes it, where s^2
+            # underflows.
+            return eta, d1 / s, d2 / s_sq if s_sq else d2 * math.inf
+        import numpy as np
+
+        r_arr = np.asarray(r, dtype=float)
         x = (r_arr - rc) / s
         inside = np.abs(x) < 1.0
         e = np.zeros_like(r_arr)
         e1 = np.zeros_like(r_arr)
         e2 = np.zeros_like(r_arr)
-        xi = x[inside]
-        om = 1.0 - xi * xi
-        g = -1.0 / om
-        dg = -2.0 * xi / om**2
-        d2g = -2.0 / om**2 - 8.0 * xi * xi / om**3
-        eta = np.exp(g)
+        eta, d1, d2 = _mollifier(x[inside])
         e[inside] = eta
-        e1[inside] = eta * dg / s
-        e2[inside] = eta * (dg * dg + d2g) / s_sq
+        e1[inside] = d1 / s
+        e2[inside] = d2 / s_sq
         return e, e1, e2
 
     return parts
@@ -290,7 +383,7 @@ class ProfilePreset:
 
 
 def _build_equilibrium(dimension, kappa, r_max, params):
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+    zero = _constant(0.0)
     return RadialProfile(
         dimension=dimension, kappa=kappa,
         u0=zero, du0=zero, dphi0=zero, d2phi0=zero,
@@ -302,14 +395,19 @@ def _gaussian_velocity(c, d):
     if not d >= 0:
         raise DomainError(f"velocity width parameter d must be >= 0, got {d!r}")
     d_sq = _param_square("d", d)
-    u0 = lambda r: c * r * np.exp(-d * np.asarray(r, dtype=float) ** 2)
-    du0 = lambda r: c * (1.0 - 2.0 * d * np.asarray(r, dtype=float) ** 2) * np.exp(
-        -d * np.asarray(r, dtype=float) ** 2
-    )
+
+    def u0(r):
+        r = _as_radius(r)
+        return c * r * _exp(-d * (r * r))
+
+    def du0(r):
+        r = _as_radius(r)
+        r_sq = r * r
+        return c * (1.0 - 2.0 * d * r_sq) * _exp(-d * r_sq)
 
     def d2u0(r):
-        r_arr = np.asarray(r, dtype=float)
-        return c * np.exp(-d * r_arr**2) * (-6.0 * d * r_arr + 4.0 * d_sq * r_arr**3)
+        r = _as_radius(r)
+        return c * _exp(-d * (r * r)) * (-6.0 * d * r + 4.0 * d_sq * _cube(r))
 
     return u0, du0, d2u0
 
@@ -322,10 +420,10 @@ def _build_quadratic(dimension, kappa, r_max, params):
     return RadialProfile(
         dimension=dimension, kappa=kappa,
         u0=u0, du0=du0,
-        dphi0=lambda r: a * np.asarray(r, dtype=float),
-        d2phi0=lambda r: np.full_like(np.asarray(r, dtype=float), a),
+        dphi0=lambda r: a * _as_radius(r),
+        d2phi0=_constant(a),
         d2u0=d2u0,
-        d3phi0=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        d3phi0=_constant(0.0),
         r_max=r_max, name="quadratic",
     )
 
@@ -347,22 +445,19 @@ def _build_bump(dimension, kappa, r_max, params):
     u0, du0, d2u0 = _gaussian_velocity(c, d)
 
     def dphi0(r):
-        r_arr = np.asarray(r, dtype=float)
-        e, _, _ = parts(r_arr)
-        out = a * np.atleast_1d(r_arr) + b * np.atleast_1d(r_arr) * e
-        return out if np.asarray(r).ndim else float(out[0])
+        r = _as_radius(r)
+        e, _, _ = parts(r)
+        return a * r + b * r * e
 
     def d2phi0(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        e, e1, _ = parts(r_arr)
-        out = a + b * (e + r_arr * e1)
-        return out if np.asarray(r).ndim else float(out[0])
+        r = _as_radius(r)
+        e, e1, _ = parts(r)
+        return a + b * (e + r * e1)
 
     def d3phi0(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        _, e1, e2 = parts(r_arr)
-        out = b * (2.0 * e1 + r_arr * e2)
-        return out if np.asarray(r).ndim else float(out[0])
+        r = _as_radius(r)
+        _, e1, e2 = parts(r)
+        return b * (2.0 * e1 + r * e2)
 
     return RadialProfile(
         dimension=dimension, kappa=kappa,

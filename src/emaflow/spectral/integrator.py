@@ -53,11 +53,13 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError, DomainError, check_positive
 from .systems import SYSTEM_RHS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -169,7 +171,8 @@ class Termination:
 class Trajectory:
     """Accepted-step record of one integration.
 
-    states has one row per entry of times.
+    states has one row per entry of times.  Both are stored as float
+    arrays.
     """
 
     times: np.ndarray
@@ -177,6 +180,8 @@ class Trajectory:
     termination: Termination
 
     def __post_init__(self):
+        import numpy as np
+
         self.times = np.asarray(self.times, dtype=float)
         self.states = np.asarray(self.states, dtype=float)
         if self.states.shape[0] != self.times.shape[0]:
@@ -212,7 +217,8 @@ def _pole_time(t, y, dy, fallback):
 
 
 def _finish(times, states, kind, t_est=None):
-    return Trajectory(np.array(times), np.array(states), Termination(kind, t_est))
+    # Trajectory makes the lists arrays.
+    return Trajectory(times, states, Termination(kind, t_est))
 
 
 # One resume function, for state components y0, y1, ...  The fields

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import SingularInput
 
 __all__ = [
@@ -162,6 +160,8 @@ def rhs_wv_inf(state, kappa, c0):
     v3 = v * v * v
     if isinstance(v3, float):
         return (kappa * (1.0 - v) + c0 * c0 / v3 if v3 != 0.0 else math.inf, w)
+    import numpy as np
+
     return (np.where(v3 != 0.0, kappa * (1.0 - v) + c0 * c0 / v3, np.inf), w)
 
 

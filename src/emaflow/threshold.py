@@ -20,11 +20,9 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BisectionError, DomainError, EmaflowError, check_positive, finite_real
 from .profiles import RadialProfile
-from .spectral import IntegratorConfig, SwirlState, integrate, integrate_batch
+from .spectral import IntegratorConfig, SwirlState, integrate
 
 __all__ = [
     "TOL_BOUNDARY",
@@ -98,18 +96,23 @@ def classify_point(lambda0: float, h0: float, kappa: float) -> Verdict:
     both terms overflow, the sign of the closed form's scaled
     discriminant decides.
     """
-    margin = threshold_margin(lambda0, h0, kappa)
+    _check_point(lambda0, h0, kappa)
+    _, regime = _judge(lambda0, h0, kappa)
+    if regime == "supercritical":
+        return Verdict(regime, t_blowup=blowup_time_closed_form(lambda0, h0, kappa))
+    return Verdict(regime)
+
+
+def _judge(lambda0: float, h0: float, kappa: float):
+    """(threshold_margin, regime) of a checked point, as classify_point
+    judges it.  The margin is +-inf where both of its terms overflow."""
+    margin = kappa * (1.0 - 2.0 * h0) - lambda0 * lambda0
     if math.isnan(margin):
         margin = _overflowed_margin(lambda0, h0, kappa)
     scale = kappa * abs(1.0 - 2.0 * h0) + lambda0 * lambda0
     if math.isfinite(scale) and abs(margin) <= TOL_BOUNDARY * scale:
-        return Verdict(regime="boundary")
-    if margin > 0.0:
-        return Verdict(regime="subcritical")
-    return Verdict(
-        regime="supercritical",
-        t_blowup=blowup_time_closed_form(lambda0, h0, kappa),
-    )
+        return margin, "boundary"
+    return margin, "subcritical" if margin > 0.0 else "supercritical"
 
 
 def blowup_time_closed_form(lambda0: float, h0: float, kappa: float) -> float | None:
@@ -152,75 +155,94 @@ def _overflowed_margin(lambda0: float, h0: float, kappa: float) -> float:
     return -math.copysign(math.inf, _scaled_quadratic(lambda0, h0, kappa)[3])
 
 
-def default_classification_grid(profile: RadialProfile, size: int = 512) -> np.ndarray:
-    """Log-spaced radii in [1e-3 r_max, r_max]; the origin limit point
-    is added by classify_profile itself."""
+def default_classification_grid(profile: RadialProfile, size: int = 512) -> list[float]:
+    """size log-spaced radii in [1e-3 r_max, r_max], as a list of floats.
+
+    Between the exact endpoints the radii are 10 ** y for y in
+    _linspace(log10(1e-3 r_max), log10(r_max), size), as np.geomspace
+    builds them.  The origin limit point is added by classify_profile
+    itself.
+    """
     if not isinstance(size, numbers.Integral):
         raise DomainError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise DomainError(f"grid size must be >= 1, got {size!r}")
-    return np.geomspace(1e-3 * profile.r_max, profile.r_max, size)
+    start, stop = 1e-3 * profile.r_max, profile.r_max
+    grid = [10.0**y for y in _linspace(math.log10(start), math.log10(stop), size)]
+    grid[0] = start
+    if size > 1:
+        grid[-1] = stop
+    return grid
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count) as a list of floats, bit for bit: the
+    i-th value is i * step + lo, step = (hi - lo)/(count - 1), or
+    i/(count - 1) * (hi - lo) + lo where step underflows to 0, and the
+    last is hi.  The list is allocated whole first, so a count that no
+    memory holds raises MemoryError at once."""
+    div = max(count - 1, 1)
+    delta = hi - lo
+    step = delta / div
+    values = [0.0] * count
+    for i in range(count):
+        values[i] = i * step + lo if step else i / div * delta + lo
+    if count > 1:
+        values[-1] = hi
+    return values
 
 
 def classify_profile(profile: RadialProfile, r_grid=None) -> Verdict:
     """Profile-level verdict over both eigenvalue branches.
 
     Subcritical requires strict subcriticality of (u0'(r), phi0''(r))
-    and (u0(r)/r, phi0'(r)/r), read from profile.spectral, at the
+    and (u0(r)/r, phi0'(r)/r), the rows of profile.spectral, at the
     analytic origin limit and at every grid radius
     (default_classification_grid when r_grid is None).
     Otherwise the verdict is supercritical (witness_r = first failing
     radius, t_blowup = min closed-form time over the supercritical
     points) or boundary when nothing worse than a tolerance-level
     equality is found.  Every point is judged as classify_point judges
-    it, radius by radius from the origin, the gradient branch first;
-    the origin is judged on both branches, where they share one limit.
-    The first non-finite point raises classify_point's DomainError,
-    "point (lambda0, h0) must be finite".  margins holds the smallest
-    threshold_margin of each branch, "gradient_branch" and
+    it, on plain floats, radius by radius from the origin, the gradient
+    branch first; the origin is judged on both branches, where they
+    share one limit.  The first non-finite point raises classify_point's
+    DomainError, "point (lambda0, h0) must be finite".  margins holds the
+    smallest threshold_margin of each branch, "gradient_branch" and
     "ratio_branch", over the origin and the grid, taken as +-inf where
     both of its terms overflow.
     """
     if r_grid is None:
         r_grid = default_classification_grid(profile)
-    r_arr = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if r_arr.size == 0:
+    if isinstance(r_grid, numbers.Real):
+        r_grid = [r_grid]
+    radii = [float(r) for r in r_grid]
+    if not radii:
         raise DomainError("classification grid is empty")
-    if not np.all((r_arr > 0.0) & (r_arr <= profile.r_max)):
+    if not all(0.0 < r <= profile.r_max for r in radii):
         raise DomainError(f"classification radii must lie in (0, {profile.r_max!r}]")
-    r_arr = np.sort(r_arr)
+    radii.sort()
     kappa = profile.kappa
 
-    # lam holds the rows (p, q) of the spectral data, h the rows
-    # (mu, nu): row 0 is the gradient branch, row 1 the ratio branch.
-    # Columns: the origin limit point, then the grid.
-    spectral = profile.spectral(np.concatenate(([0.0], r_arr)))
-    lam, h = spectral[:2], spectral[2:]
-
-    # Checks kappa, then raises for the first non-finite point, if any,
-    # in judging order: column by column, the gradient row first.
-    first_bad = int(np.argmin((np.isfinite(lam) & np.isfinite(h)).T.ravel()))
-    _check_point(float(lam.T.flat[first_bad]), float(h.T.flat[first_bad]), kappa)
-    with np.errstate(over="ignore", invalid="ignore"):
-        margin = kappa * (1.0 - 2.0 * h) - lam * lam
-        for row, col in zip(*np.nonzero(np.isnan(margin))):
-            margin[row, col] = _overflowed_margin(float(lam[row, col]), float(h[row, col]), kappa)
-        scale = kappa * np.abs(1.0 - 2.0 * h) + lam * lam
-        boundary = np.isfinite(scale) & (np.abs(margin) <= TOL_BOUNDARY * scale)
-    supercritical = ~boundary & ~(margin > 0.0)
-    margins = {name: float(margin[row].min()) for row, name in enumerate(_BRANCHES)}
-    failing = np.flatnonzero((boundary | supercritical).any(axis=0))
-    if failing.size == 0:
+    margins = dict.fromkeys(_BRANCHES, math.inf)
+    witness = t_blowup = None
+    for r in (0.0, *radii):
+        p, q, mu, nu = profile._spectral_at(r)
+        for branch, lam, h in zip(_BRANCHES, (p, q), (mu, nu)):
+            if not (math.isfinite(lam) and math.isfinite(h)):
+                _check_point(lam, h, kappa)
+            margin, regime = _judge(lam, h, kappa)
+            margins[branch] = min(margins[branch], margin)
+            if regime == "subcritical":
+                continue
+            if witness is None:
+                witness = r
+            if regime == "supercritical":
+                t = blowup_time_closed_form(lam, h, kappa)
+                t_blowup = t if t_blowup is None else min(t_blowup, t)
+    if witness is None:
         return Verdict(regime="subcritical", margins=margins)
-    witness = 0.0 if failing[0] == 0 else float(r_arr[failing[0] - 1])
-    if not supercritical.any():
+    if t_blowup is None:
         return Verdict(regime="boundary", witness_r=witness, margins=margins)
-    # The scalar closed form, point by point: np.arctan2 may differ from
-    # math.atan2 by an ulp.
-    t_blowup = min(
-        blowup_time_closed_form(float(lam[row, col]), float(h[row, col]), kappa)
-        for row, col in zip(*np.nonzero(supercritical))
-    )
     return Verdict(
         regime="supercritical", t_blowup=t_blowup, witness_r=witness, margins=margins
     )
@@ -261,6 +283,9 @@ def sigma_membership_batch(
     if horizon is None:
         horizon = SIGMA_HORIZON_FACTOR / math.sqrt(kappa)
     config = (config or IntegratorConfig()).replace(horizon=check_positive("horizon", horizon))
+    # The batch engine, and NumPy with it, is imported at the first call.
+    from .spectral import integrate_batch
+
     result = integrate_batch("swirl", states0, kappa, config=config)
     verdicts = []
     for kind, t_est, t_end in zip(result.kinds, result.t_est.tolist(), result.final_time.tolist()):

@@ -615,30 +615,45 @@ def test_simulate_rejects_an_overflowing_initial_density(tmp_path, capsys):
 # ---------------------------------------------------------------- module entry point
 
 
-# Runs main() with the rest of the command line, then fails if anything
-# imported scipy on the way.
+# Runs main() with the rest of the command line after its first
+# argument, then fails if anything imported scipy on the way, or, where
+# that first argument is "numpy-free", NumPy, counting the read of
+# emaflow.spectral.BACKEND that a run record makes after the command.
 _WITHOUT_SCIPY = (
-    "import sys; from emaflow.cli import main; code = main(sys.argv[1:]); "
-    "assert 'scipy' not in sys.modules, 'scipy was imported'; sys.exit(code)"
+    "import sys; import emaflow.spectral; from emaflow.cli import main; "
+    "numpy_free = sys.argv.pop(1) == 'numpy-free'; code = main(sys.argv[1:]); "
+    "assert 'scipy' not in sys.modules, 'scipy was imported'; emaflow.spectral.BACKEND; "
+    "assert not (numpy_free and 'numpy' in sys.modules), 'numpy was imported'; "
+    "sys.exit(code)"
 )
 
 
 def test_commands_run_on_numpy_alone(tmp_path):
     # scipy is a test dependency only; it would cost every cold command
-    # most of its start-up time.
+    # most of its start-up time.  NumPy is imported only by the commands
+    # that build arrays: its import is most of a cold classify.
     probe = subprocess.run(
-        [sys.executable, "-c", "import emaflow.cli, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", "import emaflow, emaflow.cli, emaflow.spectral, sys; "
+         "assert not {'scipy', 'numpy'} & set(sys.modules)"],
         capture_output=True,
         text=True,
     )
     assert (probe.returncode, probe.stderr) == (0, "")
-    for argv in (["classify"], ["simulate", "--set", "simulate.n_chars=32"]):
+    for i, (needs, argv) in enumerate(
+        [
+            ("numpy-free", ["classify"]),
+            ("numpy-free", ["classify", *CANONICAL]),
+            ("numpy-free", ["classify", "--set", "profile.preset=bump"]),
+            ("numpy-free", ["sweep"]),
+            ("numpy", ["simulate", "--set", "simulate.n_chars=32"]),
+        ]
+    ):
         proc = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_SCIPY, *argv, "--out", str(tmp_path / argv[0])],
+            [sys.executable, "-c", _WITHOUT_SCIPY, needs, *argv, "--out", str(tmp_path / str(i))],
             capture_output=True,
             text=True,
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 _NO_STEPPER_UNTIL_INTEGRATE = """

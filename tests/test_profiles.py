@@ -17,6 +17,8 @@ from emaflow.profiles import (
     gamma_inverse_identity,
     transported_primitive,
 )
+from emaflow.threshold import classify_profile
+from emaflow.validation import _DIMENSION_PRESETS
 
 PRESET_GRID = [
     ("equilibrium", {}),
@@ -238,6 +240,58 @@ def test_spectral_broadcasts_a_scalar_callable():
         r_max=5.0,
     )
     assert prof.spectral([0.5, 1.0, 2.0])[2].tolist() == [0.25, 0.25, 0.25]
+
+
+# The largest difference between a preset callable's float path
+# (math.exp, C's pow) and its array path (NumPy's exp and power), in
+# units in the last place of the largest value the callable takes on
+# the radii of _float_path_radii: the most measured over 40 seeds on an
+# AVX-512 x86-64 machine, where NumPy's SIMD exp differs from math.exp
+# in about 5% of inputs.  The unit is the largest value's because d2u0,
+# d2phi0 and d3phi0 subtract nearby terms: near their roots one ulp of a
+# term is thousands of ulps of the result.
+_FLOAT_PATH_ULPS = {
+    "u0": 2, "du0": 1, "d2u0": 2, "dphi0": 1, "d2phi0": 6, "d3phi0": 3, "q0": 2, "nu0": 2,
+}
+# The callables that neither exp nor pow enters: both paths are equal.
+_EXACT_CALLABLES = {
+    "equilibrium": set(_FLOAT_PATH_ULPS),
+    "quadratic": {"dphi0", "d2phi0", "d3phi0", "nu0"},
+    "bump": set(),
+}
+
+
+def _float_path_radii(prof, params, rng):
+    rc, s = params.get("rc", 2.0), params.get("s", 1.0)
+    fixed = [0.0, 0.5 * prof.r_eps, prof.r_eps, rc - s, rc + s]
+    return fixed + rng.uniform(0.0, prof.r_max, 200).tolist()
+
+
+@pytest.mark.parametrize("name,params", _DIMENSION_PRESETS)
+def test_float_and_array_paths_agree(name, params, rng):
+    prof = ProfilePreset(name, params).build(dimension=3)
+    radii = _float_path_radii(prof, params, rng)
+    for f, bound in _FLOAT_PATH_ULPS.items():
+        fn = getattr(prof, f)
+        floats = [fn(r) for r in radii]
+        assert {type(v) for v in floats} == {float}, f
+        arrays = np.asarray(fn(np.array(radii)), dtype=float)
+        unit = math.ulp(float(np.max(np.abs(arrays))))
+        worst = max(abs(a - b) for a, b in zip(floats, arrays.tolist())) / unit
+        assert worst <= (0 if f in _EXACT_CALLABLES[name] else bound), (f, worst)
+
+
+def test_float_path_divides_by_an_underflowed_square_as_numpy_does():
+    # s^2 underflows to 0, and the grid's first radius 1e-3 r_max is rc:
+    # the float path gives eta'' = -inf there, as NumPy's division does,
+    # instead of raising ZeroDivisionError.
+    prof = ProfilePreset("bump", {"rc": 2.0, "s": 1e-170, "r_max": 2000.0}).build()
+    for f in ("dphi0", "d2phi0", "d3phi0", "nu0"):
+        with np.errstate(divide="ignore"):
+            want = np.asarray(getattr(prof, f)(np.array([2.0])), dtype=float)[0]
+        assert np.float64(getattr(prof, f)(2.0)).tobytes() == want.tobytes(), f
+    assert prof.d3phi0(2.0) == -math.inf
+    assert classify_profile(prof).regime == "subcritical"
 
 
 # --- construction errors --------------------------------------------------

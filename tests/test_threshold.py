@@ -310,7 +310,7 @@ def test_classify_profile_equals_the_pointwise_verdicts(rng):
             ("gradient_branch", profile.du0, profile.d2phi0),
             ("ratio_branch", profile.q0, profile.nu0),
         ):
-            radii = [0.0, *grid.tolist()]
+            radii = [0.0, *grid]
             margins = [threshold_margin(float(lam_f(r)), float(h_f(r)), profile.kappa) for r in radii]
             assert verdict.margins[name] == min(margins)
     assert regimes == {"subcritical", "supercritical"}
@@ -393,7 +393,7 @@ def test_classify_profile_broadcasts_scalar_callables():
 
 def test_default_grid_spans_domain(equilibrium):
     g = default_classification_grid(equilibrium)
-    assert g.shape == (512,)
+    assert len(g) == 512
     assert g[0] == pytest.approx(1e-3 * equilibrium.r_max)
     assert g[-1] == equilibrium.r_max
     assert np.all(np.diff(g) > 0)
