@@ -19,7 +19,11 @@ NumPy is imported only by the commands that build arrays: simulate,
 validate and a swirl_sigma sweep, each with NumPy's floating-point
 warnings off.  classify and a pointwise sweep judge the closed-form
 threshold on plain floats and never import it, which is most of the
-cold start they save.
+cold start they save.  No command imports numpy.random or numpy.ma, and
+none calls BLAS, so main() sets OPENBLAS_NUM_THREADS=1 unless the
+environment already sets it: OpenBLAS would otherwise start a thread
+pool at import.  Set the variable to give a caller's own BLAS calls
+more threads.
 
 simulate runs in two processes.  This one steps the ensemble,
 interpolates each output time and folds it into the diagnostics; a
@@ -388,6 +392,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS starts its thread pool when NumPy is imported, and no
+    # command calls BLAS; a value the caller set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -206,6 +206,21 @@ def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndar
     )
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a float array, flattened, in ascending order.
+
+    The algorithm np.unique uses for floats (sort, then keep each value
+    unequal to the one before), so finite input gives the same bits;
+    np.unique and np.union1d would import numpy.ma to ask whether the
+    array is masked.
+    """
+    x = np.sort(np.asarray(values, dtype=float), axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 class EnsembleRun:
     """The characteristic ensemble, checked and set up, stepped as it is iterated.
 
@@ -255,7 +270,7 @@ class EnsembleRun:
 
         if output_times is None:
             output_times = np.linspace(0.0, t_end, 9)
-        output_times = np.unique(np.asarray(output_times, dtype=float))
+        output_times = _sorted_distinct(output_times)
         if output_times.size == 0:
             raise ConfigError("output_times is empty")
         if not np.isfinite(output_times).all():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import multiprocessing
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -27,7 +28,13 @@ import numpy as np
 
 from .errors import ConfigError, WorkerError
 from .flow import conserved_energy, energy_nodes, flow_radius, pushforward_density
-from .lagrange import advance_ensemble, default_seeds, ensemble_drift, ensemble_energies
+from .lagrange import (
+    _sorted_distinct,
+    advance_ensemble,
+    default_seeds,
+    ensemble_drift,
+    ensemble_energies,
+)
 from .profiles import ProfilePreset
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
@@ -53,10 +60,13 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    # One independent stream per criterion so reordering suites never
-    # changes any sample.
-    return np.random.default_rng([seed, index])
+def _rng(seed: int, index: int) -> random.Random:
+    # Each criterion draws from its own stream, so reordering suites
+    # never changes any sample.  Python's random, not NumPy's: the
+    # random() sequence of a seed is kept across Python versions, which
+    # NumPy does not promise for its Generator streams, and the draws
+    # (uniform is a + (b - a) * random()) cost no import of numpy.random.
+    return random.Random(f"{seed}:{index}")
 
 
 def _build(name: str, params: dict, n: int, kappa: float = 1.0):
@@ -148,7 +158,8 @@ def _crit_swirl(seed: int):
     for _ in range(20):
         q0 = rng.uniform(-2.0, 2.0)
         nu0 = rng.uniform(-1.0, 0.9)
-        tor0 = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.1, 0.5)
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        tor0 = sign * rng.uniform(0.1, 0.5)
         traj = integrate("swirl_q", (q0, nu0, tor0), 1.0, config=config)
         if traj.termination.kind != "horizon_reached":
             unbounded += 1
@@ -250,7 +261,7 @@ def _equivalence_runs():
             t_end=_EQUIV_TIMES[-1],
             config=config,
             output_times=(0.0,) + _EQUIV_TIMES,
-            seeds=np.union1d(default_seeds(profile, 2048), nodes),
+            seeds=_sorted_distinct(np.concatenate((default_seeds(profile, 2048), nodes))),
             grid_size=256,
         )
         runs.append((profile, result, nodes, weights))

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -619,19 +620,32 @@ def test_simulate_rejects_an_overflowing_initial_density(tmp_path, capsys):
 # argument, then fails if anything imported scipy on the way, or, where
 # that first argument is "numpy-free", NumPy, counting the read of
 # emaflow.spectral.BACKEND that a run record makes after the command.
+# It fails too if the command imported numpy.random or numpy.ma, or, on
+# Linux, left the process more than one thread (OpenBLAS's pool).
 _WITHOUT_SCIPY = (
-    "import sys; import emaflow.spectral; from emaflow.cli import main; "
+    "import os, sys; import emaflow.spectral; from emaflow.cli import main; "
     "numpy_free = sys.argv.pop(1) == 'numpy-free'; code = main(sys.argv[1:]); "
     "assert 'scipy' not in sys.modules, 'scipy was imported'; emaflow.spectral.BACKEND; "
     "assert not (numpy_free and 'numpy' in sys.modules), 'numpy was imported'; "
+    "extra = {'numpy.random', 'numpy.ma'} & set(sys.modules); "
+    "assert not extra, f'{extra} imported'; "
+    "tasks = os.listdir('/proc/self/task') if sys.platform == 'linux' else [0]; "
+    "assert len(tasks) == 1, f'{len(tasks)} threads'; "
     "sys.exit(code)"
 )
+
+_SWIRL_SWEEP_2X2 = [
+    "sweep", "--set", "sweep.mode=swirl_sigma", "--set", "sweep.horizon=20",
+    "--set", "sweep.axis1=p0, -0.9, 0.9, 2", "--set", "sweep.axis2=theta_over_r0, 0.05, 0.65, 2",
+]
 
 
 def test_commands_run_on_numpy_alone(tmp_path):
     # scipy is a test dependency only; it would cost every cold command
     # most of its start-up time.  NumPy is imported only by the commands
-    # that build arrays: its import is most of a cold classify.
+    # that build arrays: its import is most of a cold classify.  Those
+    # that do import it load neither numpy.random (about 6 MB per
+    # validate worker) nor numpy.ma, and start no BLAS thread.
     probe = subprocess.run(
         [sys.executable, "-c", "import emaflow, emaflow.cli, emaflow.spectral, sys; "
          "assert not {'scipy', 'numpy'} & set(sys.modules)"],
@@ -639,6 +653,8 @@ def test_commands_run_on_numpy_alone(tmp_path):
         text=True,
     )
     assert (probe.returncode, probe.stderr) == (0, "")
+    # Unset, so the one-thread default is main()'s and not inherited.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     for i, (needs, argv) in enumerate(
         [
             ("numpy-free", ["classify"]),
@@ -646,14 +662,29 @@ def test_commands_run_on_numpy_alone(tmp_path):
             ("numpy-free", ["classify", "--set", "profile.preset=bump"]),
             ("numpy-free", ["sweep"]),
             ("numpy", ["simulate", "--set", "simulate.n_chars=32"]),
+            ("numpy", _SWIRL_SWEEP_2X2),
+            ("numpy", ["validate", "--threads", "1", "--set",
+                       "validate.suites=blowup_time_agreement,swirl_invariants,path_invariants"]),
         ]
     ):
         proc = subprocess.run(
             [sys.executable, "-c", _WITHOUT_SCIPY, needs, *argv, "--out", str(tmp_path / str(i))],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+    # A caller's own OpenBLAS thread count wins over main()'s default.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, sys; from emaflow.cli import main; "
+         "code = main(sys.argv[1:]); assert os.environ['OPENBLAS_NUM_THREADS'] == '3'; "
+         "sys.exit(code)", *_SWIRL_SWEEP_2X2, "--out", str(tmp_path / "preset")],
+        capture_output=True,
+        text=True,
+        env={**env, "OPENBLAS_NUM_THREADS": "3"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 _NO_STEPPER_UNTIL_INTEGRATE = """

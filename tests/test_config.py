@@ -187,7 +187,7 @@ def test_malformed_file(tmp_path):
         (dict(sweep_axis1=SweepAxis("q0", 0, 1, 2)), "not valid for mode"),
         (dict(sweep_horizon=-3.0), "sweep.horizon"),
         # Integers too large to size an array or make a float, and a
-        # seed np.random.default_rng refuses.
+        # seed below the CLI contract run.seed >= 0.
         (dict(n=sys.maxsize + 1), f"run.n must be at most {sys.maxsize}"),
         (dict(n_chars=sys.maxsize + 1), "simulate.n_chars must be at most"),
         (dict(grid_size=sys.maxsize + 1), "simulate.grid_size must be at most"),

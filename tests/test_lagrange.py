@@ -10,8 +10,10 @@ import emaflow.lagrange
 from emaflow.errors import ConfigError, CrossingDetected, DomainError
 from emaflow.flow import flow_radius, pushforward_density
 from emaflow.lagrange import (
+    EnsembleRun,
     EulerianSnapshot,
     _pchip,
+    _sorted_distinct,
     advance_ensemble,
     bkm_integral,
     bkm_monitor,
@@ -359,6 +361,27 @@ def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
 def test_ensemble_input_validation(equilibrium, kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
         advance_ensemble(equilibrium, **({"n_chars": 8, "t_end": 1.0} | kwargs))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 2.0, 1.0, 3.0],
+        [0.5],
+        [0.0, -0.0, 1.0, -0.0],
+        [-0.0, 0.0],
+        [2.0, -1e300, 5e-324, 2.0, 0.0, -5e-324],
+        (np.arange(1000) * 37 % 80 - 40) / 7.0,
+    ],
+)
+def test_sorted_distinct_is_unique_bitwise(values):
+    x = np.array(values)
+    assert _sorted_distinct(x).tobytes() == np.unique(x).tobytes()
+
+
+def test_output_times_are_sorted_and_deduplicated(equilibrium):
+    run = EnsembleRun(equilibrium, n_chars=8, output_times=[1.0, 0.5, 0.5, 0.0], grid_size=8)
+    assert [snap.t for snap, _ in run] == [0.0, 0.5, 1.0]
 
 
 # ---------------------------------------------------------------- snapshot interpolant

@@ -13,7 +13,7 @@ import pytest
 
 from emaflow import validation
 from emaflow.flow import conserved_energy
-from emaflow.lagrange import ensemble_energies
+from emaflow.lagrange import default_seeds, ensemble_energies
 from emaflow.spectral import Termination
 from emaflow.validation import run_criteria
 
@@ -116,6 +116,12 @@ def test_energy_reads_the_node_rows_of_the_shared_ensembles():
         assert np.array_equal(on_nodes.seeds, nodes)
         e0 = ensemble_energies(profile, on_nodes, weights)[0]
         assert e0 == pytest.approx(conserved_energy(profile, nodes, weights, 0.0), rel=1e-13)
+
+
+def test_shared_ensembles_are_seeded_on_the_union_of_radii_and_rule_nodes():
+    for profile, result, nodes, _ in validation._equivalence_runs():
+        union = np.union1d(default_seeds(profile, 2048), nodes)
+        assert result.seeds.tobytes() == union.tobytes()
 
 
 def _report(path):
