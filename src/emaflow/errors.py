@@ -21,8 +21,7 @@ class ConfigError(EmaflowError, ValueError):
 
 class SingularInput(EmaflowError, ValueError):
     """State on a singular set where the requested quantity is undefined,
-    e.g. a trajectory touching nu = 1 in the ellipse monitor, or v = 0
-    with nonzero rotation in the linearized system.
+    e.g. a trajectory touching nu = 1 in the invariant monitors.
     """
 
 

@@ -20,11 +20,9 @@ _EXPORTS = {
             "SpectralState",
             "SwirlState",
             "rhs_ep_qnu",
-            "rhs_pmu",
             "rhs_qnu",
             "rhs_swirl",
             "rhs_swirl_q",
-            "rhs_wv",
         ),
         ".systems",
     ),

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError, check_dimension, check_positive, finite_real
+from ..errors import ConfigError, DomainError, check_dimension, check_positive
 from .integrator import (
     _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _SAFETY,
     IntegratorConfig, Trajectory, _finish, _pole_time, _stepper,
@@ -347,7 +347,7 @@ def _head(y0, t, y):
     return ([0.0], [y0]) if t == 0.0 else ([0.0, t], [y0, y])
 
 
-def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
+def _run(system, states0, kappa, n, config, record) -> list[Trajectory]:
     """Integrate every state of states0 from t = 0 to config.horizon.
 
     The arguments mean what they mean for integrate.  Returns one
@@ -359,8 +359,6 @@ def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
     sys_id, dim = SYSTEM_DIMS[system]
     check_positive("kappa", kappa)
     check_dimension(n)
-    if not finite_real(c0):
-        raise DomainError(f"c0 must be a finite number, got {c0!r}")
     cfg = IntegratorConfig() if config is None else config
     if not isinstance(cfg, IntegratorConfig):
         raise ConfigError(f"config must be an IntegratorConfig, got {type(cfg).__name__}")
@@ -368,8 +366,8 @@ def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
     runs = [None] * len(rows)
     if not rows:
         return runs
-    kappa, n, c0 = float(kappa), float(n), float(c0)
-    stepper = _Stepper(_rhs(sys_id, kappa=kappa, n=n, c0=c0), np.array(rows).T.copy(), cfg)
+    kappa, n = float(kappa), float(n)
+    stepper = _Stepper(_rhs(sys_id, kappa=kappa, n=n), np.array(rows).T.copy(), cfg)
     for i in np.flatnonzero(stepper.at_pole).tolist():
         runs[i] = _finish([0.0], [rows[i]], "blowup_detected", 0.0)
 
@@ -390,7 +388,7 @@ def _run(system, states0, kappa, n, c0, config, record) -> list[Trajectory]:
     for j, i in enumerate(stepper.lane.tolist()):
         lane = stepper.lane_state(j)
         resume = _stepper(sys_id, dim)
-        runs[i] = resume(*_head(rows[i], *lane[:2]), *lane, kappa, n, c0, cfg, record)
+        runs[i] = resume(*_head(rows[i], *lane[:2]), *lane, kappa, n, cfg, record)
     return runs
 
 
@@ -400,17 +398,16 @@ def integrate_batch(
     kappa: float,
     *,
     n: int = 1,
-    c0: float = 0.0,
     config: IntegratorConfig | None = None,
 ) -> BatchResult:
     """Integrate every initial state in states0 from t = 0 to config.horizon.
 
     states0 is a sequence of states (tuples, arrays, SpectralState or
-    SwirlState), one per lane; system, kappa, n, c0 and config are
-    shared by all lanes and mean what they mean for integrate.  Each
+    SwirlState), one per lane; system, kappa, n and config are shared
+    by all lanes and mean what they mean for integrate.  Each
     lane ends where integrate(..., record=False) ends it, bit for bit.
     """
-    runs = _run(system, states0, kappa, n, c0, config, record=False)
+    runs = _run(system, states0, kappa, n, config, record=False)
     ends = [run.termination for run in runs]
     return BatchResult(
         kinds=tuple(end.kind for end in ends),

@@ -32,12 +32,11 @@ written out on scalar locals, one per state component, as Hairer's
 dopri5.f writes them.  Its source is generated from the _A and _E
 tableau literals and compiled with exec on the system's first call, as
 dataclasses builds __init__.  Each stage evaluates the system's
-derivative in place: where the system's function in ``systems`` only
-unpacks its state and returns a tuple of expressions, those expressions
-are read from its source with ast and written into the stage on the
-stage arguments; any other function (rhs_wv_inf, which branches) is
-called.  Either way the operations are the function's own, in its
-order.  Every stage and error sum starts from 0.0 and runs over its
+derivative in place: the system's function in ``systems`` only unpacks
+its state and returns a tuple of expressions, and those expressions are
+read from its source with ast and written into the stage on the stage
+arguments, so the operations are the function's own, in its order.
+Every stage and error sum starts from 0.0 and runs over its
 whole tableau row in index order, zero weights included, so the
 floating-point operations and their order are fixed; the tests pin the
 results bit for bit.  The stages are tested for finiteness only when
@@ -224,7 +223,7 @@ def _finish(times, states, kind, t_est=None):
 # One resume function, for state components y0, y1, ...  The fields
 # in braces are the per-dimension pieces _stepper fills in.
 _SOURCE = """\
-def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, config, record):
+def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, config, record):
     rel_tol = config.rel_tol
     abs_tol = config.abs_tol
     max_step = config.max_step
@@ -298,11 +297,12 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, c0, conf
 
 def _inlined(rhs, params):
     """The source of each component expression that rhs returns, on the
-    stage arguments z0, z1, ..., or None where rhs is not inlined.
+    stage arguments z0, z1, ...
 
-    rhs is inlined when its body, read from its own source, only unpacks
-    its state into names and returns a tuple of expressions that name
-    nothing but those names and params.
+    rhs must be inlinable: its body, read from its own source, only
+    unpacks its state into names and returns a tuple of expressions that
+    name nothing but those names and params.  Any other rhs is a
+    TypeError.
     """
     (node,) = ast.parse(inspect.getsource(rhs)).body
     body = node.body[1:] if ast.get_docstring(node) is not None else node.body
@@ -310,12 +310,10 @@ def _inlined(rhs, params):
         case [
             ast.Assign(targets=[ast.Tuple(elts=unpacked)], value=ast.Name(id=state)),
             ast.Return(value=ast.Tuple(elts=values)),
-        ]:
+        ] if state == node.args.args[0].arg and all(isinstance(x, ast.Name) for x in unpacked):
             pass
         case _:
-            return None
-    if state != node.args.args[0].arg or not all(isinstance(x, ast.Name) for x in unpacked):
-        return None
+            raise TypeError(f"{rhs.__name__} does not only unpack its state and return a tuple")
     rename = {name.id: f"z{j}" for j, name in enumerate(unpacked)}
     for value in values:
         for name in ast.walk(value):
@@ -323,7 +321,7 @@ def _inlined(rhs, params):
                 if name.id in rename:
                     name.id = rename[name.id]
                 elif name.id not in params:
-                    return None
+                    raise TypeError(f"{rhs.__name__} names {name.id!r}, not in its state or params")
     return [ast.unparse(value) for value in values]
 
 
@@ -333,11 +331,12 @@ def _stepper(sys_id, d):
 
     It takes the lane's record so far (times and states lists, which it
     extends), the lane as _Stepper.lane_state gives it (t, y, k0, h,
-    facold, last_rejected), then (kappa, n, c0, config, record).  It
-    steps the lane to config.horizon and returns the Trajectory, keeping
-    just the first and last points when record is false.  Generated and
-    compiled on first use, so importing the package costs nothing for
-    systems that are never integrated.
+    facold, last_rejected), then (kappa, n, config, record).  It steps
+    the lane to config.horizon and returns the Trajectory, keeping just
+    the first and last points when record is false.  Every stage is the
+    system's derivative inlined (_inlined; a TypeError where it cannot
+    be).  Generated and compiled on first use, so importing the package
+    costs nothing for systems that are never integrated.
     """
     rhs = SYSTEM_RHS[sys_id]
     comps = range(d)
@@ -354,10 +353,7 @@ def _stepper(sys_id, d):
     stages = []
     for i in range(1, 7):
         stages += [f"        z{j} = y{j} + h * {weighted(_A[i], j)}" for j in comps]
-        if inlined is None:
-            stages.append(f"        {names(f'k{i}_')}, = f(({names('z')},), {', '.join(params)})")
-        else:
-            stages += [f"        k{i}_{j} = {value}" for j, value in enumerate(inlined)]
+        stages += [f"        k{i}_{j} = {value}" for j, value in enumerate(inlined)]
     errors = [
         f"        r{j} = {weighted(_E, j)} * h"
         f" / (abs_tol + rel_tol * max(abs(y{j}), abs(z{j})))"
@@ -379,7 +375,7 @@ def _stepper(sys_id, d):
         errors="\n".join(errors),
         err_sum="0.0" + "".join(f" + r{j} * r{j}" for j in comps),
     )
-    namespace = dict(globals(), f=rhs, isfinite=math.isfinite, sqrt=math.sqrt)
+    namespace = dict(globals(), isfinite=math.isfinite, sqrt=math.sqrt)
     exec(source, namespace)
     return namespace["resume"]
 
@@ -391,17 +387,16 @@ def integrate(
     *,
     n: int = 1,
     config: IntegratorConfig | None = None,
-    c0: float = 0.0,
     record: bool = True,
 ) -> Trajectory:
     """Integrate one of the named systems from t = 0 to config.horizon.
 
-    system is one of 'qnu', 'pmu', 'swirl', 'ep', 'wv', 'swirl_q'; n is
-    only read by the Euler-Poisson variant and c0 only by 'wv'.  With
-    record=False the trajectory keeps just the first and last accepted
-    states, which is what sweeps and bisection want.
+    system is one of 'qnu', 'swirl', 'ep', 'swirl_q'; n is only read by
+    the Euler-Poisson variant.  With record=False the trajectory keeps
+    just the first and last accepted states, which is what sweeps and
+    bisection want.
     """
     # batch imports this module, so its driver is imported at the call.
     from .batch import _run
 
-    return _run(system, [state0], kappa, n, c0, config, record)[0]
+    return _run(system, [state0], kappa, n, config, record)[0]

@@ -20,45 +20,35 @@ from emaflow.spectral.systems import SYSTEM_DIMS
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
 SWIRL_BOUNDED = (0.1, 0.01, 0.005, -0.01, 0.0, 0.3)
 
-# (system, config overrides, n, c0, initial states).  Each group is one
-# batch; together they cover all six systems and every way a lane ends.
+# (system, config overrides, n, initial states).  Each group is one
+# batch; together they cover all four systems and every way a lane ends.
 GROUPS = [
     # horizon, magnitude blowup, a rest state, a start beyond the threshold
-    ("qnu", {}, 1, 0.0, [(0.5, 0.0), (0.0, 0.0), (-1.2, 0.0), (0.0, 1.5), (2e9, 0.0)]),
-    ("pmu", {}, 1, 0.0, [(0.3, 0.2), (-1.3456, -0.0892), (0.0, -2e9)]),
-    ("swirl", {"horizon": 25.0}, 1, 0.0, [SWIRL_BLOWUP, SWIRL_BOUNDED]),
-    ("swirl_q", {}, 1, 0.0, [(1.5668, 0.3407, -0.1148), (-1.2, 0.0, 0.5)]),
-    ("ep", {}, 2, 0.0, [(2.0, -0.5), (1.8586, 0.7072)]),
-    ("ep", {}, 3, 0.0, [(2.0, -0.5), (1.0, 0.5)]),
-    ("wv", {}, 1, 0.0, [(0.5, 1.0), (-1.0, 0.0)]),
-    # centrifugal term: v = 0 is singular at the start, bounded otherwise
-    ("wv", {}, 1, 0.3, [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (-1.637, -1.718)]),
+    ("qnu", {}, 1, [(0.5, 0.0), (0.0, 0.0), (-1.2, 0.0), (0.0, 1.5), (2e9, 0.0)]),
+    ("qnu", {}, 1, [(0.3, 0.2), (-1.3456, -0.0892), (0.0, -2e9)]),
+    ("swirl", {"horizon": 25.0}, 1, [SWIRL_BLOWUP, SWIRL_BOUNDED]),
+    ("swirl_q", {}, 1, [(1.5668, 0.3407, -0.1148), (-1.2, 0.0, 0.5)]),
+    ("ep", {}, 2, [(2.0, -0.5), (1.8586, 0.7072)]),
+    ("ep", {}, 3, [(2.0, -0.5), (1.0, 0.5)]),
+    # a start whose derivative overflows to inf below the threshold: a pole at t = 0
+    ("qnu", {"blowup_magnitude": 1e300}, 1, [(1e200, 0.0), (0.5, 0.0)]),
     # the threshold out of reach: accepted steps shrink below min_step
-    ("qnu", {"blowup_magnitude": 1e200, "min_step": 1e-7}, 1, 0.0, [(-1.2, 0.0), (0.0, 1.5)]),
+    ("qnu", {"blowup_magnitude": 1e200, "min_step": 1e-7}, 1, [(-1.2, 0.0), (0.0, 1.5)]),
     # rejected steps reach min_step below the threshold: a pole all the same
     (
         "swirl_q",
         {"blowup_magnitude": 5e220, "min_step": 0.005565743920242077},
         1,
-        0.0,
         [(-0.79487173966535, 1.9668549809015374, 0.5155376672414507)],
     ),
-    (
-        "wv",
-        {"blowup_magnitude": 3e238, "min_step": 0.004086533680735218},
-        1,
-        0.3,
-        [(-1.637112645519442, -1.7182878448427803)],
-    ),
 ]
-
 
 def _config(overrides):
     return IntegratorConfig(horizon=20.0).replace(**overrides)
 
 
-def _scalar(system, state, n, c0, cfg):
-    traj = integrate(system, state, 1.0, n=n, c0=c0, config=cfg, record=False)
+def _scalar(system, state, n, cfg):
+    traj = integrate(system, state, 1.0, n=n, config=cfg, record=False)
     return traj.termination.kind, traj.termination.t_est, traj.final_time, traj.final_state
 
 
@@ -75,13 +65,13 @@ def _path(kind, t_est, final_state, cfg):
 def test_batch_matches_scalar_kernel(monkeypatch):
     paths = set()
     systems = set()
-    for system, overrides, n, c0, states in GROUPS:
+    for system, overrides, n, states in GROUPS:
         cfg = _config(overrides)
         with monkeypatch.context() as patch:
             patch.setattr(batch, "_HANDOFF", 1)
-            result = integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)
+            result = integrate_batch(system, states, 1.0, n=n, config=cfg)
         for lane, state in enumerate(states):
-            kind, t_est, t_end, y_end = _scalar(system, state, n, c0, cfg)
+            kind, t_est, t_end, y_end = _scalar(system, state, n, cfg)
             label = (system, state)
             assert result.kinds[lane] == kind, label
             if kind == "blowup_detected":
@@ -122,7 +112,7 @@ def test_stage_finiteness_is_read_lane_by_lane_where_the_error_is_not_finite(mon
     assert [True, False, True] in seen
     assert result.kinds == ("horizon_reached", "blowup_detected", "horizon_reached")
     for lane, state in enumerate(states):
-        kind, t_est, t_end, y_end = _scalar("qnu", state, 1, 0.0, cfg)
+        kind, t_est, t_end, y_end = _scalar("qnu", state, 1, cfg)
         assert result.kinds[lane] == kind
         assert np.array_equal(result.t_est[lane], np.nan if t_est is None else t_est, equal_nan=True)
         assert result.final_time[lane] == t_end
@@ -178,11 +168,11 @@ def test_handoff_point_changes_no_bit(monkeypatch):
     # more lane than the batch has) and every hand-off in between.  The
     # driver's record of each lane (its start and end) is also the one
     # integrate keeps for that state alone.
-    runs = [(system, states, n, c0, _config(overrides)) for system, overrides, n, c0, states in GROUPS]
-    runs.append(("swirl", _lanes(), 1, 0.0, IntegratorConfig(horizon=20.0)))
+    runs = [(system, states, n, _config(overrides)) for system, overrides, n, states in GROUPS]
+    runs.append(("swirl", _lanes(), 1, IntegratorConfig(horizon=20.0)))
     alone = [
-        _records(integrate(system, s, 1.0, n=n, c0=c0, config=cfg, record=False) for s in states)
-        for system, states, n, c0, cfg in runs
+        _records(integrate(system, s, 1.0, n=n, config=cfg, record=False) for s in states)
+        for system, states, n, cfg in runs
     ]
 
     moved, driven = [], []
@@ -199,11 +189,11 @@ def test_handoff_point_changes_no_bit(monkeypatch):
 
     monkeypatch.setattr(batch._Stepper, "lane_state", handed)
     monkeypatch.setattr(batch, "_run", kept)
-    for (system, states, n, c0, cfg), want in zip(runs, alone):
+    for (system, states, n, cfg), want in zip(runs, alone):
         results = []
         for handoff in range(1, len(states) + 2):
             monkeypatch.setattr(batch, "_HANDOFF", handoff)
-            results.append(_bits(integrate_batch(system, states, 1.0, n=n, c0=c0, config=cfg)))
+            results.append(_bits(integrate_batch(system, states, 1.0, n=n, config=cfg)))
             assert _records(driven) == want, (system, states, handoff)
         assert results == [results[0]] * len(results), (system, states)
     # Some lanes were handed over part-way, not only at t = 0.

@@ -108,7 +108,7 @@ def test_flow_agrees_with_spectral_odes(subcritical_profile, tight_config):
         nu_flow = 1.0 - (1.0 - h0_2) / lam2
 
         cfg = tight_config.replace(horizon=t)
-        pm = integrate("pmu", (lam0_1, h0_1), p.kappa, config=cfg).final_state
+        pm = integrate("qnu", (lam0_1, h0_1), p.kappa, config=cfg).final_state
         qn = integrate("qnu", (lam0_2, h0_2), p.kappa, config=cfg).final_state
         assert abs(p_flow - pm[0]) <= 1e-6
         assert abs(mu_flow - pm[1]) <= 1e-6

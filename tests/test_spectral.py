@@ -24,14 +24,10 @@ from emaflow.spectral import (
     integrator,
     monitor_ellipse,
     rhs_ep_qnu,
-    rhs_pmu,
     rhs_qnu,
     rhs_swirl,
     rhs_swirl_q,
-    rhs_wv,
 )
-from emaflow.spectral.systems import rhs_wv_inf
-from emaflow.spectral.systems import SingularInput
 from emaflow.threshold import (
     blowup_time_closed_form,
     classify_point,
@@ -66,19 +62,6 @@ def test_rhs_qnu_mixed_state():
     assert dnu == pytest.approx(0.4, abs=1e-15)
 
 
-def test_rhs_pmu_example():
-    dp, dmu = rhs_pmu(np.array([-1.0, 0.5]), 1.0)
-    assert dp == pytest.approx(-1.5, abs=1e-15)
-    assert dmu == pytest.approx(-0.5, abs=1e-15)
-
-
-@given(x1=finite_floats, x2=finite_floats, kappa=kappas)
-def test_rhs_pmu_matches_qnu(x1, x2, kappa):
-    # the two linearized branches obey the same equations
-    state = np.array([x1, x2])
-    assert rhs_pmu(state, kappa) == rhs_qnu(state, kappa)
-
-
 def test_rhs_swirl_rest_state():
     assert rhs_swirl(np.zeros(6), 1.0) == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -96,7 +79,7 @@ def test_rhs_swirl_pure_rotation():
 )
 def test_rhs_swirl_zero_swirl_reduction(p, q, mu, nu, kappa):
     full = rhs_swirl(np.array([p, q, mu, nu, 0.0, 0.0]), kappa)
-    dp, dmu = rhs_pmu(np.array([p, mu]), kappa)
+    dp, dmu = rhs_qnu(np.array([p, mu]), kappa)
     dq, dnu = rhs_qnu(np.array([q, nu]), kappa)
     assert full == (dp, dq, dmu, dnu, 0.0, 0.0)
 
@@ -128,63 +111,18 @@ def test_rhs_ep_example_n3():
     assert dnu == pytest.approx(0.21, abs=1e-15)
 
 
-def test_rhs_wv_fixed_point():
-    assert rhs_wv(np.array([0.0, 1.0]), 1.0) == (0.0, 0.0)
-
-
-def test_rhs_wv_examples():
-    assert rhs_wv(np.array([1.0, 0.0]), 1.0) == (1.0, 1.0)
-    # centrifugal term contributes c0^2 v^-3
-    assert rhs_wv(np.array([0.0, 1.0]), 1.0, c0=1.0) == (1.0, 0.0)
-
-
-def test_rhs_wv_centrifugal_scaling():
-    base = rhs_wv(np.array([0.2, 0.8]), 1.0)[0]
-    one = rhs_wv(np.array([0.2, 0.8]), 1.0, c0=0.3)[0] - base
-    two = rhs_wv(np.array([0.2, 0.8]), 1.0, c0=0.6)[0] - base
-    assert two == pytest.approx(4.0 * one, rel=1e-12)
-
-
-def test_rhs_wv_singular_at_vanishing_v():
-    with pytest.raises(SingularInput, match="v = 0"):
-        rhs_wv(np.array([1.0, 0.0]), 1.0, c0=1.0)
-
-
-def test_rhs_wv_singular_where_the_cube_underflows():
-    # v is nonzero but v^3 is 0.0, so the centrifugal term is undefined.
-    with pytest.raises(SingularInput, match="v = 0"):
-        rhs_wv((1.0, 1e-120), 1.0, c0=1.0)
-
-
-def test_rhs_wv_inf_is_total_on_floats_and_rows():
-    # v^3 = 0 (v = +-0, or v so small its cube underflows) reads as inf.
-    for v in (0.0, -0.0, 1e-120):
-        assert rhs_wv_inf((1.0, v), 1.0, 0.3) == (math.inf, 1.0)
-    dw = 1.5 * (1.0 - 0.8) + 0.3 * 0.3 / (0.8 * 0.8 * 0.8)
-    assert rhs_wv_inf((0.2, 0.8), 1.5, 0.3) == (dw, 0.2)
-    assert rhs_wv_inf((0.2, 0.0), 2.0, 0.0) == rhs_wv((0.2, 0.0), 2.0) == (2.0, 0.2)
-    with np.errstate(divide="ignore"):  # as in the batch stepper
-        rows = rhs_wv_inf((np.array([1.0, 0.2, 0.5]), np.array([0.0, 0.8, -0.0])), 1.5, 0.3)
-    np.testing.assert_array_equal(rows[0], [math.inf, dw, math.inf])
-    np.testing.assert_array_equal(rows[1], [1.0, 0.2, 0.5])
-
-
 @given(kappa=kappas)
 def test_rest_states_are_fixed_points(kappa):
     for system, zero in [
         ("qnu", np.zeros(2)),
-        ("pmu", np.zeros(2)),
         ("swirl", np.zeros(6)),
         ("swirl_q", np.zeros(3)),
-        ("wv", np.array([0.0, 1.0])),
     ]:
         dim = SYSTEM_DIMS[system][1]
         rhs = {
             "qnu": rhs_qnu,
-            "pmu": rhs_pmu,
             "swirl": rhs_swirl,
             "swirl_q": rhs_swirl_q,
-            "wv": rhs_wv,
         }[system]
         assert rhs(zero, kappa) == (0.0,) * dim
     assert rhs_ep_qnu(np.zeros(2), kappa, 2) == (0.0, 0.0)
@@ -260,7 +198,7 @@ def _box_point(rng):
     return rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0)
 
 
-def _pmu_poles(rng):
+def _qnu_poles(rng):
     states, poles = [], []
     while len(states) < 50:
         state = _box_point(rng)
@@ -285,11 +223,11 @@ def _zero_swirl_poles(rng):
     return states, poles
 
 
-@pytest.mark.parametrize("system, draw", [("pmu", _pmu_poles), ("swirl", _zero_swirl_poles)])
+@pytest.mark.parametrize("system, draw", [("qnu", _qnu_poles), ("swirl", _zero_swirl_poles)])
 def test_pole_times_match_the_closed_form(monkeypatch, system, draw):
     # The bound is 10 rel_tol, the error a pole time may carry from an
     # integration at rel_tol.  At seed 0 the worst relative error is
-    # 1.4e-9 on pmu and 1.6e-9 on swirl; over these draws at seeds 0-39
+    # 1.4e-9 on qnu and 1.6e-9 on swirl; over these draws at seeds 0-39
     # (2000 per system) it was 4.8e-9 and 8.3e-9.
     states, poles = draw(np.random.default_rng(0))
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=8.0)
@@ -378,14 +316,6 @@ def test_entry_points_raise_typed_errors(call, error, match):
     # point, and to them a bool or a string is never a number.
     with pytest.raises(error, match=match):
         call()
-
-
-@pytest.mark.parametrize("c0", [float("inf"), float("nan"), True, "x"])
-def test_bad_c0_is_a_domain_error(c0):
-    with pytest.raises(DomainError, match="c0"):
-        integrate("wv", (1.0, 1.0), 1.0, c0=c0)
-    with pytest.raises(DomainError, match="c0"):
-        integrate_batch("wv", [(1.0, 1.0)], 1.0, c0=c0)
 
 
 def test_integral_dimension_types_are_accepted():
@@ -493,12 +423,23 @@ def test_step_that_does_not_advance_t_is_step_underflow(system, state0, cfg):
     np.testing.assert_array_equal(ends.final_state, batch.final_state[0])
 
 
-def test_the_scalar_stepper_inlines_each_rhs_but_wv():
+def _branching(state, kappa):
+    q, nu = state
+    if q > 0.0:
+        return (-q * q - kappa * nu, q * (1.0 - nu))
+    return (0.0, 0.0)
+
+
+def test_the_scalar_stepper_inlines_every_rhs(monkeypatch):
     # The generated stages evaluate each system's expressions in place,
-    # read from systems.py; rhs_wv_inf branches, so wv keeps its call.
+    # read from systems.py, so no stepper calls a derivative function.
     for system, (sys_id, d) in SYSTEM_DIMS.items():
-        calls_rhs = "f" in integrator._stepper(sys_id, d).__code__.co_names
-        assert calls_rhs == (system == "wv"), system
+        assert "f" not in integrator._stepper(sys_id, d).__code__.co_names, system
+    # An rhs that does more than unpack and return has no stepper.
+    monkeypatch.setattr(integrator, "SYSTEM_RHS", (_branching,))
+    integrator._stepper.cache_clear()
+    with pytest.raises(TypeError, match="_branching"):
+        integrator._stepper(0, 2)
 
 
 def test_the_inlined_rhs_is_read_from_the_function_alone(monkeypatch):
