@@ -26,7 +26,7 @@ class SingularInput(EmaflowError, ValueError):
 
 
 class QuadratureError(EmaflowError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature rule met a non-finite integrand value."""
 
 
 class BisectionError(EmaflowError, ArithmeticError):

@@ -132,18 +132,17 @@ def potential_gradient_on_path(
 
     method selects the rearrangement-map route: 'identity' for the
     closed form r0 - phi0'(r0) (default), 'quadrature' for the mass
-    integral (propagates QuadratureError).  The two agree to quadrature
-    tolerance on consistent profiles; tests assert that, callers pick one.
+    integral of gamma_inverse, one composite rule for every radius
+    (propagates QuadratureError).  The two agree to the rule's accuracy
+    on consistent profiles; tests assert that, callers pick one.
     """
     r_t = flow_radius(profile, r0, t)
     if method == "identity":
         gamma = gamma_inverse_identity(profile, r0)
-    elif method != "quadrature":
-        raise DomainError(f"unknown gamma route {method!r}")
-    elif np.asarray(r0).ndim == 0:
+    elif method == "quadrature":
         gamma = gamma_inverse(profile, r0)
     else:
-        gamma = np.array([gamma_inverse(profile, float(r)) for r in np.asarray(r0)])
+        raise DomainError(f"unknown gamma route {method!r}")
     return r_t - gamma
 
 

@@ -1,137 +1,31 @@
-"""Adaptive Gauss-Kronrod quadrature and fixed Gauss-Legendre rules.
+"""Fixed Gauss-Legendre rules: one rule on an interval, and a composite
+rule for integrals from 0.
 
-The mass integrals that define the transport map are smooth on the
-profile support but their integrands vary over several orders of
-magnitude near the origin (the s^(n-1) weight), so a globally fixed
-rule is wasteful.  A 7/15 Gauss-Kronrod pair with bisection of the
-worst panel reaches abs 1e-12 / rel 1e-10 in a handful of panels for
-every profile in the preset family.
+The energy sum takes its nodes from gauss_legendre_nodes.  The mass
+integrals that define the transport map take the composite rule of
+cumulative_integral: equal panels with a fixed Legendre rule on each,
+which the smooth integrands of the preset family need no adaptivity for.
 
-The fixed Gauss-Legendre rule (the energy sum's nodes) comes from
-Newton's method on the Legendre recurrence, not from an eigenvalue
-solver, so the package makes no LAPACK call.
+The Gauss-Legendre rule comes from Newton's method on the Legendre
+recurrence, not from an eigenvalue solver, so the package makes no
+LAPACK call.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["integrate_adaptive", "gauss_legendre_nodes"]
+__all__ = ["gauss_legendre_nodes", "cumulative_integral"]
 
-# 15-point Kronrod abscissae on [-1, 1], positive half, descending.
-# The even-index entries (0, 2, 4, 6) form the embedded 7-point Gauss rule.
-_XK = np.array(
-    [
-        0.99145537112081263921,
-        0.94910791234275852453,
-        0.86486442335976907279,
-        0.74153118559939443986,
-        0.58608723546769113029,
-        0.40584515137739716691,
-        0.20778495500789846760,
-        0.0,
-    ]
-)
-
-_WK = np.array(
-    [
-        0.02293532201052922496,
-        0.06309209262997855329,
-        0.10479001032225018384,
-        0.14065325971552591875,
-        0.16900472663926790283,
-        0.19035057806478540991,
-        0.20443294007529889241,
-        0.20948214108472782801,
-    ]
-)
-
-# 7-point Gauss weights, matching _XK[1], _XK[3], _XK[5], _XK[7].
-_WG = np.array(
-    [
-        0.12948496616886969327,
-        0.27970539148927666790,
-        0.38183005050511894495,
-        0.41795918367346938776,
-    ]
-)
-
-# Full symmetric node set so the integrand is evaluated in one vector call.
-_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # 15 ascending points
-_WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_WEIGHTS_G = np.zeros(15)
-_WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-
-
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |K15 - G7| error estimate on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(mid + half * _NODES), dtype=float)
-    if y.shape != _NODES.shape:
-        raise TypeError("integrand must map an array of points to an array of values")
-    if not np.all(np.isfinite(y)):
-        raise QuadratureError(f"integrand not finite on [{a!r}, {b!r}]")
-    k = half * float(_WEIGHTS_K @ y)
-    g = half * float(_WEIGHTS_G @ y)
-    return k, abs(k - g)
-
-
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    max_panels: int = 4096,
-) -> tuple[float, float]:
-    """Integrate a vectorized callable over [a, b].
-
-    Splits the interval by repeatedly bisecting the panel with the
-    largest Kronrod-Gauss discrepancy until the summed estimate meets
-    max(abs_tol, rel_tol * |integral|).  Returns (value, error_estimate).
-
-    Raises QuadratureError when max_panels panels cannot reach the
-    tolerance, and DomainError for a reversed interval.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration endpoints must be finite")
-    if b < a:
-        raise DomainError(f"reversed interval [{a!r}, {b!r}]")
-    if a == b:
-        return 0.0, 0.0
-
-    value, err = _panel(f, a, b)
-    # Max-heap on the error estimate; the counter breaks ties so panel
-    # tuples are never compared.
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    n_panels = 1
-    while True:
-        total_err = -sum(item[0] for item in heap)
-        total_val = sum(item[4] for item in heap)
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            return total_val, total_err
-        if n_panels >= max_panels:
-            raise QuadratureError(
-                f"quadrature stalled at {n_panels} panels, "
-                f"error estimate {total_err:.3e}"
-            )
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        for lo, hi in ((pa, pm), (pm, pb)):
-            v, e = _panel(f, lo, hi)
-            counter += 1
-            heapq.heappush(heap, (-e, counter, lo, hi, v, e))
-        n_panels += 1
+# cumulative_integral's composite rule: this many equal panels, with a
+# Legendre rule of this many nodes on each.
+_PANELS = 256
+_PANEL_NODES = 16
 
 
 def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,3 +75,49 @@ def gauss_legendre_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.nda
     x, w = _legendre_rule(m)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def cumulative_integral(f, b: float, x) -> np.ndarray:
+    """Integral of f over [0, x] for each point of the array x in [0, b].
+
+    f maps an array of points to an array of values of the same shape.
+    [0, b] is cut into _PANELS equal panels, each integrated by the
+    _PANEL_NODES-point Gauss-Legendre rule, and the panels are summed
+    cumulatively; a point x adds its own partial panel, from the panel
+    edge below x up to x, under the same rule.  Every weighted sum runs
+    in node order, so the value at x does not depend on the other
+    points of the call: an array gives, bit for bit, what its points
+    give one at a time.  For a smooth f the rule is as accurate as the
+    difference from 2 * _PANEL_NODES nodes per panel shows: below 1e-14
+    on 257 radii for s^(n-1) rho0(s) of the equilibrium, quadratic and
+    bump profiles the tests check at n = 2 and 3, whose r_max is 5 and
+    whose mass reaches 92.  A jump of f is resolved only where it falls
+    on a panel edge.
+
+    x is not checked; raises QuadratureError where f is not finite at a
+    node.
+    """
+    x = np.asarray(x, dtype=float)
+    t, w = gauss_legendre_nodes(_PANEL_NODES, 0.0, 1.0)
+    h = b / _PANELS
+    edges = h * np.arange(_PANELS + 1)
+    below = np.searchsorted(edges, x, side="right") - 1  # edges[below] <= x
+    width = x - edges[below]
+    # Nodes on axis 0: the full panels as (nodes, panels), the partial
+    # ones as (nodes,) + x.shape.
+    full = f(edges[:-1] + h * t[:, None])
+    part = f(edges[below] + width * t.reshape((-1,) + (1,) * x.ndim))
+    if not (np.all(np.isfinite(full)) and np.all(np.isfinite(part))):
+        raise QuadratureError(f"integrand not finite on [0, {b!r}]")
+    prefix = np.concatenate(([0.0], np.cumsum(h * _node_sum(w, full))))
+    return prefix[below] + width * _node_sum(w, part)
+
+
+def _node_sum(w, values):
+    """sum_i w[i] * values[i], added in node order for every shape of
+    values[i]; np.einsum reassociates the sum where values[i] holds one
+    element."""
+    total = w[0] * values[0]
+    for wi, v in zip(w[1:], values[1:]):
+        total = total + wi * v
+    return total

@@ -35,7 +35,7 @@ from .lagrange import (
     ensemble_drift,
     ensemble_energies,
 )
-from .profiles import ProfilePreset
+from .profiles import ProfilePreset, gamma_inverse, gamma_inverse_identity
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
 from .threshold import (
@@ -316,6 +316,7 @@ def _drift(energies) -> float:
 def _crit_energy(seed: int):
     worst_closed = 0.0
     worst_ensemble = 0.0
+    worst_mass = 0.0
     for profile, result, nodes, weights in _equivalence_runs():
         closed = [conserved_energy(profile, nodes, weights, t) for t in (0.0,) + _EQUIV_TIMES]
         worst_closed = max(worst_closed, _drift(closed))
@@ -323,12 +324,17 @@ def _crit_energy(seed: int):
             return False, math.inf, 1.0, {"termination": result.termination.kind}
         energies = ensemble_energies(profile, _on_nodes(result, nodes), weights)
         worst_ensemble = max(worst_ensemble, _drift(energies))
+        # The energy takes Gamma^{-1} from the identity r - phi0'(r); the
+        # mass route of the geometric approach reports how far it lies.
+        mass = gamma_inverse(profile, nodes) - gamma_inverse_identity(profile, nodes)
+        worst_mass = max(worst_mass, float(np.max(np.abs(mass))))
     worst = max(worst_closed / 1e-10, worst_ensemble / 1e-6)
     details = {
         "closed_form_drift": worst_closed,
         "closed_form_budget": 1e-10,
         "ensemble_drift": worst_ensemble,
         "ensemble_budget": 1e-6,
+        "mass_route_difference": worst_mass,
     }
     return worst <= 1.0, worst, 1.0, details
 

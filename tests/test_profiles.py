@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from emaflow import DomainError, ProfilePreset, derive_density, gamma_inverse
+from emaflow import DomainError, ProfilePreset, derive_density, gamma_inverse, quadrature
 from emaflow.errors import QuadratureError
 from emaflow.profiles import (
     RadialProfile,
@@ -133,6 +133,9 @@ def test_mass_primitive_at_zero(equilibrium):
 
 
 def test_mass_primitive_step_density():
+    # Exact only because the jump at r = 1 falls on an edge of the
+    # composite rule's 256 panels of [0, 4]; a jump inside a panel
+    # would be smeared over it.
     prof = step_density_profile()
     assert transported_primitive(prof, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
     # nothing accumulates beyond the support
@@ -147,7 +150,50 @@ def test_mass_primitive_monotone(name, params):
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("name,params", PRESET_GRID)
+def test_mass_route_array_equals_its_scalar_calls(name, params):
+    prof = ProfilePreset(name, params).build(dimension=3)
+    # Edges of the composite rule's panels, and radii inside panels
+    # down to below r_eps.
+    r = np.concatenate((np.linspace(0.0, prof.r_max, 17), np.geomspace(1e-9, prof.r_max, 16)))
+    for route in (transported_primitive, gamma_inverse):
+        values = route(prof, r)
+        scalars = np.array([route(prof, float(ri)) for ri in r])
+        assert values.tobytes() == scalars.tobytes(), route.__name__
+
+
+@pytest.mark.parametrize("name,params", PRESET_GRID)
+def test_mass_rule_agrees_with_twice_the_nodes(name, params, monkeypatch):
+    # The accuracy cumulative_integral's docstring states: 1e-14.
+    for n in (2, 3):
+        prof = ProfilePreset(name, params).build(dimension=n)
+        r = np.linspace(0.0, prof.r_max, 257)
+        e16 = transported_primitive(prof, r)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_PANEL_NODES", 32)
+            e32 = transported_primitive(prof, r)
+        assert np.max(np.abs(e16 - e32)) <= 1e-14
+
+
+def test_mass_primitive_nonfinite_density_rejected():
+    # The density is nan beyond r = 2; the rule samples all of [0, r_max].
+    def d2phi0(r):
+        return np.where(np.asarray(r, dtype=float) > 2.0, np.nan, 0.0)
+
+    prof = RadialProfile(
+        dimension=2, kappa=1.0,
+        u0=_zeros, du0=_zeros, dphi0=_zeros, d2phi0=d2phi0,
+        r_max=4.0, name="nan-density",
+    )
+    with pytest.raises(QuadratureError, match="finite"):
+        transported_primitive(prof, 3.0)
+
+
 # --- gamma_inverse --------------------------------------------------------
+
+# Ten times the rule's 1e-14, for the rounding of the two routes.
+ROUTE_BOUND = 1e-13
+
 
 def test_gamma_equilibrium_is_identity(equilibrium):
     for r in (0.0, 0.25, 1.0, 3.7):
@@ -165,11 +211,12 @@ def test_gamma_constant_density_scaling():
 
 @pytest.mark.parametrize("name,params", PRESET_GRID)
 def test_gamma_routes_agree(name, params):
-    prof = ProfilePreset(name, params).build()
-    for r in (0.3, 1.0, 2.4, prof.r_max):
-        quad = gamma_inverse(prof, r)
-        ident = gamma_inverse_identity(prof, r)
-        assert quad == pytest.approx(ident, abs=1e-9)
+    for n in (2, 3):
+        prof = ProfilePreset(name, params).build(dimension=n)
+        for r in (0.3, 1.0, 2.4, prof.r_max, np.linspace(0.0, prof.r_max, 257)):
+            quad = gamma_inverse(prof, r)
+            ident = gamma_inverse_identity(prof, r)
+            assert np.max(np.abs(quad - ident)) <= ROUTE_BOUND, (n, r)
 
 
 @pytest.mark.parametrize("name,params", PRESET_GRID)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod panels and the fixed Gauss-Legendre rule."""
+"""The fixed Gauss-Legendre rule and the composite rule built on it."""
 
 import math
 
@@ -8,54 +8,30 @@ import pytest
 from emaflow.errors import DomainError, QuadratureError
 from emaflow import quadrature
 from emaflow.flow import energy_nodes
-from emaflow.quadrature import gauss_legendre_nodes, integrate_adaptive
+from emaflow.quadrature import cumulative_integral, gauss_legendre_nodes
 
 
 def test_polynomial_exact():
-    # a single 15-point panel integrates degree <= 22 exactly
-    value, err = integrate_adaptive(lambda s: 5.0 * s**4, 0.0, 2.0)
-    assert value == pytest.approx(32.0, abs=1e-12)
-    assert err <= 1e-12
+    # 16 nodes per panel integrate degree <= 31 exactly, partial panels too
+    value = cumulative_integral(lambda s: 5.0 * s**4, 2.0, np.array([0.5, 1.3, 2.0]))
+    assert value == pytest.approx([0.5**5, 1.3**5, 32.0], abs=1e-13)
 
 
 def test_gaussian_against_erf():
-    value, _ = integrate_adaptive(lambda s: np.exp(-(s**2)), 0.0, 1.0)
-    exact = 0.5 * math.sqrt(math.pi) * math.erf(1.0)
-    assert value == pytest.approx(exact, abs=1e-13)
+    x = np.array([0.37, 1.0])
+    value = cumulative_integral(lambda s: np.exp(-(s**2)), 1.0, x)
+    exact = [0.5 * math.sqrt(math.pi) * math.erf(xi) for xi in x]
+    assert value == pytest.approx(exact, abs=1e-15)
 
 
 def test_empty_interval():
-    assert integrate_adaptive(lambda s: s, 1.0, 1.0) == (0.0, 0.0)
-
-
-def test_kink_is_resolved():
-    value, _ = integrate_adaptive(lambda s: np.abs(s - 0.5), 0.0, 1.0)
-    assert value == pytest.approx(0.25, abs=1e-12)
-
-
-def test_reversed_interval_rejected():
-    with pytest.raises(DomainError):
-        integrate_adaptive(lambda s: s, 1.0, 0.0)
+    assert cumulative_integral(lambda s: s, 1.0, 0.0) == 0.0
 
 
 def test_nonfinite_integrand_rejected():
-    # nan left of 0.5, which the first panel already samples
+    # nan right of 0.5, beyond the one point asked for
     with pytest.raises(QuadratureError, match="finite"):
-        integrate_adaptive(lambda s: np.where(s < 0.5, np.nan, 1.0), 0.0, 1.0)
-
-
-def test_panel_budget_exhaustion():
-    with pytest.raises(QuadratureError, match="stalled"):
-        integrate_adaptive(
-            lambda s: np.sin(1e4 * s), 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15,
-            max_panels=4,
-        )
-
-
-def test_scalar_integrand_rejected():
-    # the integrand must be vectorized; a scalar return is a bug in the caller
-    with pytest.raises(TypeError):
-        integrate_adaptive(lambda s: 1.0, 0.0, 1.0)
+        cumulative_integral(lambda s: np.where(s > 0.5, np.nan, 1.0), 1.0, 0.25)
 
 
 def test_legendre_degree_exactness():

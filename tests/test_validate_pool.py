@@ -106,6 +106,8 @@ def test_energy_entry_does_not_depend_on_its_partners():
         results = run_criteria(names + ["dimension_independence"], workers=workers)
         entries += [_without_elapsed(r) for r in results if r.name == "energy_conservation"]
     assert entries[0].passed and entries[1:] == entries[:1] * 2
+    # test_profiles.ROUTE_BOUND: the two routes to Gamma^{-1}
+    assert entries[0].details["mass_route_difference"] <= 1e-13
 
 
 def test_energy_reads_the_node_rows_of_the_shared_ensembles():
