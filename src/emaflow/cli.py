@@ -20,10 +20,10 @@ validate and a swirl_sigma sweep, each with NumPy's floating-point
 warnings off.  classify and a pointwise sweep judge the closed-form
 threshold on plain floats and never import it, which is most of the
 cold start they save.  No command imports numpy.random or numpy.ma, and
-none calls BLAS, so main() sets OPENBLAS_NUM_THREADS=1 unless the
-environment already sets it: OpenBLAS would otherwise start a thread
-pool at import.  Set the variable to give a caller's own BLAS calls
-more threads.
+none calls BLAS, so importing this module (not a bare import of emaflow)
+sets OPENBLAS_NUM_THREADS=1 unless the environment already sets it:
+OpenBLAS would otherwise start a thread pool at NumPy's import.  Set
+the variable to give a caller's own BLAS calls more threads.
 
 simulate runs in two processes.  This one steps the ensemble,
 interpolates each output time and folds it into the diagnostics; a
@@ -41,6 +41,9 @@ import json
 import os
 import sys
 from pathlib import Path
+
+# Before anything imports NumPy: see the module docstring.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import SWIRL_FIELDS, RunConfig, load_run_config
 from .errors import EmaflowError, WorkerError
@@ -392,9 +395,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # OpenBLAS starts its thread pool when NumPy is imported, and no
-    # command calls BLAS; a value the caller set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

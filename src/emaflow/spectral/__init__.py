@@ -16,7 +16,7 @@ _EXPORTS = {
     **dict.fromkeys(("monitor_ellipse", "monitor_swirl_invariants"), ".monitors"),
     **dict.fromkeys(
         (
-            "SYSTEM_DIMS",
+            "SYSTEMS",
             "SpectralState",
             "SwirlState",
             "rhs_ep_qnu",

@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from inspect import signature
 from itertools import repeat
 from typing import NamedTuple
 
@@ -60,9 +59,9 @@ import numpy as np
 from ..errors import ConfigError, DomainError, check_dimension, check_positive
 from .integrator import (
     _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _SAFETY,
-    IntegratorConfig, Trajectory, _finish, _pole_time, _stepper,
+    IntegratorConfig, Trajectory, _finish, _pole_time, _read, _stepper,
 )
-from .systems import SYSTEM_DIMS, SYSTEM_RHS, SpectralState, SwirlState
+from .systems import SYSTEMS, SpectralState, SwirlState
 
 __all__ = ["BatchResult", "integrate_batch"]
 
@@ -84,10 +83,9 @@ class BatchResult:
     final_state: np.ndarray
 
 
-def _rhs(sys_id, **values):
+def _rhs(rhs, **values):
     """f(y, out): the d derivative rows of a (d, lanes) state y, into out."""
-    rhs = SYSTEM_RHS[sys_id]
-    rhs = functools.partial(rhs, **{p: values[p] for p in list(signature(rhs).parameters)[1:]})
+    rhs = functools.partial(rhs, **{p: values[p] for p in _read(rhs)[0]})
 
     def f(y, out):
         out[...] = rhs(y)
@@ -354,9 +352,10 @@ def _run(system, states0, kappa, n, config, record) -> list[Trajectory]:
     Trajectory per state, in order: the one integrate gives for that
     state alone.
     """
-    if system not in SYSTEM_DIMS:
-        raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEM_DIMS)}")
-    sys_id, dim = SYSTEM_DIMS[system]
+    if system not in SYSTEMS:
+        raise DomainError(f"unknown system {system!r}; available: {sorted(SYSTEMS)}")
+    rhs = SYSTEMS[system]
+    dim = len(_read(rhs)[1])
     check_positive("kappa", kappa)
     check_dimension(n)
     cfg = IntegratorConfig() if config is None else config
@@ -367,7 +366,7 @@ def _run(system, states0, kappa, n, config, record) -> list[Trajectory]:
     if not rows:
         return runs
     kappa, n = float(kappa), float(n)
-    stepper = _Stepper(_rhs(sys_id, kappa=kappa, n=n), np.array(rows).T.copy(), cfg)
+    stepper = _Stepper(_rhs(rhs, kappa=kappa, n=n), np.array(rows).T.copy(), cfg)
     for i in np.flatnonzero(stepper.at_pole).tolist():
         runs[i] = _finish([0.0], [rows[i]], "blowup_detected", 0.0)
 
@@ -387,7 +386,7 @@ def _run(system, states0, kappa, n, config, record) -> list[Trajectory]:
 
     for j, i in enumerate(stepper.lane.tolist()):
         lane = stepper.lane_state(j)
-        resume = _stepper(sys_id, dim)
+        resume = _stepper(rhs)
         runs[i] = resume(*_head(rows[i], *lane[:2]), *lane, kappa, n, cfg, record)
     return runs
 
@@ -414,6 +413,6 @@ def integrate_batch(
         t_est=np.array([math.nan if end.t_est is None else end.t_est for end in ends]),
         final_time=np.array([run.final_time for run in runs]),
         final_state=np.array([run.final_state for run in runs]).reshape(
-            len(runs), SYSTEM_DIMS[system][1]
+            len(runs), len(_read(SYSTEMS[system])[1])
         ),
     )

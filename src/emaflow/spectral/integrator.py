@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError, DomainError, check_positive
-from .systems import SYSTEM_RHS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -295,25 +294,30 @@ def resume(times, states, t, y, k0, h, facold, last_rejected, kappa, n, config, 
 """
 
 
-def _inlined(rhs, params):
-    """The source of each component expression that rhs returns, on the
-    stage arguments z0, z1, ...
+@functools.cache
+def _read(rhs):
+    """(params, expressions) of the system rhs: the names of its
+    parameters after the state, and the source of each component it
+    returns on the stage arguments z0, z1, ..., one per dimension.
 
     rhs must be inlinable: its body, read from its own source, only
-    unpacks its state into names and returns a tuple of expressions that
-    name nothing but those names and params.  Any other rhs is a
-    TypeError.
+    unpacks its state into names and returns a tuple of as many
+    expressions, naming nothing but those names and params.  Any other
+    rhs is a TypeError.
     """
     (node,) = ast.parse(inspect.getsource(rhs)).body
+    first, *params = [arg.arg for arg in node.args.args]
     body = node.body[1:] if ast.get_docstring(node) is not None else node.body
     match body:
         case [
             ast.Assign(targets=[ast.Tuple(elts=unpacked)], value=ast.Name(id=state)),
             ast.Return(value=ast.Tuple(elts=values)),
-        ] if state == node.args.args[0].arg and all(isinstance(x, ast.Name) for x in unpacked):
+        ] if state == first and all(isinstance(x, ast.Name) for x in unpacked):
             pass
         case _:
             raise TypeError(f"{rhs.__name__} does not only unpack its state and return a tuple")
+    if len(values) != len(unpacked):
+        raise TypeError(f"{rhs.__name__} unpacks {len(unpacked)} components and returns {len(values)}")
     rename = {name.id: f"z{j}" for j, name in enumerate(unpacked)}
     for value in values:
         for name in ast.walk(value):
@@ -322,24 +326,24 @@ def _inlined(rhs, params):
                     name.id = rename[name.id]
                 elif name.id not in params:
                     raise TypeError(f"{rhs.__name__} names {name.id!r}, not in its state or params")
-    return [ast.unparse(value) for value in values]
+    return tuple(params), tuple(ast.unparse(value) for value in values)
 
 
 @functools.cache
-def _stepper(sys_id, d):
-    """The resume function of system sys_id in dimension d.
+def _stepper(rhs):
+    """The resume function of the system rhs.
 
     It takes the lane's record so far (times and states lists, which it
     extends), the lane as _Stepper.lane_state gives it (t, y, k0, h,
     facold, last_rejected), then (kappa, n, config, record).  It steps
     the lane to config.horizon and returns the Trajectory, keeping just
     the first and last points when record is false.  Every stage is the
-    system's derivative inlined (_inlined; a TypeError where it cannot
+    system's derivative inlined (_read; a TypeError where it cannot
     be).  Generated and compiled on first use, so importing the package
     costs nothing for systems that are never integrated.
     """
-    rhs = SYSTEM_RHS[sys_id]
-    comps = range(d)
+    inlined = _read(rhs)[1]
+    comps = range(len(inlined))
 
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in comps)
@@ -348,8 +352,6 @@ def _stepper(sys_id, d):
         # sum_i weights[i] * k_i[j], accumulated from 0.0 in index order
         return "(0.0" + "".join(f" + {w!r} * k{i}_{j}" for i, w in enumerate(weights)) + ")"
 
-    params = list(inspect.signature(rhs).parameters)[1:]
-    inlined = _inlined(rhs, params)
     stages = []
     for i in range(1, 7):
         stages += [f"        z{j} = y{j} + h * {weighted(_A[i], j)}" for j in comps]
@@ -365,7 +367,7 @@ def _stepper(sys_id, d):
         z=names("z"),
         k0=names("k0_"),
         k6=names("k6_"),
-        d=d,
+        d=len(inlined),
         abs_y=", ".join(f"abs(y{j})" for j in comps),
         stages="\n".join(stages),
         z_finite=" and ".join(z_finite),
@@ -391,10 +393,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate one of the named systems from t = 0 to config.horizon.
 
-    system is one of 'qnu', 'swirl', 'ep', 'swirl_q'; n is only read by
-    the Euler-Poisson variant.  With record=False the trajectory keeps
-    just the first and last accepted states, which is what sweeps and
-    bisection want.
+    system is a name in systems.SYSTEMS ('qnu', 'swirl', 'ep',
+    'swirl_q'); n is only read by the Euler-Poisson variant.  With
+    record=False the trajectory keeps just the first and last accepted
+    states, which is what sweeps and bisection want.
     """
     # batch imports this module, so its driver is imported at the call.
     from .batch import _run

@@ -24,8 +24,7 @@ __all__ = [
     "rhs_ep_qnu",
     "rhs_swirl_q",
     "rhs_characteristics",
-    "SYSTEM_DIMS",
-    "SYSTEM_RHS",
+    "SYSTEMS",
 ]
 
 from dataclasses import dataclass
@@ -127,14 +126,7 @@ def rhs_characteristics(state, kappa, n):
     return (u, -kappa * nu * r, dp, dq, dmu, dnu, p + (n - 1) * q)
 
 
-# Integrator-facing registry: system name -> (kernel id, dimension).
-SYSTEM_DIMS = {
-    "qnu": (0, 2),
-    "swirl": (1, 6),
-    "ep": (2, 2),
-    "swirl_q": (3, 3),
-}
-
-# Kernel id -> derivative function.  The parameters after the state are
-# named as integrate's (kappa, n), and the integrators pass them so.
-SYSTEM_RHS = (rhs_qnu, rhs_swirl, rhs_ep_qnu, rhs_swirl_q)
+# The systems the integrators run, by name.  The parameters after the
+# state are named as integrate's (kappa, n), and the integrators pass
+# them so; a system's dimension is the number of components it returns.
+SYSTEMS = {"qnu": rhs_qnu, "swirl": rhs_swirl, "ep": rhs_ep_qnu, "swirl_q": rhs_swirl_q}

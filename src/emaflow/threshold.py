@@ -316,7 +316,9 @@ def sharpness_bisect(
     BisectionError when the endpoints do not straddle the transition,
     which happens when the true threshold exceeds the bracket
     (h0 <= -3/2).  The result is within tol of sqrt(kappa(1 - 2 h0))
-    for horizons of a few hundred.
+    for horizons of a few hundred.  Bisection stops early where the
+    midpoint rounds to an end, so a tol below the spacing of doubles
+    there ends it instead of looping.
     """
     check_positive("kappa", kappa)
     if not (finite_real(h0) and h0 < 0.5):
@@ -337,7 +339,7 @@ def sharpness_bisect(
         raise BisectionError(f"lower bracket lambda0 = {lo!r} is not bounded")
     if bounded(hi):
         raise BisectionError(f"upper bracket lambda0 = {hi!r} does not blow up")
-    while hi - lo > 0.5 * tol:
+    while hi - lo > 0.5 * tol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if bounded(mid):
             lo = mid

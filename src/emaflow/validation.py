@@ -39,6 +39,7 @@ from .profiles import ProfilePreset, gamma_inverse, gamma_inverse_identity
 from .spectral import IntegratorConfig, integrate, integrate_batch
 from .spectral.monitors import monitor_ellipse, monitor_swirl_invariants
 from .threshold import (
+    _linspace,
     blowup_time_closed_form,
     classify_point,
     classify_profile,
@@ -395,8 +396,8 @@ def _crit_phase_diagram(seed: int):
     # classifies them (kappa 1).
     cells = [
         (lam0, h0)
-        for lam0 in np.linspace(-2.0, 2.0, 41).tolist()
-        for h0 in np.linspace(-1.0, 0.45, 41).tolist()
+        for lam0 in _linspace(-2.0, 2.0, 41)
+        for h0 in _linspace(-1.0, 0.45, 41)
     ]
     mismatches = 0
     for lam0, h0 in cells:

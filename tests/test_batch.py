@@ -15,7 +15,7 @@ import pytest
 from emaflow.errors import ConfigError, DomainError
 from emaflow.spectral import IntegratorConfig, batch, integrate, integrate_batch
 from emaflow.spectral.integrator import _A, _DENSE
-from emaflow.spectral.systems import SYSTEM_DIMS
+from emaflow.spectral.systems import SYSTEMS
 
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
 SWIRL_BOUNDED = (0.1, 0.01, 0.005, -0.01, 0.0, 0.3)
@@ -82,7 +82,7 @@ def test_batch_matches_scalar_kernel(monkeypatch):
             assert np.array_equal(result.final_state[lane], y_end), label
             paths.add(_path(kind, t_est, y_end, cfg))
         systems.add(system)
-    assert systems == set(SYSTEM_DIMS)
+    assert systems == set(SYSTEMS)
     assert paths == {
         "horizon_reached",
         "step_underflow",

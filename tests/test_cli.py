@@ -653,7 +653,7 @@ def test_commands_run_on_numpy_alone(tmp_path):
         text=True,
     )
     assert (probe.returncode, probe.stderr) == (0, "")
-    # Unset, so the one-thread default is main()'s and not inherited.
+    # Unset, so the one-thread default is emaflow.cli's and not inherited.
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     for i, (needs, argv) in enumerate(
         [
@@ -675,7 +675,20 @@ def test_commands_run_on_numpy_alone(tmp_path):
         )
         assert (proc.returncode, proc.stderr) == (0, ""), argv
 
-    # A caller's own OpenBLAS thread count wins over main()'s default.
+    # Importing emaflow.cli sets the one-thread default before anything
+    # imports NumPy, so NumPy starts no OpenBLAS thread.  A caller's own
+    # value wins, on import and through main() alike.
+    threads = ("import emaflow.cli, numpy, os; "
+               "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", threads], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "1 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", threads],
+        capture_output=True,
+        text=True,
+        env={**env, "OPENBLAS_NUM_THREADS": "3"},
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout.split()[1]) == (0, "", "3")
     proc = subprocess.run(
         [sys.executable, "-c", "import os, sys; from emaflow.cli import main; "
          "code = main(sys.argv[1:]); assert os.environ['OPENBLAS_NUM_THREADS'] == '3'; "

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from emaflow.spectral import IntegratorConfig, integrate
-from emaflow.spectral.systems import SYSTEM_DIMS
+from emaflow.spectral.systems import SYSTEMS
 
 SWIRL_BLOWUP = (0.0, 0.3, 0.0, 0.2, 0.1, 0.5)  # pole at t = 14.158
 SWIRL_BOUNDED = (0.1, 0.01, 0.005, -0.01, 0.0, 0.3)
@@ -245,7 +245,7 @@ def _path(trajectory, cfg):
 
 
 def test_golden_cases_cover_every_system_and_end_path():
-    assert {case[0] for case in GOLDEN} == set(SYSTEM_DIMS)
+    assert {case[0] for case in GOLDEN} == set(SYSTEMS)
     assert {case[5] for case in GOLDEN} == {
         "horizon_reached",
         "step_underflow",

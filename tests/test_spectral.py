@@ -13,7 +13,7 @@ from emaflow.flow import flow_radius
 from emaflow.lagrange import advance_ensemble
 from emaflow.profiles import ProfilePreset
 from emaflow.spectral import (
-    SYSTEM_DIMS,
+    SYSTEMS,
     IntegratorConfig,
     SwirlState,
     Termination,
@@ -113,18 +113,9 @@ def test_rhs_ep_example_n3():
 
 @given(kappa=kappas)
 def test_rest_states_are_fixed_points(kappa):
-    for system, zero in [
-        ("qnu", np.zeros(2)),
-        ("swirl", np.zeros(6)),
-        ("swirl_q", np.zeros(3)),
-    ]:
-        dim = SYSTEM_DIMS[system][1]
-        rhs = {
-            "qnu": rhs_qnu,
-            "swirl": rhs_swirl,
-            "swirl_q": rhs_swirl_q,
-        }[system]
-        assert rhs(zero, kappa) == (0.0,) * dim
+    for system in ("qnu", "swirl", "swirl_q"):
+        dim = len(integrator._read(SYSTEMS[system])[1])
+        assert SYSTEMS[system](np.zeros(dim), kappa) == (0.0,) * dim
     assert rhs_ep_qnu(np.zeros(2), kappa, 2) == (0.0, 0.0)
 
 
@@ -430,22 +421,31 @@ def _branching(state, kappa):
     return (0.0, 0.0)
 
 
-def test_the_scalar_stepper_inlines_every_rhs(monkeypatch):
+def _miscounted(state, kappa):
+    q, nu = state
+    return (-q * q - kappa * nu,)
+
+
+def test_the_scalar_stepper_inlines_every_rhs():
     # The generated stages evaluate each system's expressions in place,
     # read from systems.py, so no stepper calls a derivative function.
-    for system, (sys_id, d) in SYSTEM_DIMS.items():
-        assert "f" not in integrator._stepper(sys_id, d).__code__.co_names, system
-    # An rhs that does more than unpack and return has no stepper.
-    monkeypatch.setattr(integrator, "SYSTEM_RHS", (_branching,))
-    integrator._stepper.cache_clear()
+    for system, rhs in SYSTEMS.items():
+        assert "f" not in integrator._stepper(rhs).__code__.co_names, system
+    # An rhs that does more than unpack and return has no stepper, and
+    # neither has one that returns fewer components than it unpacks.
     with pytest.raises(TypeError, match="_branching"):
-        integrator._stepper(0, 2)
+        integrator._stepper(_branching)
+    with pytest.raises(TypeError, match="_miscounted unpacks 2 components and returns 1"):
+        integrator._stepper(_miscounted)
 
 
 def test_the_inlined_rhs_is_read_from_the_function_alone(monkeypatch):
     # inspect finds a function's source without its module in sys.modules.
     monkeypatch.delitem(sys.modules, "emaflow.spectral.systems")
-    assert integrator._inlined(rhs_qnu, ["kappa"]) == ["-z0 * z0 - kappa * z1", "z0 * (1.0 - z1)"]
+    assert integrator._read.__wrapped__(rhs_qnu) == (
+        ("kappa",), ("-z0 * z0 - kappa * z1", "z0 * (1.0 - z1)")
+    )
+    assert integrator._read.__wrapped__(rhs_ep_qnu)[0] == ("kappa", "n")
 
 
 def test_integrate_options_are_keyword_only():
@@ -528,6 +528,76 @@ def test_tolerance_tightening_reduces_drift():
         IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, horizon=50.0)
     )
     assert loose / tight >= 4.0
+
+
+# ---------------------------------------------------------------- swirl oracle
+
+# The radial structure checks rhs_swirl's p-branch and theta_r equation
+# without reading rhs_swirl.  Radial velocity U, potential gradient phi'
+# and tangential velocity V give the ratio fields q = U/r, nu = phi'/r and
+# theta/r = V/r, whose radial derivatives are (p - q)/r, (mu - nu)/r and
+# (theta_r - theta/r)/r: each gradient field is G = g + r dg/dr for its
+# ratio field g.  A characteristic from label s is at
+# r(t) = s(1 - nu0)/(1 - nu(t)), since r' = q r and nu' = q(1 - nu), and
+# (q, nu, theta/r) obey the closed swirl_q system along it.  So two
+# swirl_q runs from the labels r0 -+ delta give (p, mu, theta_r) on the
+# characteristic from r0 by central differences in the label.
+
+
+def _swirl_label(coef, r):
+    # (p, q, mu, nu, theta_r, theta/r) at radius r of the profiles
+    # U = a r + b r^3, phi' = c r + d r^3 and V = e r + f r^3.
+    a, b, c, d, e, f = coef
+    r2 = r * r
+    return (
+        a + 3.0 * b * r2, a + b * r2, c + 3.0 * d * r2, c + d * r2, e + 3.0 * f * r2, e + f * r2
+    )
+
+
+def _swirl_oracle(coef, r0, delta, kappa, cfg):
+    """(p, mu, theta_r) at config.horizon on the characteristic from r0."""
+    ends = []
+    for label in (r0 - delta, r0 + delta):
+        _, q0, _, nu0, _, tor0 = _swirl_label(coef, label)
+        run = integrate("swirl_q", (q0, nu0, tor0), kappa, config=cfg, record=False)
+        assert run.termination.kind == "horizon_reached"
+        ends.append((label * (1.0 - nu0) / (1.0 - run.final_state[1]), run.final_state))
+    (r_lo, g_lo), (r_hi, g_hi) = ends
+    return 0.5 * (g_lo + g_hi) + 0.5 * (r_lo + r_hi) * (g_hi - g_lo) / (r_hi - r_lo)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4])
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+def test_swirl_p_branch_and_theta_r_match_the_label_oracle(monkeypatch, delta, rel_tol):
+    # The oracle's error is O(delta^2) truncation plus the integration
+    # error of its two runs over their label distance, about
+    # rel_tol / delta.  The truncation is read off the oracle at delta and
+    # 2 delta: it is c delta^2 and 4 c delta^2, so c delta^2 is a third of
+    # their difference, taken twice for the higher orders.  The swirl runs
+    # go through integrate and, as the swirl_sigma sweep steps them,
+    # through the batch.
+    monkeypatch.setattr(batch, "_HANDOFF", 1)
+    rng = np.random.default_rng(17)
+    kappa = 1.3
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol, horizon=4.0)
+    # Coefficients of U and phi' in [-0.25, 0.25] and of V in [-0.5, 0.5],
+    # labels in [0.5, 1]: every characteristic stays smooth to t = 4.
+    draws = []
+    for _ in range(10):
+        coef = (*rng.uniform(-0.25, 0.25, size=4), *rng.uniform(-0.5, 0.5, size=2))
+        draws.append((coef, rng.uniform(0.5, 1.0)))
+    states0 = [_swirl_label(coef, r0) for coef, r0 in draws]
+    batched = integrate_batch("swirl", states0, kappa, config=cfg)
+    assert batched.kinds == ("horizon_reached",) * len(draws)
+    for (coef, r0), state0, final in zip(draws, states0, batched.final_state):
+        oracle = _swirl_oracle(coef, r0, delta, kappa, cfg)
+        truncation = 2.0 * np.abs(oracle - _swirl_oracle(coef, r0, 2.0 * delta, kappa, cfg)) / 3.0
+        tol = truncation + rel_tol / delta * np.maximum(1.0, np.abs(oracle))
+        single = integrate("swirl", state0, kappa, config=cfg, record=False)
+        assert single.termination.kind == "horizon_reached"
+        for y in (single.final_state, final):
+            error = np.abs(y[[0, 2, 4]] - oracle)
+            assert np.all(error <= tol), (coef, r0, error, tol)
 
 
 # ---------------------------------------------------------------- gravitational variant

@@ -232,6 +232,26 @@ def test_bisected_threshold_matches_parabola():
     assert abs(sharpness_bisect(0.0, 4.0, tol=tol) - 2.0) <= tol + 2.5e-4
 
 
+def test_bisect_ends_where_the_bracket_ends_are_adjacent_doubles(monkeypatch):
+    # A tol below the spacing of doubles near the threshold cannot be
+    # met: bisection stops where the midpoint is an end of the bracket.
+    # A probe budget makes a regression fail instead of hang.
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        if len(probes) > 100:
+            raise AssertionError("sharpness_bisect did not stop")
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "integrate", counted)
+    lam = sharpness_bisect(0.0, 1.0, horizon=5.0, tol=1e-300)
+    assert len(probes) <= 64
+    # The answer is an end of a bracket of adjacent doubles, both probed.
+    probed = {probe[1][0] for probe in probes}
+    assert {lam, math.nextafter(lam, 0.0)} <= probed or {lam, math.nextafter(lam, 2.0)} <= probed
+
+
 def test_bisect_rejects_overconcentrated_start():
     with pytest.raises(DomainError, match="h0"):
         sharpness_bisect(0.5, 1.0)
