@@ -12,8 +12,9 @@ validation criterion) is detected, 1 for usage, I/O, and configuration
 errors.  Errors print a single line to stderr.  All file outputs are
 byte-deterministic for a fixed config and seed.  --threads N caps the
 worker processes validate runs its criteria in (default: every CPU the
-process may run on) and changes no output; a swirl_sigma sweep runs as
-one batch and the pointwise sweep is closed-form.
+process may run on, or os.cpu_count() where the platform reports no CPU
+affinity, as macOS does not) and changes no output; a swirl_sigma sweep
+runs as one batch and the pointwise sweep is closed-form.
 
 NumPy is imported only by the commands that build arrays: simulate,
 validate and a swirl_sigma sweep, each with NumPy's floating-point
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -267,12 +269,11 @@ def cmd_classify(config: RunConfig) -> int:
     grid = default_classification_grid(profile, config.classify_grid_size)
     verdict = classify_profile(profile, grid)
 
+    # The verdict's fields, regime stored as "class", and the run's inputs.
+    fields = dataclasses.asdict(verdict)
     payload = {
-        "class": verdict.regime,
-        "witness_r": verdict.witness_r,
-        "t_blowup": verdict.t_blowup,
-        "horizon": verdict.horizon,
-        "margins": verdict.margins,
+        "class": fields.pop("regime"),
+        **fields,
         "preset": config.preset,
         "n": profile.dimension,
         "kappa": profile.kappa,
@@ -327,7 +328,10 @@ def cmd_validate(config: RunConfig) -> int:
     from .validation import resolve_suites, run_criteria
 
     names = resolve_suites(config.validate_suites)
-    workers = config.threads or len(os.sched_getaffinity(0))
+    # os.sched_getaffinity exists only on platforms with a CPU-affinity
+    # call (not on macOS); without it, count every CPU.
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = config.threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     results = run_criteria(names, seed=config.seed, workers=workers)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -339,18 +343,7 @@ def cmd_validate(config: RunConfig) -> int:
         "backend": BACKEND,
         "seed": config.seed,
         "all_passed": all(res.passed for res in results),
-        "criteria": [
-            {
-                "name": res.name,
-                "description": res.description,
-                "passed": res.passed,
-                "measured": res.measured,
-                "budget": res.budget,
-                "elapsed_s": res.elapsed_s,
-                "details": res.details,
-            }
-            for res in results
-        ],
+        "criteria": [dataclasses.asdict(res) for res in results],
     }
     _write_json(_outdir(config) / "report.json", report)
     return 0 if report["all_passed"] else 2

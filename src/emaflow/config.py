@@ -21,8 +21,9 @@ sets no horizon: simulate.t_end is the ensemble's, and sweep.horizon
 (default 500/sqrt(kappa)) that of a swirl_sigma sweep.
 
 run.threads (or --threads) caps the worker processes that `validate`
-runs its criteria in; unset, it is every CPU the process may run on.
-It changes no output.
+runs its criteria in; unset, it is every CPU the process may run on
+(os.cpu_count() where the platform reports no CPU affinity, as macOS
+does not).  It changes no output.
 """
 
 from __future__ import annotations

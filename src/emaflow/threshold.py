@@ -82,7 +82,12 @@ def _check_point(lambda0: float, h0: float, kappa: float):
 
 
 def threshold_margin(lambda0: float, h0: float, kappa: float) -> float:
-    """kappa(1 - 2 h0) - lambda0^2; positive iff strictly subcritical."""
+    """kappa(1 - 2 h0) - lambda0^2; positive iff strictly subcritical.
+
+    Where both terms overflow it is inf - inf = nan, which has no sign;
+    classify_point still gives that point a verdict, from the closed
+    form's scaled discriminant, and classify_profile's margins take +-inf.
+    """
     _check_point(lambda0, h0, kappa)
     return kappa * (1.0 - 2.0 * h0) - lambda0 * lambda0
 
@@ -159,9 +164,11 @@ def default_classification_grid(profile: RadialProfile, size: int = 512) -> list
     """size log-spaced radii in [1e-3 r_max, r_max], as a list of floats.
 
     Between the exact endpoints the radii are 10 ** y for y in
-    _linspace(log10(1e-3 r_max), log10(r_max), size), as np.geomspace
-    builds them.  The origin limit point is added by classify_profile
-    itself.
+    _linspace(log10(1e-3 r_max), log10(r_max), size), np.geomspace's
+    formula; but Python's pow is not NumPy's, so a radius may differ in
+    the last bit from np.geomspace's and from lagrange.default_seeds'
+    (at r_max 5, 885 of 16384 radii do).  The origin limit point is
+    added by classify_profile itself.
     """
     if not isinstance(size, numbers.Integral):
         raise DomainError(f"grid size must be an integer, got {size!r}")

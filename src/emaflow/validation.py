@@ -409,65 +409,56 @@ def _crit_phase_diagram(seed: int):
     return mismatches == 0, float(mismatches), 0.0, details
 
 
-_REGISTRY = (
-    (
-        "threshold_sharpness",
+# Criterion name -> (description, function), in report order.
+_REGISTRY = {
+    "threshold_sharpness": (
         "bisected stability boundary matches sqrt(kappa(1-2 h0)) to 1e-3",
         _crit_sharpness,
     ),
-    (
-        "blowup_time_agreement",
+    "blowup_time_agreement": (
         "integrator pole estimate matches the closed-form blowup time on 50 "
         "supercritical samples",
         _crit_blowup_agreement,
     ),
-    (
-        "ellipse_invariant",
+    "ellipse_invariant": (
         "w^2 + kappa(1-v)^2 drifts below 1e-8 on 20 subcritical trajectories "
         "to horizon 50",
         _crit_ellipse,
     ),
-    (
-        "swirl_invariants",
+    "swirl_invariants": (
         "rotational invariants conserved to 1e-8 and the (q, nu, theta/r) "
         "branch stays bounded",
         _crit_swirl,
     ),
-    (
-        "euler_poisson_boundedness",
+    "euler_poisson_boundedness": (
         "no blowups for nu0 < 1/n at n = 2, 3 over 100 samples, horizon 100",
         _crit_euler_poisson,
     ),
-    (
-        "flow_lagrange_equivalence",
+    "flow_lagrange_equivalence": (
         "ensemble density snapshots match the closed-form pushforward to 1e-4",
         _crit_flow_lagrange,
     ),
-    (
-        "energy_conservation",
+    "energy_conservation": (
         "oscillator energy constant to 1e-10 (closed form) and 1e-6 (ensemble)",
         _crit_energy,
     ),
-    (
-        "path_invariants",
+    "path_invariants": (
         "r(1-nu) constant to 1e-8; spectral vs continuity density to 1e-6",
         _crit_path_invariants,
     ),
-    (
-        "dimension_independence",
+    "dimension_independence": (
         "classification verdicts identical for n = 2 and n = 3 on 10 presets",
         _crit_dimension_independence,
     ),
-    (
-        "phase_diagram_golden",
+    "phase_diagram_golden": (
         "41x41 pointwise sweep reproduces the analytic region",
         _crit_phase_diagram,
     ),
-)
+}
 
 
 def available_criteria() -> tuple[str, ...]:
-    return tuple(name for name, _, _ in _REGISTRY)
+    return tuple(_REGISTRY)
 
 
 def resolve_suites(selection) -> list[str]:
@@ -510,10 +501,9 @@ def _units(names) -> list[tuple[str, ...]]:
 
 def _run_unit(unit, seed: int) -> list[CriterionResult]:
     """Run and time the criteria of one unit, in this process."""
-    lookup = {name: (desc, func) for name, desc, func in _REGISTRY}
     results = []
     for name in unit:
-        desc, func = lookup[name]
+        desc, func = _REGISTRY[name]
         start = time.perf_counter()
         passed, measured, budget, details = func(seed)
         results.append(

@@ -4,7 +4,13 @@ Each criterion prints one PASS/FAIL line (run with -s to watch them);
 the suite fails if any measured value lands outside its budget.
 """
 
-from emaflow import cli
+import dataclasses
+
+import pytest
+
+from emaflow import cli, validation
+from emaflow.spectral import integrate, integrate_batch
+from emaflow.threshold import Verdict, classify_point
 from emaflow.validation import available_criteria, resolve_suites, run_criteria
 
 EXPECTED = (
@@ -54,3 +60,55 @@ def test_phase_diagram_never_reaches_the_cli(tmp_path, monkeypatch):
     assert result.passed
     assert result.details == {"nodes": 41 * 41, "node_mismatches": 0}
     assert list(tmp_path.iterdir()) == []
+
+
+# Stand-ins for the routes the criteria import, each broken one way.
+def _stopped_at_a_pole(*args, **kwargs):
+    traj = integrate(*args, **kwargs)
+    return dataclasses.replace(
+        traj, termination=dataclasses.replace(traj.termination, kind="blowup_detected")
+    )
+
+
+def _never_blows_up(*args, **kwargs):
+    result = integrate_batch(*args, **kwargs)
+    return dataclasses.replace(result, kinds=("horizon_reached",) * len(result.kinds))
+
+
+def _judges_by_dimension(profile, r_grid=None):
+    return Verdict("subcritical" if profile.dimension == 2 else "boundary")
+
+
+def _flips_one_cell(lambda0, h0, kappa):
+    # (-2, -1) is supercritical: lambda0^2 = 4 > kappa(1 - 2 h0) = 3.
+    if (lambda0, h0) == (-2.0, -1.0):
+        return Verdict("subcritical")
+    return classify_point(lambda0, h0, kappa)
+
+
+_BROKEN_ROUTES = [
+    ("ellipse_invariant", "integrate", _stopped_at_a_pole, "unbounded", 20),
+    ("swirl_invariants", "integrate", _stopped_at_a_pole, "unbounded", 20),
+    ("blowup_time_agreement", "integrate_batch", _never_blows_up, "undetected_blowups", 50),
+    ("dimension_independence", "classify_profile", _judges_by_dimension, None, 10),
+    ("phase_diagram_golden", "classify_point", _flips_one_cell, "node_mismatches", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,route,stand_in,count,expected",
+    _BROKEN_ROUTES,
+    ids=[case[0] for case in _BROKEN_ROUTES],
+)
+def test_each_criterion_fails_on_a_broken_route(
+    monkeypatch, name, route, stand_in, count, expected
+):
+    # A criterion that cannot fail checks nothing: with the route it
+    # checks broken, each one fails and counts the failures in details.
+    monkeypatch.setattr(validation, route, stand_in)
+    (result,) = run_criteria([name])
+    assert result.passed is False
+    if count is None:  # dimension_independence marks each mismatched preset
+        assert sum(" != " in v for v in result.details.values()) == expected
+    else:
+        assert result.details[count] == expected

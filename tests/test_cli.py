@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from emaflow.cli import main
 from emaflow.config import MAX_COUNT, SWIRL_FIELDS
 from emaflow.spectral import SwirlState
-from emaflow.threshold import sigma_membership
+from emaflow.threshold import Verdict, sigma_membership
+from emaflow.validation import CriterionResult
 
 CANONICAL = [
     "--set", "profile.preset=quadratic",
@@ -314,6 +316,31 @@ def test_validate_selected_suites(tmp_path, capsys):
         assert c["measured"] <= c["budget"]
         assert c["details"]
     assert report["criteria"][2]["details"] == {"nodes": 1681, "node_mismatches": 0}
+
+
+def test_report_and_verdict_are_written_from_their_records(tmp_path, capsys):
+    # A report.json entry holds CriterionResult's fields; verdict.json
+    # holds Verdict's, regime stored as "class", and the run's inputs.
+    out = str(tmp_path / "o")
+    assert main(["validate", "--out", out, "--set", "validate.suites=phase_diagram_golden"]) == 0
+    assert main(["classify", "--out", out]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    (entry,) = report["criteria"]
+    assert set(entry) == {f.name for f in dataclasses.fields(CriterionResult)}
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    fields = {f.name for f in dataclasses.fields(Verdict)} - {"regime"}
+    assert set(verdict) == fields | {"class", "preset", "n", "kappa", "grid_size"}
+
+
+def test_validate_runs_where_the_platform_reports_no_cpu_affinity(tmp_path, monkeypatch, capsys):
+    # os.sched_getaffinity is missing on macOS, for one.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    out = tmp_path / "v"
+    argv = ["validate", "--out", str(out), "--set", "validate.suites=phase_diagram_golden"]
+    code, _, stderr = run_cli(argv, capsys)
+    assert (code, stderr) == (0, "")
+    assert json.loads((out / "report.json").read_text())["all_passed"] is True
 
 
 def test_validate_euler_poisson_seed_11(tmp_path, capsys):

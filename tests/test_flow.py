@@ -181,6 +181,13 @@ def test_energy_rejects_mismatched_weights(equilibrium):
         conserved_energy(equilibrium, nodes, weights[:-1], 0.0)
 
 
+def test_energy_raises_past_breakdown(canonical_supercritical):
+    # The origin characteristic degenerates at t = pi/6.
+    nodes, weights = energy_nodes(canonical_supercritical, 256)
+    with pytest.raises(FlowSingular, match="degenerate"):
+        conserved_energy(canonical_supercritical, nodes, weights, 1.05 * math.pi / 6.0)
+
+
 def test_definiteness_horizon(equilibrium, subcritical_profile, canonical_supercritical):
     assert positive_definite_horizon(equilibrium, 0.5) is None
     assert positive_definite_horizon(subcritical_profile, 0.5) is None

@@ -21,7 +21,7 @@ from emaflow.lagrange import (
     gradient_bound_check,
 )
 from emaflow.profiles import ProfilePreset, derive_density
-from emaflow.spectral import IntegratorConfig, batch
+from emaflow.spectral import IntegratorConfig, Termination, batch
 
 
 def _density_from_flow(profile, r, t):
@@ -95,6 +95,15 @@ def test_blowup_terminates_ensemble(canonical_supercritical):
     res = advance_ensemble(canonical_supercritical, n_chars=128, t_end=1.0, grid_size=64)
     assert res.termination.kind == "blowup_detected"
     assert abs(res.termination.t_est - math.pi / 6.0) <= 1e-2
+
+
+def test_step_underflow_ends_the_ensemble(subcritical_profile):
+    # rel_tol 1e-12 wants steps shorter than min_step = 0.05 before the
+    # first output time after t = 0.
+    config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, min_step=0.05)
+    res = advance_ensemble(subcritical_profile, n_chars=8, t_end=5.0, config=config)
+    assert res.termination == Termination(kind="step_underflow")
+    assert [snap.t for snap in res.snapshots] == [0.0]
 
 
 def test_blowup_test_ignores_radii_beyond_the_magnitude():

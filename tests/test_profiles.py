@@ -90,6 +90,12 @@ def test_density_rejects_out_of_domain(subcritical_profile):
         derive_density(subcritical_profile, subcritical_profile.r_max + 1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, -math.inf]])
+def test_check_radius_rejects_a_non_finite_radius(subcritical_profile, r):
+    with pytest.raises(DomainError, match="radius must be finite"):
+        subcritical_profile.check_radius(r)
+
+
 def _cubic_potential_profile():
     """n=3 profile with phi0' = 0.2 r + 0.3 r^2, so phi0'' = 0.2 + 0.6 r
     and phi0'/r = 0.2 + 0.3 r: the ratio form's origin series is exact."""

@@ -263,6 +263,14 @@ def test_bisect_reports_missing_upper_bracket():
         sharpness_bisect(-2.0, 1.0)
 
 
+def test_bisect_reports_unbounded_lower_bracket():
+    # |nu| = 0.5 at t = 0 is past a blowup magnitude of 0.1, so even
+    # lambda0 = 0 is not bounded.
+    config = IntegratorConfig(blowup_magnitude=0.1)
+    with pytest.raises(BisectionError, match="lower bracket lambda0 = 0.0 is not bounded"):
+        sharpness_bisect(-0.5, 1.0, config=config)
+
+
 # ---------------------------------------------------------------- profiles
 
 
@@ -359,6 +367,17 @@ def test_classify_profile_grid_validation(equilibrium):
         classify_profile(equilibrium, r_grid=np.array([0.5, np.nan]))
     for size in (2.5, 8.0):
         with pytest.raises(DomainError, match="grid size must be an integer"):
+            default_classification_grid(equilibrium, size)
+
+
+def test_classify_profile_takes_one_scalar_radius(canonical_supercritical):
+    one, listed = (classify_profile(canonical_supercritical, r) for r in (0.5, [0.5]))
+    assert (one, one.margins) == (listed, listed.margins)
+
+
+def test_default_grid_rejects_a_size_below_one(equilibrium):
+    for size in (0, -1):
+        with pytest.raises(DomainError, match="grid size must be >= 1"):
             default_classification_grid(equilibrium, size)
 
 

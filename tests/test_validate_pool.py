@@ -172,10 +172,10 @@ def ends(seed):
         os._exit(3)
     return True, 0.0, 1.0, {}
 
-validation._REGISTRY = (
-    ("divides_by_zero", "warns nothing", divides_by_zero),
-    ("ends", "ends as argv[1] says", ends),
-)
+validation._REGISTRY = {
+    "divides_by_zero": ("warns nothing", divides_by_zero),
+    "ends": ("ends as argv[1] says", ends),
+}
 code = main(["validate", *sys.argv[2:]])
 assert multiprocessing.active_children() == [], "a worker outlived main()"
 sys.exit(code)
