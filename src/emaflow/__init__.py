@@ -17,7 +17,6 @@ import importlib
 from .errors import (
     BisectionError,
     ConfigError,
-    CrossingDetected,
     DomainError,
     EmaflowError,
     FlowSingular,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         (
-            "FlowSample",
             "conserved_energy",
             "energy_nodes",
             "flow_gradient_eigs",
@@ -40,17 +38,14 @@ _EXPORTS = {
             "flow_radius_dt",
             "positive_definite_horizon",
             "pushforward_density",
-            "sample_flow",
         ),
         ".flow",
     ),
     **dict.fromkeys(
         (
-            "CharacteristicState",
             "EnsembleResult",
             "EulerianSnapshot",
             "advance_ensemble",
-            "bkm_monitor",
             "default_seeds",
             "gradient_bound_check",
         ),
@@ -64,7 +59,6 @@ _EXPORTS = {
         (
             "BACKEND",
             "IntegratorConfig",
-            "SpectralState",
             "SwirlState",
             "Termination",
             "Trajectory",
@@ -104,7 +98,6 @@ __all__ = sorted(
     [
         "BisectionError",
         "ConfigError",
-        "CrossingDetected",
         "DomainError",
         "EmaflowError",
         "FlowSingular",

@@ -41,14 +41,6 @@ class FlowSingular(EmaflowError, ArithmeticError):
     """
 
 
-class CrossingDetected(EmaflowError, RuntimeError):
-    """Two characteristics crossed (radial ordering violated): the
-    Lagrangian signature of shock formation, distinct from spectral
-    blowup.  Raised only in strict mode; by default the ensemble solver
-    reports it as a termination kind.
-    """
-
-
 class WorkerError(EmaflowError, RuntimeError):
     """A worker process died before returning its result (killed by a
     signal, out of memory, or exited from inside a task)."""

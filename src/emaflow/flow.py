@@ -14,45 +14,23 @@ exact oracle against which the ODE representations are validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FlowSingular, finite_real
-from .profiles import (
-    RadialProfile,
-    derive_density,
-    gamma_inverse,
-    gamma_inverse_identity,
-)
+from .profiles import RadialProfile, derive_density, gamma_inverse_identity
 from .quadrature import gauss_legendre_nodes
 from .threshold import blowup_time_closed_form
 
 __all__ = [
-    "FlowSample",
     "flow_radius",
     "flow_radius_dt",
     "flow_gradient_eigs",
     "pushforward_density",
-    "potential_gradient_on_path",
     "conserved_energy",
     "energy_nodes",
     "positive_definite_horizon",
-    "sample_flow",
 ]
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """One characteristic evaluated at one time."""
-
-    r0: float
-    t: float
-    r_t: float
-    lam1: float
-    lam2: float
-    density: float
-    velocity: float
 
 
 def _check_time(t: float) -> float:
@@ -125,39 +103,15 @@ def pushforward_density(profile: RadialProfile, r0, t: float):
     return float(out) if np.asarray(r0).ndim == 0 else out
 
 
-def potential_gradient_on_path(
-    profile: RadialProfile, r0, t: float, *, method: str = "identity"
-):
-    """phi_r evaluated on the moving particle: R_t(r0) - Gamma^{-1}(r0).
-
-    method selects the rearrangement-map route: 'identity' for the
-    closed form r0 - phi0'(r0) (default), 'quadrature' for the mass
-    integral of gamma_inverse, one composite rule for every radius
-    (propagates QuadratureError).  The two agree to the rule's accuracy
-    on consistent profiles; tests assert that, callers pick one.
-    """
-    r_t = flow_radius(profile, r0, t)
-    if method == "identity":
-        gamma = gamma_inverse_identity(profile, r0)
-    elif method == "quadrature":
-        gamma = gamma_inverse(profile, r0)
-    else:
-        raise DomainError(f"unknown gamma route {method!r}")
-    return r_t - gamma
-
-
 def energy_nodes(profile: RadialProfile, m: int = 256):
     """Gauss-Legendre nodes and weights on [0, r_max] for the energy sum."""
     return gauss_legendre_nodes(m, 0.0, profile.r_max)
 
 
-def conserved_energy(
-    profile: RadialProfile, r0_grid, weights, t: float, *, omega_n: float = 1.0
-) -> float:
+def conserved_energy(profile: RadialProfile, r0_grid, weights, t: float) -> float:
     """Discrete Lagrangian energy at time t.
 
-    E = omega_n/2 * sum_i w_i [Rdot_i^2 + kappa (R_i - Gamma_i)^2]
-        rho0(r0_i) r0_i^(n-1)
+    E = 1/2 sum_i w_i [Rdot_i^2 + kappa (R_i - Gamma_i)^2] rho0(r0_i) r0_i^(n-1)
 
     with everything evaluated from the closed form.  Exactly conserved
     in exact arithmetic for any fixed nodes and weights since each
@@ -178,7 +132,7 @@ def conserved_energy(
     gamma = gamma_inverse_identity(profile, nodes)
     rho0 = derive_density(profile, nodes)
     kinetic_plus_potential = rdot**2 + profile.kappa * (r_t - gamma) ** 2
-    return 0.5 * omega_n * float(np.sum(w * kinetic_plus_potential * rho0 * nodes ** (n - 1)))
+    return 0.5 * float(np.sum(w * kinetic_plus_potential * rho0 * nodes ** (n - 1)))
 
 
 def positive_definite_horizon(profile: RadialProfile, r0: float) -> float | None:
@@ -190,18 +144,3 @@ def positive_definite_horizon(profile: RadialProfile, r0: float) -> float | None
     times = (blowup_time_closed_form(lam, h, profile.kappa) for lam, h in ((p, mu), (q, nu)))
     candidates = [t for t in times if t is not None]
     return min(candidates) if candidates else None
-
-
-def sample_flow(profile: RadialProfile, r0: float, t: float) -> FlowSample:
-    """All flow quantities for one characteristic at one time."""
-    r_val = profile._scalar_radius(r0)
-    lam1, lam2 = flow_gradient_eigs(profile, r_val, t)
-    return FlowSample(
-        r0=r_val,
-        t=float(t),
-        r_t=flow_radius(profile, r_val, t),
-        lam1=lam1,
-        lam2=lam2,
-        density=pushforward_density(profile, r_val, t),
-        velocity=flow_radius_dt(profile, r_val, t),
-    )

@@ -34,20 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CrossingDetected, DomainError, check_positive
+from .errors import ConfigError, DomainError, check_positive
 from .profiles import RadialProfile, derive_density
 from .spectral import IntegratorConfig, Termination
 from .spectral.batch import _Stepper
 from .spectral.systems import rhs_characteristics
 
 __all__ = [
-    "CharacteristicState",
     "EulerianSnapshot",
     "EnsembleResult",
     "EnsembleRun",
     "advance_ensemble",
     "bkm_integral",
-    "bkm_monitor",
     "ensemble_drift",
     "ensemble_energies",
     "gradient_bound_check",
@@ -56,18 +54,6 @@ __all__ = [
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-@dataclass(frozen=True)
-class CharacteristicState:
-    """One characteristic at one time: position, velocity, spectral data."""
-
-    r: float
-    u: float
-    p: float
-    q: float
-    mu: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -104,14 +90,6 @@ class EnsembleResult:
     rho0: np.ndarray
     char_times: list[float] = field(default_factory=list)
     char_states: list[np.ndarray] = field(default_factory=list)
-
-    def characteristic(self, index: int, time_index: int = -1) -> CharacteristicState:
-        """Single-characteristic view of one recorded time."""
-        row = self.char_states[time_index][index]
-        return CharacteristicState(
-            r=float(row[0]), u=float(row[1]), p=float(row[2]),
-            q=float(row[3]), mu=float(row[4]), nu=float(row[5]),
-        )
 
 
 def default_seeds(profile: RadialProfile, n_chars: int) -> np.ndarray:
@@ -246,10 +224,8 @@ class EnsembleRun:
         config: IntegratorConfig | None = None,
         *,
         output_times=None,
-        grid=None,
         grid_size: int = 256,
         seeds=None,
-        raise_on_crossing: bool = False,
     ):
         if config is None:
             config = IntegratorConfig()
@@ -278,21 +254,11 @@ class EnsembleRun:
         if output_times[0] < 0 or output_times[-1] > t_end:
             raise ConfigError(f"output_times must lie in [0, {t_end!r}]")
 
-        if grid is None:
-            if not isinstance(grid_size, numbers.Integral):
-                raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
-            if grid_size < 2:
-                raise ConfigError(f"grid_size must be >= 2, got {grid_size!r}")
-            grid = np.linspace(0.0, profile.r_max, grid_size)
-        else:
-            grid = np.asarray(grid, dtype=float)
-            if (
-                grid.ndim != 1
-                or grid.size == 0
-                or not np.isfinite(grid).all()
-                or np.any(np.diff(grid) <= 0)
-            ):
-                raise ConfigError("grid must be a nonempty strictly increasing finite 1-d array")
+        if not isinstance(grid_size, numbers.Integral):
+            raise ConfigError(f"grid_size must be an integer, got {grid_size!r}")
+        if grid_size < 2:
+            raise ConfigError(f"grid_size must be >= 2, got {grid_size!r}")
+        grid = np.linspace(0.0, profile.r_max, grid_size)
 
         fields = _initial_fields(profile, seeds)
         rho0 = np.asarray(derive_density(profile, seeds), dtype=float)
@@ -307,7 +273,6 @@ class EnsembleRun:
         self._output_times = output_times
         self._grid = grid
         self._fields = fields
-        self._raise_on_crossing = raise_on_crossing
 
     def __iter__(self):
         self.termination = yield from self._outputs()
@@ -323,8 +288,6 @@ class EnsembleRun:
 
         def crossing(t: float, state: np.ndarray):
             if np.any(np.diff(state[0]) <= 0.0):
-                if self._raise_on_crossing:
-                    raise CrossingDetected(f"characteristics crossed at t = {t!r}")
                 return Termination(kind="crossing_detected", t_est=t)
             return None
 
@@ -386,10 +349,8 @@ def advance_ensemble(
     config: IntegratorConfig | None = None,
     *,
     output_times=None,
-    grid=None,
     grid_size: int = 256,
     seeds=None,
-    raise_on_crossing: bool = False,
 ) -> EnsembleResult:
     """Advance the characteristic ensemble to t_end.
 
@@ -401,8 +362,7 @@ def advance_ensemble(
     blowup magnitude (t_est extrapolated as in the spectral kernels, or
     the output time where only the dense output exceeds it) or
     'crossing_detected' when the radial ordering of adjacent
-    characteristics breaks, at a step's end or at an output time; with
-    raise_on_crossing=True the latter raises CrossingDetected instead.
+    characteristics breaks, at a step's end or at an output time.
     A start that is already a pole, with a spectral component beyond
     the blowup magnitude or a non-finite derivative, ends as
     'blowup_detected' with t_est = 0 after the t = 0 snapshot and
@@ -416,10 +376,8 @@ def advance_ensemble(
         t_end,
         config,
         output_times=output_times,
-        grid=grid,
         grid_size=grid_size,
         seeds=seeds,
-        raise_on_crossing=raise_on_crossing,
     )
     outputs = list(run)
     return EnsembleResult(
@@ -440,11 +398,6 @@ def bkm_integral(times, integrands) -> float:
     if not np.all(np.diff(times) > 0):
         raise ConfigError("snapshot times must be strictly increasing")
     return float(_trapezoid(np.asarray(integrands, dtype=float), times))
-
-
-def bkm_monitor(snapshots) -> float:
-    """Trapezoidal integral of the regularity integrand over snapshots."""
-    return bkm_integral([s.t for s in snapshots], [s.bkm_integrand for s in snapshots])
 
 
 def state_drift(profile: RadialProfile, seeds, rho0, state) -> tuple[float, float]:
@@ -490,8 +443,8 @@ def ensemble_energies(profile: RadialProfile, result: EnsembleResult, weights) -
         E = 1/2 sum_i w_i [u_i^2 + kappa (r_i - Gamma_i)^2] rho0(r0_i) r0_i^(n-1),
 
     Gamma_i = r0_i - phi0'(r0_i) being the rest point each particle
-    oscillates about: flow.conserved_energy with omega_n = 1, from the
-    ensemble's states instead of the closed form.
+    oscillates about: flow.conserved_energy from the ensemble's states
+    instead of the closed form.
     """
     nodes = result.seeds
     gam = nodes - np.asarray(profile.dphi0(nodes), dtype=float)
@@ -503,15 +456,19 @@ def ensemble_energies(profile: RadialProfile, result: EnsembleResult, weights) -
     ]
 
 
-def gradient_bound_check(snapshot: EulerianSnapshot, tol_interp: float = 1e-8):
+# The interpolation slack of gradient_bound_check.
+_GRADIENT_SLACK = 1e-8
+
+
+def gradient_bound_check(snapshot: EulerianSnapshot):
     """Check the radial gradient bound max|q| <= max|p| on one snapshot.
 
     Returns (ok, margin) with margin = max|p| - max|q|; ok allows an
-    interpolation slack of tol_interp.  The bound holds for any radial
+    interpolation slack of _GRADIENT_SLACK.  The bound holds for any radial
     field vanishing at the origin, so a violation beyond slack means an
     inconsistent snapshot.
     """
     max_p = float(np.max(np.abs(snapshot.p)))
     max_q = float(np.max(np.abs(snapshot.q)))
     margin = max_p - max_q
-    return margin >= -tol_interp, margin
+    return margin >= -_GRADIENT_SLACK, margin

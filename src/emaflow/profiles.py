@@ -138,8 +138,9 @@ class RadialProfile:
     def spectral(self, r) -> np.ndarray:
         """Initial spectral data (p, q, mu, nu) = (u0', u0/r, phi0'', phi0'/r).
 
-        Rows in SpectralState order, shape (4,) + np.atleast_1d(r).shape:
-        the gradient branch is rows (0, 2), the ratio branch rows (1, 3).
+        Rows in that order, the first four fields of SwirlState, shape
+        (4,) + np.atleast_1d(r).shape: the gradient branch is rows (0, 2),
+        the ratio branch rows (1, 3).
         A callable that returns a scalar is broadcast.  r is not checked.
         """
         import numpy as np

@@ -17,7 +17,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "SYSTEMS",
-            "SpectralState",
             "SwirlState",
             "rhs_ep_qnu",
             "rhs_qnu",

@@ -61,7 +61,7 @@ from .integrator import (
     _A, _BETA, _DENSE, _E, _EXPO1, _INV_FAC_MAX, _INV_FAC_MIN, _SAFETY,
     IntegratorConfig, Trajectory, _finish, _pole_time, _read, _stepper,
 )
-from .systems import SYSTEMS, SpectralState, SwirlState
+from .systems import SYSTEMS, SwirlState
 
 __all__ = ["BatchResult", "integrate_batch"]
 
@@ -327,7 +327,7 @@ class _Stepper:
 
 
 def _as_state_vector(state0, dim: int) -> list[float]:
-    if isinstance(state0, (SpectralState, SwirlState)):
+    if isinstance(state0, SwirlState):
         values = state0.as_tuple()
     else:
         values = tuple(state0)
@@ -401,10 +401,10 @@ def integrate_batch(
 ) -> BatchResult:
     """Integrate every initial state in states0 from t = 0 to config.horizon.
 
-    states0 is a sequence of states (tuples, arrays, SpectralState or
-    SwirlState), one per lane; system, kappa, n and config are shared
-    by all lanes and mean what they mean for integrate.  Each
-    lane ends where integrate(..., record=False) ends it, bit for bit.
+    states0 is a sequence of states (tuples, arrays or SwirlState), one
+    per lane; system, kappa, n and config are shared by all lanes and
+    mean what they mean for integrate.  Each lane ends where
+    integrate(..., record=False) ends it, bit for bit.
     """
     runs = _run(system, states0, kappa, n, config, record=False)
     ends = [run.termination for run in runs]

@@ -68,7 +68,8 @@ __all__ = [
 ]
 
 # The one kernel there is; run records (diagnostics.json, report.json)
-# name it.
+# name it.  perfbench/launch.py records it with every benchmark run, so
+# it can go only in a change that edits the benchmark alone.
 BACKEND = "python"
 
 # Dormand-Prince 5(4) tableau; the systems are autonomous, so the nodes

@@ -17,7 +17,6 @@ All functions are pure and total on finite inputs.
 from __future__ import annotations
 
 __all__ = [
-    "SpectralState",
     "SwirlState",
     "rhs_qnu",
     "rhs_swirl",
@@ -31,27 +30,11 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class SpectralState:
-    """Eigenvalue quadruple along one characteristic.
+class SwirlState:
+    """Spectral state along one characteristic, with the swirl components.
 
     p = du/dr and q = u/r (units 1/time); mu = phi'' and nu = phi'/r
-    (dimensionless).  The (p, mu) and (q, nu) pairs evolve autonomously.
-    """
-
-    p: float
-    q: float
-    mu: float
-    nu: float
-
-    def as_tuple(self):
-        return (self.p, self.q, self.mu, self.nu)
-
-
-@dataclass(frozen=True)
-class SwirlState:
-    """Spectral state extended by the swirl components.
-
-    theta_r is the radial derivative of the tangential velocity,
+    (dimensionless).  theta_r is the radial derivative of the tangential velocity,
     theta_over_r its ratio form; both vanish for swirl-free data, in
     which case the dynamics splits into two copies of the planar system.
     """

@@ -100,16 +100,19 @@ def _crit_sharpness(seed: int):
 
 def _crit_blowup_agreement(seed: int):
     rng = _rng(seed, 2)
-    config = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=8.0)
+    # One kappa per run, log-uniform in [1/4, 4], so that the closed
+    # form's time scale 1/sqrt(kappa) is checked away from kappa = 1.
+    kappa = 2.0 ** rng.uniform(-2.0, 2.0)
+    config = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, horizon=8.0 / math.sqrt(kappa))
     samples = []
     draws = 0
     while len(samples) < 50 and draws < 10_000:
         draws += 1
         lam0 = rng.uniform(-3.0, 3.0)
         h0 = rng.uniform(-1.0, 1.0)
-        if classify_point(lam0, h0, 1.0).regime == "supercritical":
+        if classify_point(lam0, h0, kappa).regime == "supercritical":
             samples.append((lam0, h0))
-    result = integrate_batch("qnu", samples, 1.0, config=config)
+    result = integrate_batch("qnu", samples, kappa, config=config)
     accepted = len(samples)
     worst = 0.0
     worst_abs = 0.0
@@ -118,11 +121,12 @@ def _crit_blowup_agreement(seed: int):
         if kind != "blowup_detected":
             n_missed += 1
             continue
-        t_exact = blowup_time_closed_form(lam0, h0, 1.0)
+        t_exact = blowup_time_closed_form(lam0, h0, kappa)
         err = abs(t_est - t_exact)
         worst_abs = max(worst_abs, err)
         worst = max(worst, err / max(1e-3, 1e-3 * t_exact))
     details = {
+        "kappa": kappa,
         "points": accepted,
         "undetected_blowups": n_missed,
         "worst_abs_error": worst_abs,
@@ -393,11 +397,14 @@ def _crit_dimension_independence(seed: int):
 
 def _crit_phase_diagram(seed: int):
     # The cells of the default pointwise sweep, classified as cmd_sweep
-    # classifies them (kappa 1).
-    cells = [
-        (lam0, h0)
-        for lam0 in _linspace(-2.0, 2.0, 41)
-        for h0 in _linspace(-1.0, 0.45, 41)
+    # classifies them (kappa 1), and for each of its h0 a pair of points
+    # 1e-6 relative either side of the boundary, where no cell lies.
+    heights = _linspace(-1.0, 0.45, 41)
+    cells = [(lam0, h0) for lam0 in _linspace(-2.0, 2.0, 41) for h0 in heights]
+    cells += [
+        (math.sqrt(1.0 - 2.0 * h0) * factor, h0)
+        for h0 in heights
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6)
     ]
     mismatches = 0
     for lam0, h0 in cells:
@@ -417,7 +424,7 @@ _REGISTRY = {
     ),
     "blowup_time_agreement": (
         "integrator pole estimate matches the closed-form blowup time on 50 "
-        "supercritical samples",
+        "supercritical samples at one kappa in [1/4, 4]",
         _crit_blowup_agreement,
     ),
     "ellipse_invariant": (
@@ -451,7 +458,8 @@ _REGISTRY = {
         _crit_dimension_independence,
     ),
     "phase_diagram_golden": (
-        "41x41 pointwise sweep reproduces the analytic region",
+        "41x41 pointwise sweep, and a pair 1e-6 either side of the boundary "
+        "at each of its 41 h0, reproduce the analytic region",
         _crit_phase_diagram,
     ),
 }

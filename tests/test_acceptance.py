@@ -5,12 +5,13 @@ the suite fails if any measured value lands outside its budget.
 """
 
 import dataclasses
+import math
 
 import pytest
 
 from emaflow import cli, validation
 from emaflow.spectral import integrate, integrate_batch
-from emaflow.threshold import Verdict, classify_point
+from emaflow.threshold import Verdict, blowup_time_closed_form, classify_point
 from emaflow.validation import available_criteria, resolve_suites, run_criteria
 
 EXPECTED = (
@@ -58,7 +59,8 @@ def test_phase_diagram_never_reaches_the_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (result,) = run_criteria(["phase_diagram_golden"])
     assert result.passed
-    assert result.details == {"nodes": 41 * 41, "node_mismatches": 0}
+    # The 41 x 41 cells and a pair of points at each of the 41 heights.
+    assert result.details == {"nodes": 41 * 41 + 2 * 41, "node_mismatches": 0}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -79,6 +81,12 @@ def _judges_by_dimension(profile, r_grid=None):
     return Verdict("subcritical" if profile.dimension == 2 else "boundary")
 
 
+def _divides_by_kappa(lambda0, h0, kappa):
+    # The root's phase over kappa where it belongs over sqrt(kappa).
+    t = blowup_time_closed_form(lambda0, h0, kappa)
+    return None if t is None else t * math.sqrt(kappa) / kappa
+
+
 def _flips_one_cell(lambda0, h0, kappa):
     # (-2, -1) is supercritical: lambda0^2 = 4 > kappa(1 - 2 h0) = 3.
     if (lambda0, h0) == (-2.0, -1.0):
@@ -86,19 +94,31 @@ def _flips_one_cell(lambda0, h0, kappa):
     return classify_point(lambda0, h0, kappa)
 
 
-_BROKEN_ROUTES = [
-    ("ellipse_invariant", "integrate", _stopped_at_a_pole, "unbounded", 20),
-    ("swirl_invariants", "integrate", _stopped_at_a_pole, "unbounded", 20),
-    ("blowup_time_agreement", "integrate_batch", _never_blows_up, "undetected_blowups", 50),
-    ("dimension_independence", "classify_profile", _judges_by_dimension, None, 10),
-    ("phase_diagram_golden", "classify_point", _flips_one_cell, "node_mismatches", 1),
-]
+# Test id -> (criterion, route, stand-in, count in details, its value).
+_BROKEN_ROUTES = {
+    "ellipse_invariant": ("ellipse_invariant", "integrate", _stopped_at_a_pole, "unbounded", 20),
+    "swirl_invariants": ("swirl_invariants", "integrate", _stopped_at_a_pole, "unbounded", 20),
+    "blowup_time_agreement": (
+        "blowup_time_agreement", "integrate_batch", _never_blows_up, "undetected_blowups", 50
+    ),
+    # Every blowup is found; the times are off by the factor sqrt(kappa).
+    "blowup_time_agreement-kappa": (
+        "blowup_time_agreement", "blowup_time_closed_form", _divides_by_kappa,
+        "undetected_blowups", 0,
+    ),
+    "dimension_independence": (
+        "dimension_independence", "classify_profile", _judges_by_dimension, None, 10
+    ),
+    "phase_diagram_golden": (
+        "phase_diagram_golden", "classify_point", _flips_one_cell, "node_mismatches", 1
+    ),
+}
 
 
 @pytest.mark.parametrize(
     "name,route,stand_in,count,expected",
-    _BROKEN_ROUTES,
-    ids=[case[0] for case in _BROKEN_ROUTES],
+    list(_BROKEN_ROUTES.values()),
+    ids=list(_BROKEN_ROUTES),
 )
 def test_each_criterion_fails_on_a_broken_route(
     monkeypatch, name, route, stand_in, count, expected

@@ -315,7 +315,7 @@ def test_validate_selected_suites(tmp_path, capsys):
         assert c["passed"] is True
         assert c["measured"] <= c["budget"]
         assert c["details"]
-    assert report["criteria"][2]["details"] == {"nodes": 1681, "node_mismatches": 0}
+    assert report["criteria"][2]["details"] == {"nodes": 1763, "node_mismatches": 0}
 
 
 def test_report_and_verdict_are_written_from_their_records(tmp_path, capsys):

@@ -14,9 +14,7 @@ from emaflow.flow import (
     flow_radius,
     flow_radius_dt,
     positive_definite_horizon,
-    potential_gradient_on_path,
     pushforward_density,
-    sample_flow,
 )
 from emaflow.profiles import ProfilePreset, derive_density
 from emaflow.quadrature import gauss_legendre_nodes
@@ -120,30 +118,6 @@ def test_flow_agrees_with_spectral_odes(subcritical_profile, tight_config):
         assert abs(rho_flow - rho_spec) <= 1e-6
 
 
-def test_potential_gradient_routes_agree(subcritical_profile):
-    p = subcritical_profile
-    r = np.array([0.4, 0.9, 2.0])
-    ident = potential_gradient_on_path(p, r, 0.0, method="identity")
-    assert np.max(np.abs(ident - p.dphi0(r))) <= 1e-14
-    # test_profiles.ROUTE_BOUND: the two routes to Gamma^{-1}
-    quad = potential_gradient_on_path(p, r, 0.0, method="quadrature")
-    assert np.max(np.abs(quad - ident)) <= 1e-13
-    for t in (0.6, 1.4):
-        a = potential_gradient_on_path(p, r, t, method="identity")
-        b = potential_gradient_on_path(p, r, t, method="quadrature")
-        assert np.max(np.abs(a - b)) <= 1e-13
-
-
-def test_potential_gradient_unknown_route(subcritical_profile):
-    with pytest.raises(DomainError, match="route"):
-        potential_gradient_on_path(subcritical_profile, 0.5, 0.9, method="magic")
-
-
-def test_potential_gradient_equilibrium_vanishes(equilibrium):
-    out = potential_gradient_on_path(equilibrium, np.array([0.5, 1.0]), 0.9)
-    assert np.all(out == 0.0)
-
-
 def test_mass_is_transported_exactly(subcritical_profile):
     p = subcritical_profile
     n = p.dimension
@@ -213,29 +187,14 @@ def test_definiteness_horizon_single_branch():
     assert t == blowup_time_closed_form(float(p.du0(r0)), 0.0, 1.0)
 
 
-def test_sample_flow_is_self_consistent(subcritical_profile):
-    p = subcritical_profile
-    s = sample_flow(p, 0.8, 1.1)
-    assert s.r_t == flow_radius(p, 0.8, 1.1)
-    lam1, lam2 = flow_gradient_eigs(p, 0.8, 1.1)
-    assert (s.lam1, s.lam2) == (lam1, lam2)
-    assert s.density == pushforward_density(p, 0.8, 1.1)
-    assert s.velocity == flow_radius_dt(p, 0.8, 1.1)
-
-
 def test_scalar_radial_functions_reject_an_array(canonical_supercritical):
     # An array is refused, not answered for its first radius.
     p = canonical_supercritical
-    calls = (
-        lambda r: positive_definite_horizon(p, r),
-        lambda r: sample_flow(p, r, 0.1),
-    )
-    for call in calls:
-        for r in ([0.5, 3.0], [0.5], np.array([1.0, 2.0])):
-            with pytest.raises(DomainError, match="expected one radius"):
-                call(r)
-        call(np.float64(0.5))
-        call(np.array(0.5))
+    for r in ([0.5, 3.0], [0.5], np.array([1.0, 2.0])):
+        with pytest.raises(DomainError, match="expected one radius"):
+            positive_definite_horizon(p, r)
+    positive_definite_horizon(p, np.float64(0.5))
+    positive_definite_horizon(p, np.array(0.5))
 
 
 def test_negative_time_rejected(equilibrium):

@@ -1,13 +1,16 @@
 """Characteristic-ensemble solver: transport consistency, monitors, failure modes."""
 
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import emaflow.lagrange
-from emaflow.errors import ConfigError, CrossingDetected, DomainError
+from emaflow.errors import ConfigError, DomainError
 from emaflow.flow import flow_radius, pushforward_density
 from emaflow.lagrange import (
     EnsembleRun,
@@ -16,7 +19,6 @@ from emaflow.lagrange import (
     _sorted_distinct,
     advance_ensemble,
     bkm_integral,
-    bkm_monitor,
     default_seeds,
     gradient_bound_check,
 )
@@ -141,21 +143,20 @@ def test_transport_identities_along_characteristics(subcritical_profile, tight_c
         assert np.max(np.abs(rho_continuity - rho_determinant)) <= 1e-6
 
 
-def test_characteristic_accessor(subcritical_profile):
-    res = advance_ensemble(subcritical_profile, n_chars=16, t_end=0.5, grid_size=32)
-    c = res.characteristic(3)
-    snap = res.char_states[-1]
-    assert (c.r, c.u, c.p, c.q, c.mu, c.nu) == tuple(snap[3, :6])
-
-
 # ---------------------------------------------------------------- accumulation monitor
+
+
+def _bkm_samples(snapshots):
+    # The (times, integrands) that `emaflow simulate` integrates.
+    snapshots = list(snapshots)
+    return [s.t for s in snapshots], [s.bkm_integrand for s in snapshots]
 
 
 def test_accumulation_integral_flat_at_equilibrium(equilibrium):
     res = advance_ensemble(
         equilibrium, n_chars=32, t_end=1.0, output_times=[0.0, 0.5, 1.0], grid_size=32
     )
-    assert bkm_monitor(res.snapshots) == 0.0
+    assert bkm_integral(*_bkm_samples(res.snapshots)) == 0.0
 
 
 def test_accumulation_integral_over_one_period(subcritical_profile, tight_config):
@@ -164,7 +165,8 @@ def test_accumulation_integral_over_one_period(subcritical_profile, tight_config
         subcritical_profile, n_chars=512, t_end=2.0 * math.pi,
         config=tight_config, output_times=times, grid_size=128,
     )
-    assert bkm_monitor(res.snapshots) == pytest.approx(2.907630533323631, rel=1e-6)
+    integral = bkm_integral(*_bkm_samples(res.snapshots))
+    assert integral == pytest.approx(2.907630533323631, rel=1e-6)
 
 
 def test_accumulation_integral_grows_near_breakdown(
@@ -176,17 +178,17 @@ def test_accumulation_integral_grows_near_breakdown(
         output_times=[0.0, 0.5 * tc, 0.99 * tc], grid_size=128,
     )
     assert res.termination.kind == "horizon_reached"
-    early = bkm_monitor(res.snapshots[:2])
-    full = bkm_monitor(res.snapshots)
+    early = bkm_integral(*_bkm_samples(res.snapshots[:2]))
+    full = bkm_integral(*_bkm_samples(res.snapshots))
     assert full / early >= 10.0
 
 
 def test_bkm_monitor_input_validation(equilibrium):
     with pytest.raises(ConfigError, match="no snapshots"):
-        bkm_monitor([])
+        bkm_integral([], [])
     res = advance_ensemble(equilibrium, n_chars=8, t_end=1.0, output_times=[0.0, 0.5])
     with pytest.raises(ConfigError, match="strictly increasing"):
-        bkm_monitor(list(reversed(res.snapshots)))
+        bkm_integral(*_bkm_samples(reversed(res.snapshots)))
     with pytest.raises(ConfigError, match="strictly increasing"):
         bkm_integral([0.0, np.nan], [1.0, 1.0])
 
@@ -231,14 +233,6 @@ def test_crossing_reported_as_termination(equilibrium, monkeypatch):
     res = advance_ensemble(equilibrium, n_chars=8, t_end=2.0, grid_size=16)
     assert res.termination.kind == "crossing_detected"
     assert 0.0 < res.termination.t_est <= 2.0
-
-
-def test_crossing_raises_when_requested(equilibrium, monkeypatch):
-    monkeypatch.setattr(emaflow.lagrange, "rhs_characteristics", _collapsing_outer_half)
-    with pytest.raises(CrossingDetected, match="crossed"):
-        advance_ensemble(
-            equilibrium, n_chars=8, t_end=2.0, grid_size=16, raise_on_crossing=True
-        )
 
 
 # ---------------------------------------------------------------- dense output
@@ -311,8 +305,6 @@ def test_crossing_at_an_interpolated_output_time_ends_the_run(equilibrium, monke
     assert res.termination.t_est in times and res.termination.t_est < step_end.t_est
     assert res.char_times == [t for t in times.tolist() if t < res.termination.t_est]
     assert all(np.all(np.diff(state[:, 0]) > 0.0) for state in res.char_states)
-    with pytest.raises(CrossingDetected, match=repr(res.termination.t_est)):
-        advance_ensemble(equilibrium, output_times=times, raise_on_crossing=True, **kwargs)
 
 
 def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
@@ -342,6 +334,57 @@ def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
     assert res.termination.kind == "blowup_detected"
 
 
+_ATTEMPT_FAULTS = """
+import resource
+
+from emaflow.lagrange import EnsembleRun
+from emaflow.profiles import ProfilePreset
+from emaflow.spectral import IntegratorConfig, batch
+
+
+class Enough(Exception):
+    pass
+
+
+faults = []
+attempt = batch._Stepper.attempt
+
+
+def counted(self):
+    step = attempt(self)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    if len(faults) == 30:
+        raise Enough
+    return step
+
+
+batch._Stepper.attempt = counted
+profile = ProfilePreset("quadratic", {"a": 0.2, "c": 0.3, "d": 1.0}).build()
+config = IntegratorConfig(rel_tol=1e-10)
+try:
+    for _ in EnsembleRun(profile, 16384, 2.0, config, output_times=[0.0, 2.0]):
+        pass
+except Enough:
+    pass
+print((faults[29] - faults[4]) / 25)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_ensemble_attempts_reuse_their_pages():
+    # An attempt's state-size temporaries reuse heap pages only because
+    # _Stepper.__init__ frees its start block, which lifts glibc's
+    # dynamic mmap threshold above them.  Kept alive, that block left the
+    # threshold low and each attempt faulted in some 530 fresh pages; as
+    # it is, attempts 6-30 of this run fault in none.  A fresh interpreter
+    # starts from glibc's default threshold.
+    proc = subprocess.run(
+        [sys.executable, "-c", _ATTEMPT_FAULTS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 50.0
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -356,10 +399,7 @@ def test_blowup_magnitude_at_an_interpolated_output_time_ends_the_run(
         (dict(seeds=np.array([0.5, 0.4])), "increasing"),
         (dict(seeds=np.array([0.5])), "1-d array"),
         (dict(seeds=np.array([0.5, 99.0])), "lie in"),
-        (dict(grid=np.array([])), "grid"),
-        (dict(grid=np.array([1.0, 0.5])), "grid"),
         (dict(output_times=[0.0, np.nan, 0.5]), "finite"),
-        (dict(grid=np.array([0.0, np.nan, 0.5])), "grid"),
         (dict(seeds=np.array([0.0, np.nan, 0.5])), "finite"),
         (dict(n_chars=8.5), "n_chars must be an integer"),
         (dict(n_chars=8.0), "n_chars must be an integer"),

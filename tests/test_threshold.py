@@ -1,7 +1,10 @@
 """Critical-threshold classification: pointwise, profile-level, and with rotation."""
 
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -111,6 +114,41 @@ def test_closed_form_matches_the_arcsine_at_zero_gradient(h0, kappa):
     # lambda0 = 0: lam = 0 where 1 - cos s = 1/h0, i.e. sin(s/2) = 1/sqrt(2 h0).
     want = 2.0 * math.asin(1.0 / math.sqrt(2.0 * h0)) / math.sqrt(kappa)
     assert _ulps(blowup_time_closed_form(0.0, h0, kappa), want) <= 4.0
+
+
+def _exact_blowup_time(lambda0, h0, kappa):
+    # The closed form's own root in 60-digit arithmetic, from the exact
+    # inputs: the quadratic's root taken where it does not cancel.
+    with mpmath.workdps(60):
+        sk = mpmath.sqrt(kappa)
+        a, b, c = mpmath.mpf(0.5) - h0, lambda0 / sk, mpmath.mpf(0.5)
+        root = mpmath.sqrt(b * b - 4 * a * c)
+        q = -(b + (root if b >= 0 else -root)) / 2
+        phases = [2 * mpmath.atan2(abs(y), x if y >= 0 else -x) for y, x in ((q, a), (c, q))]
+        return min(s for s in phases if s > 0) / sk
+
+
+def test_closed_form_is_exact_to_a_few_ulps_near_the_threshold():
+    # lambda0 lies 10^U(-12, 0.5) relative from the parabola, on either
+    # side, so b^2 - 4ac runs from full cancellation to none.  The float
+    # difference alone was off by up to 9e5 ulps at 1e-12.
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(1000):
+        kappa = 2.0 ** rng.uniform(-10.0, 10.0)
+        h0 = rng.uniform(-2.0, 0.45)
+        offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 0.5)
+        lambda0 = rng.choice((-1.0, 1.0)) * math.sqrt(kappa * (1.0 - 2.0 * h0)) * (1.0 + offset)
+        verdict = classify_point(lambda0, h0, kappa)
+        if verdict.regime == "boundary":
+            continue
+        margin = Fraction(kappa) * (1 - 2 * Fraction(h0)) - Fraction(lambda0) ** 2
+        assert verdict.regime == ("subcritical" if margin > 0 else "supercritical")
+        if verdict.regime == "supercritical":
+            exact = _exact_blowup_time(lambda0, h0, kappa)
+            assert abs(verdict.t_blowup - exact) <= 8 * math.ulp(float(exact))
+            checked += 1
+    assert checked > 400
 
 
 def test_boundary_band_is_relative_to_the_margin_terms():
