@@ -7,16 +7,20 @@ perfbench `ensemble_snapshots` workload at --seed (16384
 characteristics, 65 snapshots on a 1024-point grid).  simulate steps
 the ensemble in this process and formats snapshots.csv in a forked
 writer process.  The script reads VmRSS (resident now) and VmHWM
-(resident peak so far) of this process from /proc/self/status at three
+(resident peak so far) of this process from /proc/self/status at four
 points:
 
 * import: after `import emaflow.cli`;
+* stepper: when `_Stepper.__init__` returns, that is, once the start
+  block, its live copy and the initial step have been made, before
+  the first attempt;
 * ensemble: when the last snapshot has been handed to the writer, that
   is, once the ensemble has run to its end;
 * csv: when the writer has exited and snapshots.csv is in place.
 
-The last two points are found by wrapping `cli._write_blocks`, so the
-script measures any tree that has it.  writer is the peak resident
+The stepper point is found by wrapping `spectral.batch._Stepper.__init__`
+(the first call only) and the last two by wrapping `cli._write_blocks`,
+so the script measures any tree that has both.  writer is the peak resident
 size of the writer process, the ru_maxrss of RUSAGE_CHILDREN once it
 has been reaped (this process starts no other child).  It counts the
 pages the writer shares with this process from the fork.  Outputs go
@@ -63,6 +67,15 @@ def main():
     import emaflow.cli as cli
 
     points = {"import": _status_mb()}
+    from emaflow.spectral import batch
+
+    stepper_init = batch._Stepper.__init__
+
+    def measured_stepper_init(self, *args, **kwargs):
+        stepper_init(self, *args, **kwargs)
+        points.setdefault("stepper", _status_mb())
+
+    batch._Stepper.__init__ = measured_stepper_init
     write_blocks = cli._write_blocks
 
     def measured_write_blocks(path, header, rows, blocks):

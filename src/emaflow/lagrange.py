@@ -177,7 +177,8 @@ def _snapshot(profile: RadialProfile, t: float, state: np.ndarray, grid: np.ndar
     # it the fields take boundary values.
     x = np.clip(grid, r[0], r[-1])
     rho_chars = (1.0 - state[4]) * (1.0 - state[5]) ** (n - 1)
-    rho, u, p, q, mu, nu = _pchip(r, np.vstack([rho_chars, state[1:6]]), x)
+    # One field at a time, so _pchip's temporaries are those of one row.
+    rho, u, p, q, mu, nu = (_pchip(r, f[None], x)[0] for f in (rho_chars, *state[1:6]))
     bkm = float(max(np.max(np.abs(values)) for values in (p, q, mu, nu)))
     return EulerianSnapshot(
         t=float(t), grid=grid.copy(), rho=rho, u=u, p=p, q=q, mu=mu, nu=nu, bkm_integrand=bkm
@@ -211,7 +212,10 @@ class EnsembleRun:
     a step is its dense output, which must pass the checks of a step's
     end (the crossing check and the blowup magnitude) to be yielded.
     Nothing is kept between output times, so a consumer that drops each
-    pair needs memory for one output time only.  termination is None
+    pair needs memory for one output time only, besides the stepper's
+    state, its stage block and three state-size temporaries.  Each
+    iteration forms the start fields afresh, so a second one repeats the
+    first bit for bit.  termination is None
     until an iteration ends, then says how it ended.  seeds are the
     initial radii and rho0 the initial density on them.
     """
@@ -272,14 +276,15 @@ class EnsembleRun:
         self._config = config.replace(horizon=t_end)
         self._output_times = output_times
         self._grid = grid
-        self._fields = fields
 
     def __iter__(self):
         self.termination = yield from self._outputs()
 
     def _outputs(self):
         # The one stepping loop: yields each output, returns the Termination.
-        profile, grid, fields = self._profile, self._grid, self._fields
+        # The start fields live only until the stepper holds its own copy.
+        profile, grid = self._profile, self._grid
+        fields = _initial_fields(profile, self.seeds)
         kappa = profile.kappa
         n = profile.dimension
         m = self.seeds.size
@@ -305,6 +310,7 @@ class EnsembleRun:
         # One lane, stepped to t_end; the blowup test watches the p, q,
         # mu, nu rows only.
         stepper = _Stepper(f, fields.reshape(-1, 1), self._config, watch=slice(2 * m, 6 * m))
+        del fields
         if stepper.at_pole[0]:
             return Termination(kind="blowup_detected", t_est=0.0)
         while True:

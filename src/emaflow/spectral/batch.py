@@ -40,7 +40,8 @@ step it:
   contraction over it, an attempt that every live lane accepts takes the
   new state without a masked copy and reverses the block for the next
   k0, and the block is tested for finiteness only where the error norm
-  is not finite.
+  is not finite.  The six stage arguments share one array, which becomes
+  y5, so an attempt holds three state-size temporaries at most.
 
 Both drivers step in the caller's process; the batch starts no thread
 or process.
@@ -157,10 +158,10 @@ def _stages_finite(stages):
 _A_ROWS, _E_ROW = [np.array(row) for row in _A], np.array(_E)  # for _sum
 
 
-def _sum(weights, stages):
+def _sum(weights, stages, out=None):
     # sum_i weights[i] * stages[i] over a (n, d, lanes) block, accumulated
     # from 0.0 in index order as the scalar stepper accumulates it.
-    return np.einsum("i,i...->...", weights, stages)
+    return np.einsum("i,i...->...", weights, stages, out=out)
 
 
 class _Stepper:
@@ -189,12 +190,13 @@ class _Stepper:
         live = ~self.at_pole
         self.lane = np.flatnonzero(live)
         self.y = y0[:, live]
-        # One block for the seven stages.  Freeing the start block k also
-        # lifts glibc's dynamic mmap threshold above a state array, so the
-        # attempts' temporaries reuse heap pages: with seven separate
-        # arrays the ensemble took ten times the page faults.
+        # The initial step comes before the block is copied, so its
+        # temporaries never meet both blocks.  One block for the seven
+        # stages: freeing the start block k also lifts glibc's dynamic mmap
+        # threshold above a state array, so the attempts' temporaries reuse
+        # heap pages (seven separate arrays took ten times the faults).
+        self.h = _initial_step(f, self.y, k[0][:, live], cfg)
         self.k = k[:, :, live]
-        self.h = _initial_step(f, self.y, self.k[0], cfg)
         self.t = np.zeros(self.lane.size)
         self.facold = np.full(self.lane.size, 1e-4)
         self.last_rejected = np.zeros(self.lane.size, dtype=bool)
@@ -245,22 +247,24 @@ class _Stepper:
         # Each sum is one contraction over the block, operation for
         # operation as the scalar stepper forms it: the stage argument y +
         # h * (a_i0 k0 + ...) and the scaled error h * (e0 k0 + ...) /
-        # (abs_tol + rel_tol * max(|y|, |y5|)).
+        # (abs_tol + rel_tol * max(|y|, |y5|)), the scale formed first.
+        yi = np.empty_like(y)
         for i in range(1, 7):
-            yi = _sum(_A_ROWS[i], k[:i])
+            _sum(_A_ROWS[i], k[:i], out=yi)
             yi *= h
             yi += y
             f(yi, k[i])
         # The last stage argument is the 5th-order solution (FSAL).
         y5 = yi
 
-        err_vec = _sum(_E_ROW, k)
-        err_vec *= h
         sc = np.abs(y)
         np.maximum(sc, np.abs(y5), out=sc)
         sc *= cfg.rel_tol
         sc += cfg.abs_tol
+        err_vec = _sum(_E_ROW, k)
+        err_vec *= h
         err_vec /= sc
+        del sc
         err = _rms(err_vec)
 
         # A lane is bad where y5 or a stage is not finite.  Every stage

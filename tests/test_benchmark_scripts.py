@@ -44,7 +44,7 @@ def test_simulate_memory_reports_every_layer():
     report = json.loads(proc.stdout)
     assert report["exit_code"] == 0
     mb = report["mb"]
-    assert set(mb) == {"import", "ensemble", "csv", "writer"}
-    for point in ("import", "ensemble", "csv"):
+    assert set(mb) == {"import", "stepper", "ensemble", "csv", "writer"}
+    for point in ("import", "stepper", "ensemble", "csv"):
         assert 0 < mb[point]["VmRSS"] <= mb[point]["VmHWM"]
     assert mb["writer"]["maxrss"] > 0

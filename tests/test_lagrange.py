@@ -4,6 +4,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,60 @@ def test_ensemble_attempts_reuse_their_pages():
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) <= 50.0
+
+
+def test_ensemble_holds_three_state_arrays_above_its_live_set(subcritical_profile, monkeypatch):
+    # Besides y and the stage block, an attempt must hold three
+    # state-size arrays at once: y5 (the stage argument array), the error
+    # scale and |y5| while the scale is formed; y5, the scale and the
+    # error vector while it is scaled; y5, the error vector and its
+    # square in _rms.  A snapshot holds the temporaries of one field's
+    # interpolation, fewer.  The allowance covers what is not state-size:
+    # the one-lane arrays, the 256-point grid fields and Python objects.
+    m = 16384
+    state_bytes = 7 * (m + 1) * 8
+    limit = 3 * state_bytes + 64 * 1024
+    excess = {"attempt": [], "snapshot": []}
+
+    def traced(name, fn):
+        def call(*args):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            excess[name].append(tracemalloc.get_traced_memory()[1] - live)
+            return out
+
+        return call
+
+    monkeypatch.setattr(batch._Stepper, "attempt", traced("attempt", batch._Stepper.attempt))
+    monkeypatch.setattr(emaflow.lagrange, "_snapshot", traced("snapshot", emaflow.lagrange._snapshot))
+    run = EnsembleRun(subcritical_profile, m, 1.0, output_times=[0.0, 0.3, 1.0])
+    tracemalloc.start()
+    try:
+        for _ in run:
+            pass
+    finally:
+        tracemalloc.stop()
+    assert run.termination.kind == "horizon_reached"
+    assert len(excess["snapshot"]) == 3 and excess["attempt"]
+    assert max(excess["attempt"]) <= limit, max(excess["attempt"]) / state_bytes
+    assert max(excess["snapshot"]) <= limit, max(excess["snapshot"]) / state_bytes
+
+
+def test_a_second_pass_over_an_ensemble_run_repeats_the_first(subcritical_profile):
+    # The run keeps no start fields; each pass forms them again from t = 0.
+    run = EnsembleRun(subcritical_profile, 64, 1.0, output_times=[0.0, 0.3, 1.0], grid_size=32)
+    passes = []
+    for _ in range(2):
+        passes.append([(snap, state.copy()) for snap, state in run])
+        assert run.termination.kind == "horizon_reached"
+    first, second = passes
+    assert [snap.t for snap, _ in second] == [0.0, 0.3, 1.0]
+    for (snap1, state1), (snap2, state2) in zip(first, second, strict=True):
+        assert state2.tobytes() == state1.tobytes()
+        for name in ("rho", "u", "p", "q", "mu", "nu"):
+            assert getattr(snap2, name).tobytes() == getattr(snap1, name).tobytes()
+        assert snap2.bkm_integrand == snap1.bkm_integrand
 
 
 # ---------------------------------------------------------------- validation
